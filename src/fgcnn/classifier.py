@@ -60,7 +60,7 @@ def fm_layer(e: np.ndarray) -> np.ndarray:
     b, t, k = e.shape
     if t < 2:
         raise ValueError(f"fm_layer needs at least 2 fields, got {t}")
-    gram = np.einsum("bik,bjk->bij", e, e)
+    gram = e @ e.transpose(0, 2, 1)
     iu, ju = np.triu_indices(t, k=1)
     return gram[:, iu, ju]
 
@@ -68,10 +68,12 @@ def fm_layer(e: np.ndarray) -> np.ndarray:
 def fm_layer_backward(grad: np.ndarray, e: np.ndarray) -> np.ndarray:
     b, t, k = e.shape
     iu, ju = np.triu_indices(t, k=1)
+    # d<e_i, e_j> reaches both e_i and e_j: fill dgram symmetrically so one
+    # batched matmul gives (dgram + dgram^T) @ e.
     dgram = np.zeros((b, t, t), dtype=grad.dtype)
     dgram[:, iu, ju] = grad
-    return (np.einsum("bij,bjk->bik", dgram, e)
-            + np.einsum("bji,bjk->bik", dgram, e))
+    dgram[:, ju, iu] = grad
+    return dgram @ e
 
 
 def _pair_sum(e: np.ndarray) -> np.ndarray:

@@ -12,6 +12,7 @@ import hashlib
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -283,29 +284,37 @@ def make_batches(instances: Sequence[Instance], batch_size: int,
                  shuffle_seed: Optional[int] = None) -> list[Batch]:
     """Densify instances into padded batches; the last batch may be short.
 
-    Without a shuffle seed the original order is preserved.
+    Without a shuffle seed the original order is preserved. Each batch is
+    padded to the longest cell among its own instances (at least 1).
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
     if not instances:
         raise DataError("cannot batch an empty dataset")
-    order = np.arange(len(instances))
+    n = len(instances)
+    n_f = len(instances[0].per_field_indices)
+    if any(len(inst.per_field_indices) != n_f for inst in instances):
+        raise DataError(f"instances disagree on the field count (first has {n_f})")
+    cells = list(chain.from_iterable(inst.per_field_indices for inst in instances))
+    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells)).reshape(n, n_f)
+    values = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(lengths.sum()))
+    labels = np.fromiter((inst.label for inst in instances), dtype=np.float64, count=n)
+    # One padded [n, n_f, max_vals] table for the whole list; the boolean
+    # scatter fills cells in (instance, field, position) order, which is the
+    # order values was flattened in.
+    slots = np.arange(max(1, int(lengths.max()))) < lengths[..., None]
+    dense = np.zeros(slots.shape, dtype=np.int64)
+    dense[slots] = values
+    order = np.arange(n)
     if shuffle_seed is not None:
-        order = np.random.default_rng(shuffle_seed).permutation(len(instances))
+        order = np.random.default_rng(shuffle_seed).permutation(n)
     batches = []
-    for start in range(0, len(instances), batch_size):
-        chunk = [instances[i] for i in order[start:start + batch_size]]
-        n_f = len(chunk[0].per_field_indices)
-        max_vals = max(1, max(len(v) for inst in chunk for v in inst.per_field_indices))
-        idx = np.zeros((len(chunk), n_f, max_vals), dtype=np.int64)
-        mask = np.zeros((len(chunk), n_f, max_vals), dtype=np.float64)
-        labels = np.zeros(len(chunk), dtype=np.float64)
-        for b, inst in enumerate(chunk):
-            labels[b] = inst.label
-            for f, vals in enumerate(inst.per_field_indices):
-                idx[b, f, :len(vals)] = vals
-                mask[b, f, :len(vals)] = 1.0
-        batches.append(Batch(indices=idx, value_mask=mask, labels=labels))
+    for start in range(0, n, batch_size):
+        rows = order[start:start + batch_size]
+        width = max(1, int(lengths[rows].max()))
+        batches.append(Batch(indices=dense[rows, :, :width],
+                             value_mask=slots[rows, :, :width].astype(np.float64),
+                             labels=labels[rows]))
     return batches
 
 

@@ -199,15 +199,18 @@ def pool_forward(x: np.ndarray, pool_height: int):
     max of its remaining rows. Returns (out, argmax) with argmax kept for the
     backward pass; ties resolve to the lowest row index.
     """
-    b, rows, k, maps = x.shape
-    n_win = ceil_div(rows, pool_height)
-    pad = n_win * pool_height - rows
-    if pad:
-        fill = np.full((b, pad, k, maps), -np.inf, dtype=x.dtype)
-        x = np.concatenate([x, fill], axis=1)
-    windows = x.reshape(b, n_win, pool_height, k, maps)
-    argmax = windows.argmax(axis=2)
-    out = np.take_along_axis(windows, argmax[:, :, None], axis=2)[:, :, 0]
+    # Running max over window rows: row j of every window is x[:, j::pool_height]
+    # (a partial last window may lack it). Strict > keeps the lowest row on ties
+    # and j exceeds every index recorded so far; np.maximum(row, out) returns its
+    # second operand on ties, so out keeps that row's bits (signed zeros too).
+    out = x[:, ::pool_height].copy()
+    argmax = np.zeros(out.shape, dtype=np.intp)
+    for j in range(1, pool_height):
+        row = x[:, j::pool_height]
+        head = out[:, :row.shape[1]]
+        head_arg = argmax[:, :row.shape[1]]
+        np.maximum(head_arg, (row > head) * j, out=head_arg)
+        np.maximum(row, head, out=head)
     return out, argmax
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -76,8 +77,7 @@ def auc_score(scores: np.ndarray, labels: np.ndarray) -> Optional[float]:
     boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
     starts = np.concatenate([[0], boundaries])
     ends = np.concatenate([boundaries, [len(scores)]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    ranks[order] = np.repeat(0.5 * (starts + 1 + ends), ends - starts)
     rank_sum_pos = ranks[labels == 1].sum()
     u = rank_sum_pos - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
@@ -116,8 +116,9 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
 
     Deterministic under (config.seed, single thread). History rows carry the
     epoch's mean training loss and, every eval_every epochs, eval metrics.
-    On divergence (non-finite loss) the model is restored to the last epoch
-    that completed cleanly and NumericError is raised.
+    On divergence (non-finite loss) the parameters and batch-norm running
+    statistics are restored to the last epoch that completed cleanly and
+    NumericError is raised.
     """
     uses_bn = model.config.classifier.use_bn or (
         model.config.featgen is not None and model.config.featgen.use_bn)
@@ -129,6 +130,7 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
     clamp_stats = ClampStats()
     history: list[dict] = []
     last_good = model.clone_params()
+    last_good_bn = dict(model.bn_states)
     for epoch in range(1, config.epochs + 1):
         shuffle_seed = config.seed * 1_000_003 + epoch
         dropout_rng = np.random.default_rng(shuffle_seed + 500_009)
@@ -139,6 +141,7 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
             loss = float(loss_vec.mean())
             if not np.isfinite(loss):
                 model.params = last_good
+                model.bn_states = last_good_bn
                 raise nn.NumericError(
                     f"training diverged at epoch {epoch}; restored epoch {epoch - 1} state")
             losses.append(loss)
@@ -158,6 +161,7 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
             row["eval_logloss"] = m.logloss
         history.append(row)
         last_good = model.clone_params()
+        last_good_bn = dict(model.bn_states)
     return history
 
 
@@ -215,7 +219,21 @@ def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -
         buf.write(struct.pack("<I", arr.ndim))
         buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
         buf.write(arr.tobytes())
-    Path(path).write_bytes(buf.getvalue())
+    _write_atomic(Path(path), buf.getvalue())
+
+
+def _write_atomic(path: Path, data: bytes) -> None:
+    """Write to a temporary file beside path, then rename it over path, so a
+    write that fails partway leaves the previous file intact. (This guards
+    against a failing process, not a power loss: nothing is fsynced.)"""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _read_exact(fh, n: int) -> bytes:

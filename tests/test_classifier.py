@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgcnn import classifier as clf
 from fgcnn.checks import check_fm_layer
@@ -16,6 +18,20 @@ def fm_oracle(e):
         for i in range(t):
             for j in range(i + 1, t):
                 out[bi, col] = float(e[bi, i] @ e[bi, j])
+                col += 1
+    return out
+
+
+def fm_backward_oracle(grad, e):
+    """Double loop: d<e_i, e_j> flows to e_i as e_j and to e_j as e_i."""
+    b, t, k = e.shape
+    out = np.zeros_like(e)
+    for bi in range(b):
+        col = 0
+        for i in range(t):
+            for j in range(i + 1, t):
+                out[bi, i] += grad[bi, col] * e[bi, j]
+                out[bi, j] += grad[bi, col] * e[bi, i]
                 col += 1
     return out
 
@@ -40,6 +56,18 @@ def test_fm_layer_orthogonal_rows_all_zero():
 def test_fm_layer_matches_double_loop_oracle():
     e = np.random.default_rng(1).standard_normal((3, 6, 3))
     assert np.allclose(clf.fm_layer(e), fm_oracle(e), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(b=st.integers(1, 4), t=st.integers(2, 12), k=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_fm_layer_and_backward_match_double_loop_at_f64(b, t, k, seed):
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((b, t, k))
+    grad = rng.standard_normal((b, t * (t - 1) // 2))
+    assert np.allclose(clf.fm_layer(e), fm_oracle(e), rtol=1e-12, atol=1e-12)
+    assert np.allclose(clf.fm_layer_backward(grad, e), fm_backward_oracle(grad, e),
+                       rtol=1e-12, atol=1e-12)
 
 
 def test_fm_layer_needs_two_fields():

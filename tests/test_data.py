@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgcnn import data as d
 
@@ -179,6 +181,65 @@ def _univalent_instances(n, n_f=3, card=4, seed=0):
                    int(rng.integers(0, 2)))
         for _ in range(n)
     ]
+
+
+def batches_oracle(instances, batch_size, shuffle_seed=None):
+    """Per-instance densifier: pad each batch to its own longest cell."""
+    order = np.arange(len(instances))
+    if shuffle_seed is not None:
+        order = np.random.default_rng(shuffle_seed).permutation(len(instances))
+    batches = []
+    for start in range(0, len(instances), batch_size):
+        chunk = [instances[i] for i in order[start:start + batch_size]]
+        n_f = len(chunk[0].per_field_indices)
+        max_vals = max(1, max(len(v) for inst in chunk for v in inst.per_field_indices))
+        idx = np.zeros((len(chunk), n_f, max_vals), dtype=np.int64)
+        mask = np.zeros((len(chunk), n_f, max_vals), dtype=np.float64)
+        labels = np.zeros(len(chunk), dtype=np.float64)
+        for b, inst in enumerate(chunk):
+            labels[b] = inst.label
+            for f, vals in enumerate(inst.per_field_indices):
+                idx[b, f, :len(vals)] = vals
+                mask[b, f, :len(vals)] = 1.0
+        batches.append(d.Batch(indices=idx, value_mask=mask, labels=labels))
+    return batches
+
+
+@st.composite
+def _batching_cases(draw):
+    n_f = draw(st.integers(1, 4))
+    longest = draw(st.sampled_from([1, 4]))         # univalent or multivalent cells
+    cell = st.lists(st.integers(0, 50), min_size=1 if longest == 1 else 0, max_size=longest)
+    instance = st.builds(d.Instance,
+                         st.tuples(*[cell.map(tuple)] * n_f),
+                         st.integers(0, 1))
+    instances = draw(st.lists(instance, min_size=1, max_size=30))
+    batch_size = draw(st.integers(1, len(instances) + 2))
+    shuffle_seed = draw(st.none() | st.integers(0, 1000))
+    return instances, batch_size, shuffle_seed
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_batching_cases())
+def test_make_batches_matches_per_instance_densifier(case):
+    instances, batch_size, shuffle_seed = case
+    got = d.make_batches(instances, batch_size, shuffle_seed=shuffle_seed)
+    want = batches_oracle(instances, batch_size, shuffle_seed)
+    assert isinstance(got, list) and len(got) == len(want)
+    for g, w in zip(got, want):
+        for name in ("indices", "value_mask", "labels"):
+            a, b = getattr(g, name), getattr(w, name)
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert np.array_equal(a, b), name
+
+
+def test_make_batches_rejects_ragged_field_counts():
+    # the second and third instances together carry as many cells as two
+    # well-formed ones would
+    insts = [d.Instance(((1,), (2,)), 0), d.Instance(((1,), (2,), (3,)), 1),
+             d.Instance(((1,),), 0)]
+    with pytest.raises(d.DataError, match="field count"):
+        d.make_batches(insts, 2)
 
 
 def test_batch_sizes_with_short_tail():

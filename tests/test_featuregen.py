@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fgcnn import featuregen as fg
 from fgcnn.checks import (check_conv, check_pool, check_recombination,
@@ -24,6 +27,21 @@ def conv_oracle(x, w):
                             acc += xp[bi, p + j, q, m] * w[j, 0, m, o]
                     out[bi, p, q, o] = np.tanh(acc)
     return out
+
+
+def pool_oracle(x, pool_height):
+    """argmax/take_along_axis pooling: pad to whole windows with -inf, then
+    take the first maximal row of every window."""
+    b, rows, k, maps = x.shape
+    n_win = -(-rows // pool_height)
+    pad = n_win * pool_height - rows
+    if pad:
+        fill = np.full((b, pad, k, maps), -np.inf, dtype=x.dtype)
+        x = np.concatenate([x, fill], axis=1)
+    windows = x.reshape(b, n_win, pool_height, k, maps)
+    argmax = windows.argmax(axis=2)
+    out = np.take_along_axis(windows, argmax[:, :, None], axis=2)[:, :, 0]
+    return out, argmax
 
 
 def _cfg(**kw):
@@ -116,6 +134,37 @@ def test_pool_gradients_and_tie_rule():
     back = fg.pool_backward(g, argmax, rows=2, pool_height=2)
     assert back.reshape(-1).tolist() == [1.0, 0.0]
     assert back.sum() == g.sum()   # mass conserved
+
+
+@st.composite
+def _pool_inputs(draw):
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 11)),
+             draw(st.integers(1, 3)), draw(st.integers(1, 3)))
+    # a few repeated values (signed zeros among them) make ties common
+    elements = st.one_of(st.sampled_from([-1.0, -0.0, 0.0, 0.5]),
+                         st.floats(-2.0, 2.0, width=np.dtype(dtype).itemsize * 8))
+    x = draw(hnp.arrays(dtype, shape, elements=elements))
+    return x, draw(st.integers(2, 4))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_pool_inputs())
+def test_pool_is_bit_identical_to_argmax_oracle(case):
+    x, pool_height = case
+    out, argmax = fg.pool_forward(x, pool_height)
+    want_out, want_argmax = pool_oracle(x, pool_height)
+    assert out.dtype == want_out.dtype and out.shape == want_out.shape
+    uint = np.uint32 if x.dtype == np.float32 else np.uint64
+    assert np.array_equal(out.view(uint), want_out.view(uint))
+    assert argmax.dtype == want_argmax.dtype
+    assert np.array_equal(argmax, want_argmax)
+
+
+def test_pool_propagates_nan():
+    x = np.array([1.0, np.nan, np.nan, 2.0, 3.0]).reshape(1, 5, 1, 1)
+    out, _ = fg.pool_forward(x, 2)
+    assert np.isnan(out[0, :2, 0, 0]).all() and out[0, 2, 0, 0] == 3.0
 
 
 # --- recombination ----------------------------------------------------------------

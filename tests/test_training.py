@@ -1,9 +1,13 @@
+import builtins
+import errno
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fgcnn import nn
+from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig
 from fgcnn.data import generate_synthetic, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig
@@ -50,6 +54,33 @@ def test_auc_matches_pairwise_oracle_with_ties():
     scores = rng.integers(0, 5, size=200).astype(float)  # heavy ties
     labels = (rng.random(200) < 0.4).astype(float)
     assert abs(auc_score(scores, labels) - auc_pair_oracle(scores, labels)) < 1e-12
+
+
+def auc_loop_oracle(scores, labels):
+    """Rank-sum AUC assigning each tie group its average rank in a loop."""
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(len(scores))
+    boundaries = np.flatnonzero(np.diff(sorted_scores)) + 1
+    starts = np.concatenate([[0], boundaries])
+    ends = np.concatenate([boundaries, [len(scores)]])
+    for s, e in zip(starts, ends):
+        ranks[order[s:e]] = 0.5 * (s + 1 + e)
+    n_pos = int((labels == 1).sum())
+    n_neg = len(labels) - n_pos
+    u = ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(n=st.integers(2, 300), n_levels=st.sampled_from([2, 5, 1_000_000]),
+       seed=st.integers(0, 2**32 - 1))
+def test_auc_equals_tie_group_loop_exactly(n, n_levels, seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, n_levels, size=n) / n_levels
+    labels = np.zeros(n)
+    labels[rng.permutation(n)[: rng.integers(1, n)]] = 1.0
+    assert auc_score(scores, labels) == auc_loop_oracle(scores, labels)
 
 
 def test_auc_single_class_undefined():
@@ -122,6 +153,38 @@ def test_divergence_restores_last_good_state():
     for name in good:
         if name != "clf.out.w":
             assert np.array_equal(model.params[name], good[name])
+
+
+def test_divergence_restores_bn_stats_of_last_good_epoch(monkeypatch):
+    bn_model = dict(
+        classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True),
+        featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,), new_maps=(2,),
+                                 use_bn=True))
+    cfg = dict(batch_size=16, seed=3)
+    _, instances, reference, _ = _toy_setup(**bn_model)
+    train(reference, instances, TrainConfig(epochs=1, **cfg))
+    _, _, model, _ = _toy_setup(**bn_model)
+    steps_per_epoch = -(-len(instances) // cfg["batch_size"])
+    real_loss = training.loss_and_grad
+    calls = []
+
+    def nan_loss_in_epoch_two(yhat, y, stats=None):
+        loss, dlogit = real_loss(yhat, y, stats)
+        calls.append(1)
+        if len(calls) == steps_per_epoch + 2:
+            loss = np.full_like(loss, np.nan)
+        return loss, dlogit
+
+    monkeypatch.setattr(training, "loss_and_grad", nan_loss_in_epoch_two)
+    with pytest.raises(nn.NumericError, match="diverged at epoch 2"):
+        train(model, instances, TrainConfig(epochs=2, **cfg))
+    assert model.param_names() == reference.param_names()
+    for name in reference.params:
+        assert np.array_equal(model.params[name], reference.params[name]), name
+    assert sorted(model.bn_states) == sorted(reference.bn_states) != []
+    for site, state in reference.bn_states.items():
+        assert np.array_equal(model.bn_states[site].mean, state.mean), site
+        assert np.array_equal(model.bn_states[site].var, state.var), site
 
 
 def test_l2_regularization_shrinks_embeddings():
@@ -313,6 +376,39 @@ def test_checkpoint_truncation(tmp_path):
     path.write_bytes(raw[: len(raw) // 2])
     with pytest.raises(TruncatedCheckpointError):
         load_checkpoint(path, schema)
+
+
+class _DiskFullFile:
+    """Binary file stand-in that stores half of each write, then fails."""
+
+    def __init__(self, path, mode):
+        self._fh = builtins.open(path, mode)
+
+    def write(self, data):
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def test_checkpoint_write_failing_partway_keeps_previous(tmp_path, monkeypatch):
+    schema, instances, model, _ = _toy_setup()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    saved = model.clone_params()
+    train(model, instances, TrainConfig(batch_size=16, epochs=1, seed=8))
+    monkeypatch.setattr(training, "open", _DiskFullFile, raising=False)
+    with pytest.raises(OSError):
+        save_checkpoint(model, path)
+    monkeypatch.undo()
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    loaded, _ = load_checkpoint(path, schema)
+    for name, arr in saved.items():
+        assert np.array_equal(loaded.params[name], arr), name
 
 
 # --- complexity -----------------------------------------------------------------------
