@@ -72,24 +72,31 @@ def _build_parser() -> _Parser:
 # data plumbing
 
 def _resolve_data(cfg: ExperimentConfig):
-    """Returns (schema, train_instances, test_instances_or_None)."""
+    """Returns (schema, train_instances, test_instances_or_None, ingest), where
+    ingest maps each split read from a dataset file to its IngestStats."""
+    ingest = {}
     if cfg.data.train_path:
         if cfg.data.schema_path:
             schema = DatasetSchema.load(cfg.data.schema_path)
-            train_set, _ = load_dataset(cfg.data.train_path, schema,
-                                        max_vals=cfg.data.max_vals)
+            train_set, ingest["train"] = load_dataset(cfg.data.train_path, schema,
+                                                      max_vals=cfg.data.max_vals)
         else:
-            schema, train_set, _ = fit_dataset(cfg.data.train_path,
-                                               cfg.data.min_count,
-                                               max_vals=cfg.data.max_vals)
+            schema, train_set, ingest["train"] = fit_dataset(cfg.data.train_path,
+                                                             cfg.data.min_count,
+                                                             max_vals=cfg.data.max_vals)
         test_set = None
         if cfg.data.test_path:
-            test_set, _ = load_dataset(cfg.data.test_path, schema,
-                                       max_vals=cfg.data.max_vals)
-        return schema, train_set, test_set
+            test_set, ingest["test"] = load_dataset(cfg.data.test_path, schema,
+                                                    max_vals=cfg.data.max_vals)
+        return schema, train_set, test_set, ingest
     if cfg.synthetic is None:
         raise DataError("config names neither dataset files nor a synthetic spec")
-    return _synthetic_split(cfg)[:3]
+    return (*_synthetic_split(cfg)[:3], ingest)
+
+
+def _ingest_lines(ingest) -> list[str]:
+    return [f"ingest {split} rows {s.rows} unknown_tokens {s.unknown_tokens} "
+            f"truncated_values {s.truncated_values}" for split, s in ingest.items()]
 
 
 def _synthetic_split(cfg: ExperimentConfig):
@@ -121,14 +128,14 @@ def _out_dir(args) -> Path:
 def _cmd_train(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, ingest = _resolve_data(cfg)
     model = FgcnnModel.build(schema, cfg.model, cfg.train.seed, cfg.train.precision)
     history = train(model, train_set, cfg.train, eval_instances=test_set)
     digest = cfg.digest()
     write_records(out / "metrics.jsonl", history, cfg.train.seed, digest)
     final = evaluate(model, test_set if test_set is not None else train_set)
     final_auc = "-" if final.auc is None else f"{final.auc:.6f}"
-    lines = [f"seed {cfg.train.seed}", f"config_digest {digest}",
+    lines = [f"seed {cfg.train.seed}", f"config_digest {digest}", *_ingest_lines(ingest),
              experiments.render_table(history), "",
              f"final auc {final_auc}  logloss {final.logloss:.6f}  "
              f"(n_pos {final.n_pos}, n_neg {final.n_neg})"]
@@ -142,13 +149,13 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, ingest = _resolve_data(cfg)
     model, _ = load_checkpoint(args.checkpoint, schema)
     dataset = test_set if test_set is not None else train_set
     m = evaluate(model, dataset)
     row = {**m.to_dict(), "dataset_size": len(dataset)}
     write_records(out / "eval.jsonl", [row], cfg.train.seed, cfg.digest())
-    print(render_table([row]))
+    print("\n".join([*_ingest_lines(ingest), render_table([row])]))
     return EXIT_OK
 
 
@@ -170,7 +177,7 @@ def _cmd_synth(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, _ = _resolve_data(cfg)
     rows = experiments.run_ablation(train_set, test_set or train_set, schema,
                                     cfg.model, cfg.train)
     write_records(out / "ablation.jsonl", rows, cfg.train.seed, cfg.digest())
@@ -182,7 +189,7 @@ def _cmd_compat(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, _ = _resolve_data(cfg)
     rows = experiments.run_compatibility(kinds, train_set, test_set or train_set,
                                          schema, cfg.model, cfg.train,
                                          seeds=(cfg.train.seed,))
@@ -194,7 +201,7 @@ def _cmd_compat(args) -> int:
 def _cmd_shuffle(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, _ = _resolve_data(cfg)
     result = experiments.run_shuffle_study(train_set, test_set or train_set, schema,
                                            cfg.model, cfg.train,
                                            n_permutations=args.permutations,
@@ -217,7 +224,7 @@ def _cmd_sweep(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     values = [int(v) for v in args.values.split(",") if v.strip()]
-    schema, train_set, test_set = _resolve_data(cfg)
+    schema, train_set, test_set, _ = _resolve_data(cfg)
     points = experiments.sweep(args.knob, values, train_set, test_set or train_set,
                                schema, cfg.model, cfg.train)
     write_records(out / f"sweep_{args.knob}.jsonl", points, cfg.train.seed, cfg.digest())

@@ -10,9 +10,10 @@ from __future__ import annotations
 import csv
 import hashlib
 import math
+from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -55,9 +56,14 @@ class FieldSchema:
         return [t for t, _ in toks]
 
     def decode(self, index: int) -> str:
+        """Token of one index, by a linear scan; to decode many indices, index
+        [DUMMY_TOKEN] + tokens_in_index_order() instead."""
         if index == 0:
             return DUMMY_TOKEN
-        return self.tokens_in_index_order()[index - 1]
+        for tok, i in self.token_to_index.items():
+            if i == index:
+                return tok
+        raise IndexError(f"field {self.field_name!r} has no index {index}")
 
 
 @dataclass
@@ -164,6 +170,29 @@ class IngestStats:
 TokenRow = Sequence[Sequence[str]]
 
 
+def _columns(rows: Sequence[TokenRow], n_f: int, faults: list) -> list[tuple]:
+    """Transpose rows into n_f columns of cells.
+
+    Only the rows before the first ragged one are transposed; that row is
+    recorded in faults as (row, -2, message), and any fault a caller finds in
+    the columns lies before it in row order.
+    """
+    widths = list(map(len, rows))
+    good = len(rows)
+    if widths.count(n_f) != good:
+        good = next(r for r, w in enumerate(widths) if w != n_f)
+        faults.append((good, -2, f"ragged row at line {good + 1}: expected {n_f} "
+                                 f"fields, got {widths[good]}"))
+    return list(zip(*rows[:good])) or [()] * n_f
+
+
+def _raise_first(faults: list) -> None:
+    """Raise the fault a row-by-row scan would meet first: the lowest row, then
+    the row-level checks (negative keys) before the fields in order."""
+    if faults:
+        raise DataError(min(faults)[2])
+
+
 def build_vocab(field_names: Sequence[str], rows: Sequence[TokenRow],
                 min_count: int) -> DatasetSchema:
     """Fit per-field vocabularies over a token table.
@@ -175,29 +204,20 @@ def build_vocab(field_names: Sequence[str], rows: Sequence[TokenRow],
         raise DataError(f"min_count must be >= 1, got {min_count}")
     if not rows:
         raise DataError("cannot build a vocabulary from an empty corpus")
-    n_f = len(field_names)
-    counts: list[dict[str, int]] = [{} for _ in range(n_f)]
-    first_seen: list[list[str]] = [[] for _ in range(n_f)]
-    multival = [False] * n_f
-    for r, row in enumerate(rows):
-        if len(row) != n_f:
-            raise DataError(f"ragged row at line {r + 1}: expected {n_f} fields, got {len(row)}")
-        for j, cell in enumerate(row):
-            if len(cell) == 0:
-                raise DataError(f"empty value list in field {field_names[j]!r} at line {r + 1}")
-            if len(cell) > 1:
-                multival[j] = True
-            for tok in cell:
-                if tok not in counts[j]:
-                    first_seen[j].append(tok)
-                counts[j][tok] = counts[j].get(tok, 0) + 1
+    faults: list = []
     fields = []
-    for j, name in enumerate(field_names):
-        mapping: dict[str, int] = {}
-        for tok in first_seen[j]:
-            if counts[j][tok] >= min_count:
-                mapping[tok] = len(mapping) + 1
-        fields.append(FieldSchema(name, mapping, multivalent=multival[j]))
+    columns = _columns(rows, len(field_names), faults)
+    for j, (name, column) in enumerate(zip(field_names, columns)):
+        lengths = list(map(len, column))
+        if 0 in lengths:
+            r = lengths.index(0)
+            faults.append((r, j, f"empty value list in field {name!r} at line {r + 1}"))
+        # Counter keeps first-seen order, so retained tokens are numbered in it.
+        counts = Counter(chain.from_iterable(column))
+        kept = [tok for tok, c in counts.items() if c >= min_count]
+        fields.append(FieldSchema(name, dict(zip(kept, range(1, len(kept) + 1))),
+                                  multivalent=max(lengths, default=0) > 1))
+    _raise_first(faults)
     return DatasetSchema(fields=fields, min_count=min_count)
 
 
@@ -209,30 +229,36 @@ def encode_instances(schema: DatasetSchema, rows: Sequence[TokenRow],
     Unknown tokens encode to the dummy index 0. Multivalent cells longer than
     max_vals are truncated; truncations are counted in the returned stats.
     """
-    stats = IngestStats()
-    out: list[Instance] = []
-    n_f = schema.n_f
-    for r, (row, label) in enumerate(zip(rows, labels)):
-        if len(row) != n_f:
-            raise DataError(f"ragged row at line {r + 1}: expected {n_f} fields, got {len(row)}")
-        if label not in (0, 1):
-            raise DataError(f"label at line {r + 1} must be 0 or 1, got {label!r}")
-        encoded = []
-        for f, cell in zip(schema.fields, row):
-            if not f.multivalent and len(cell) > 1:
-                raise DataError(
-                    f"field {f.field_name!r} is univalent but line {r + 1} carries "
-                    f"{len(cell)} values")
-            toks = list(cell)
-            if max_vals is not None and len(toks) > max_vals:
-                stats.truncated_values += len(toks) - max_vals
-                toks = toks[:max_vals]
-            idx = tuple(f.encode(t) for t in toks)
-            stats.unknown_tokens += sum(1 for t in toks if t not in f.token_to_index)
-            encoded.append(idx)
-        out.append(Instance(tuple(encoded), int(label)))
-        stats.rows += 1
-    return out, stats
+    n = min(len(rows), len(labels))
+    rows, labels = rows[:n], list(labels)[:n]
+    stats = IngestStats(rows=n)
+    faults: list = []
+    if labels.count(0) + labels.count(1) != n:
+        r = next(r for r, label in enumerate(labels) if label not in (0, 1))
+        faults.append((r, -1, f"label at line {r + 1} must be 0 or 1, got {labels[r]!r}"))
+    columns = []
+    for j, (f, column) in enumerate(zip(schema.fields, _columns(rows, schema.n_f, faults))):
+        lengths = list(map(len, column))
+        longest = max(lengths, default=0)
+        if longest > 1 and not f.multivalent:
+            r = next(r for r, m in enumerate(lengths) if m > 1)
+            faults.append((r, j, f"field {f.field_name!r} is univalent but line {r + 1} "
+                                 f"carries {lengths[r]} values"))
+        if max_vals is not None and longest > max_vals:
+            stats.truncated_values += sum(m - max_vals for m in lengths if m > max_vals)
+            column = [cell[:max_vals] for cell in column]
+            lengths = list(map(len, column))
+        # Indices start at 1, so a 0 marks exactly the unknown tokens.
+        enc = tuple(map(f.token_to_index.get, chain.from_iterable(column), repeat(0)))
+        stats.unknown_tokens += enc.count(0)
+        if lengths.count(1) == len(lengths):
+            columns.append(list(zip(enc)))
+        else:
+            bounds = list(accumulate(lengths, initial=0))
+            columns.append(list(map(enc.__getitem__, map(slice, bounds, bounds[1:]))))
+    _raise_first(faults)
+    cells = zip(*columns) if columns else repeat((), n)
+    return list(map(Instance, cells, map(int, labels))), stats
 
 
 # ---------------------------------------------------------------------------
@@ -431,10 +457,10 @@ def write_dataset_file(path, schema: DatasetSchema, instances: Sequence[Instance
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.field_names() + [LABEL_COLUMN])
+        tokens = [[DUMMY_TOKEN] + f.tokens_in_index_order() for f in schema.fields]
         for inst in instances:
-            row = []
-            for f, vals in zip(schema.fields, inst.per_field_indices):
-                row.append(VALUE_SEP.join(f.decode(i) for i in vals))
+            row = [VALUE_SEP.join(map(toks.__getitem__, vals))
+                   for toks, vals in zip(tokens, inst.per_field_indices)]
             row.append(str(inst.label))
             writer.writerow(row)
 
@@ -471,12 +497,15 @@ def read_dataset_file(path) -> tuple[list[str], list[list[tuple[str, ...]]], lis
                 raise DataError(
                     f"{path}: ragged row at line {lineno}: expected {len(header)} "
                     f"columns, got {len(cells)}")
+            text = cells.pop(label_pos)
             try:
-                labels.append(int(cells[label_pos]))
+                label = int(text)
             except ValueError:
-                raise DataError(f"{path}: bad label {cells[label_pos]!r} at line {lineno}") from None
-            rows.append([tuple(c.split(VALUE_SEP)) for i, c in enumerate(cells)
-                         if i != label_pos])
+                raise DataError(f"{path}: bad label {text!r} at line {lineno}") from None
+            if label not in (0, 1):
+                raise DataError(f"{path}: label at line {lineno} must be 0 or 1, got {label}")
+            labels.append(label)
+            rows.append(list(map(tuple, map(str.split, cells, repeat(VALUE_SEP)))))
     return field_names, rows, labels
 
 

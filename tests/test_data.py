@@ -67,6 +67,172 @@ def test_vocab_injective():
     assert len(indices) == len(set(indices))
 
 
+# --- oracles: the per-token loops the column-wise ingest replaced --------------
+
+def build_vocab_oracle(field_names, rows, min_count):
+    if min_count < 1:
+        raise d.DataError(f"min_count must be >= 1, got {min_count}")
+    if not rows:
+        raise d.DataError("cannot build a vocabulary from an empty corpus")
+    n_f = len(field_names)
+    counts = [{} for _ in range(n_f)]
+    first_seen = [[] for _ in range(n_f)]
+    multival = [False] * n_f
+    for r, row in enumerate(rows):
+        if len(row) != n_f:
+            raise d.DataError(f"ragged row at line {r + 1}: expected {n_f} fields, got {len(row)}")
+        for j, cell in enumerate(row):
+            if len(cell) == 0:
+                raise d.DataError(f"empty value list in field {field_names[j]!r} at line {r + 1}")
+            if len(cell) > 1:
+                multival[j] = True
+            for tok in cell:
+                if tok not in counts[j]:
+                    first_seen[j].append(tok)
+                counts[j][tok] = counts[j].get(tok, 0) + 1
+    fields = []
+    for j, name in enumerate(field_names):
+        mapping = {}
+        for tok in first_seen[j]:
+            if counts[j][tok] >= min_count:
+                mapping[tok] = len(mapping) + 1
+        fields.append(d.FieldSchema(name, mapping, multivalent=multival[j]))
+    return d.DatasetSchema(fields=fields, min_count=min_count)
+
+
+def encode_instances_oracle(schema, rows, labels, max_vals=None):
+    stats = d.IngestStats()
+    out = []
+    n_f = schema.n_f
+    for r, (row, label) in enumerate(zip(rows, labels)):
+        if len(row) != n_f:
+            raise d.DataError(f"ragged row at line {r + 1}: expected {n_f} fields, got {len(row)}")
+        if label not in (0, 1):
+            raise d.DataError(f"label at line {r + 1} must be 0 or 1, got {label!r}")
+        encoded = []
+        for f, cell in zip(schema.fields, row):
+            if not f.multivalent and len(cell) > 1:
+                raise d.DataError(
+                    f"field {f.field_name!r} is univalent but line {r + 1} carries "
+                    f"{len(cell)} values")
+            toks = list(cell)
+            if max_vals is not None and len(toks) > max_vals:
+                stats.truncated_values += len(toks) - max_vals
+                toks = toks[:max_vals]
+            encoded.append(tuple(f.encode(t) for t in toks))
+            stats.unknown_tokens += sum(1 for t in toks if t not in f.token_to_index)
+        out.append(d.Instance(tuple(encoded), int(label)))
+        stats.rows += 1
+    return out, stats
+
+
+def _outcome(fn, *args, **kw):
+    """The result of fn, or the message of the DataError it raises."""
+    try:
+        return fn(*args, **kw)
+    except d.DataError as exc:
+        return f"DataError: {exc}"
+
+
+@st.composite
+def _ingest_cases(draw):
+    """A train table of repeated tokens (some fields multivalent), a test table
+    that also carries unseen tokens, labels, min_count and max_vals."""
+    n_f = draw(st.integers(1, 4))
+    multi = draw(st.lists(st.booleans(), min_size=n_f, max_size=n_f))
+
+    def table(alphabet, n):
+        return [[tuple(draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                                     max_size=4 if multi[j] else 1)))
+                 for j in range(n_f)] for _ in range(n)]
+
+    train = table("abcde", draw(st.integers(1, 12)))
+    test = table("abcdexyz", draw(st.integers(0, 8)))
+    labels = draw(st.lists(st.sampled_from([0, 1]), min_size=len(test), max_size=len(test)))
+    return dict(names=[f"f{j}" for j in range(n_f)], train=train, test=test, labels=labels,
+                min_count=draw(st.integers(1, 3)),
+                max_vals=draw(st.one_of(st.none(), st.integers(1, 3))))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ingest_cases())
+def test_ingest_matches_per_token_oracle(case):
+    schema = d.build_vocab(case["names"], case["train"], case["min_count"])
+    want = build_vocab_oracle(case["names"], case["train"], case["min_count"])
+    assert schema.to_text() == want.to_text()
+    insts, stats = d.encode_instances(schema, case["train"], [1] * len(case["train"]),
+                                      max_vals=case["max_vals"])
+    assert (insts, stats) == encode_instances_oracle(want, case["train"], [1] * len(insts),
+                                                     max_vals=case["max_vals"])
+    assert all(type(i) is int for inst in insts for cell in inst.per_field_indices
+               for i in cell)
+    # a field drawn as multivalent may have fitted univalent, so a test row
+    # can be rejected; both must then raise the same message
+    assert _outcome(d.encode_instances, schema, case["test"], case["labels"],
+                    max_vals=case["max_vals"]) == \
+        _outcome(encode_instances_oracle, want, case["test"], case["labels"],
+                 max_vals=case["max_vals"])
+
+
+FAULTS = ("ragged_short", "ragged_long", "label", "multi", "empty")
+
+
+def _inject(rows, labels, faults):
+    """Copies of rows and labels with each (kind, row, field, bad_label) fault applied."""
+    rows = [list(row) for row in rows]
+    labels = list(labels)
+    for kind, r, j, bad in faults:
+        r %= len(rows)
+        j %= len(rows[r]) or 1
+        if kind == "ragged_short":
+            rows[r] = rows[r][:-1]
+        elif kind == "ragged_long":
+            rows[r] = rows[r] + [("a",)]
+        elif kind == "label":
+            labels[r] = bad
+        elif rows[r]:
+            rows[r][j] = ("a", "b") if kind == "multi" else ()
+    return rows, labels
+
+
+_FAULT = st.tuples(st.sampled_from(FAULTS), st.integers(0, 50), st.integers(0, 5),
+                   st.sampled_from([2, -1, 0.5, "1", None]))
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ingest_cases(), st.lists(_FAULT, min_size=1, max_size=2))
+def test_ingest_faults_raise_the_oracles_first_message(case, faults):
+    labels = [1] * len(case["train"])
+    rows, labels = _inject(case["train"], labels, faults)
+    got = _outcome(d.build_vocab, case["names"], rows, case["min_count"])
+    want = _outcome(build_vocab_oracle, case["names"], rows, case["min_count"])
+    assert (got if isinstance(got, str) else got.to_text()) == \
+        (want if isinstance(want, str) else want.to_text())
+    schema = d.build_vocab(case["names"], case["train"], case["min_count"])
+    got = _outcome(d.encode_instances, schema, rows, labels, max_vals=case["max_vals"])
+    want = _outcome(encode_instances_oracle, schema, rows, labels, max_vals=case["max_vals"])
+    assert got == want
+
+
+@pytest.mark.parametrize("rows,min_count", [([], 1), ([[("a",)]], 0), ([[("a",)]], -2),
+                                            ([], 0)])
+def test_vocab_argument_errors_match_oracle(rows, min_count):
+    with pytest.raises(d.DataError) as got:
+        d.build_vocab(["f0"], rows, min_count)
+    with pytest.raises(d.DataError) as want:
+        build_vocab_oracle(["f0"], rows, min_count)
+    assert str(got.value) == str(want.value)
+
+
+def test_encode_empty_table_and_short_labels_match_oracle():
+    rows = [[("a",), ("x", "y")], [("b",), ("y",)], [("c",), ("z",)]]
+    schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
+    for labels in ([], [1], [0, 1]):
+        assert d.encode_instances(schema, rows, labels) == \
+            encode_instances_oracle(schema, rows, labels)
+    assert d.encode_instances(schema, [], []) == ([], d.IngestStats())
+
+
 # --- bucketize ---------------------------------------------------------------
 
 def test_bucketize_below_first_boundary():
@@ -363,6 +529,32 @@ def test_ragged_file_row_names_line(tmp_path):
     path.write_text("f0,f1,label\na,x,1\nb,0\n", encoding="utf-8")
     with pytest.raises(d.DataError, match="line 3"):
         d.read_dataset_file(path)
+
+
+def test_bad_label_names_file_line_after_blank_line(tmp_path):
+    path = tmp_path / "badlabel.csv"
+    path.write_text("f0,f1,label\na,x,1\nb,y,0\n\nc,z,1\nd,w,2\n", encoding="utf-8")
+    with pytest.raises(d.DataError, match=r"badlabel\.csv: label at line 6 must be 0 or 1, got 2"):
+        d.read_dataset_file(path)
+
+
+def test_write_read_encode_roundtrip_with_multivalent_fields(tmp_path):
+    rows = [[("a",), ("x", "y", "z"), ("p",)], [("b",), ("y",), ("q", "p")],
+            [("a",), ("w", "x"), ("r",)], [("c",), ("x",), ("p", "q", "r")]]
+    schema = d.build_vocab(["f0", "f1", "f2"], rows, min_count=2)
+    insts, _ = d.encode_instances(schema, rows, [1, 0, 1, 0])
+    path = tmp_path / "mv.csv"
+    d.write_dataset_file(path, schema, insts)
+    names, back_rows, labels = d.read_dataset_file(path)
+    assert back_rows[0] == [("a",), ("x", "y", d.DUMMY_TOKEN), ("p",)]
+    back, _ = d.encode_instances(schema, back_rows, labels)
+    assert names == schema.field_names()
+    assert back == insts
+    for f in schema.fields:
+        order = [d.DUMMY_TOKEN] + f.tokens_in_index_order()
+        assert [f.decode(i) for i in range(f.cardinality)] == order
+        with pytest.raises(IndexError):
+            f.decode(f.cardinality)
 
 
 def test_missing_label_column_rejected(tmp_path):

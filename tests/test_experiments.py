@@ -264,6 +264,40 @@ schema = {synth_dir / 'schema.txt'}
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "fr")]) == 0
 
 
+def _write_multivalent_csv(path, n, unseen_row=None):
+    lines = ["f0,f1,f2,f3,label"]
+    for i in range(n):
+        f0 = "zz" if i == unseen_row else f"u{i % 4}"
+        f1 = "a|b|c" if i % 5 == 0 else f"b{i % 3}"
+        lines.append(f"{f0},{f1},v{i % 3},w{i % 2},{i % 2}")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def test_cli_reports_ingest_counts(toy_cfg, tmp_path, capsys):
+    _write_multivalent_csv(tmp_path / "train.csv", 40)
+    _write_multivalent_csv(tmp_path / "test.csv", 10, unseen_row=3)
+    cfg = tmp_path / "mv.cfg"
+    cfg.write_text(TOY_CFG + f"""
+[data]
+train = {tmp_path / 'train.csv'}
+test = {tmp_path / 'test.csv'}
+max_vals = 2
+""", encoding="utf-8")
+    # three-value cells in rows 0, 5, 10, ... lose one value each; "zz" is unseen
+    want = ["ingest train rows 40 unknown_tokens 0 truncated_values 8",
+            "ingest test rows 10 unknown_tokens 1 truncated_values 2"]
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(cfg), "--out", str(out)]) == 0
+    text = (out / "metrics.txt").read_text(encoding="utf-8")
+    assert text.splitlines()[2:4] == want
+    assert text in capsys.readouterr().out
+    assert "ingest" not in (out / "metrics.jsonl").read_text(encoding="utf-8")
+    assert cli_main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(out / "model.ckpt")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == want
+
+
 def test_cli_unknown_flag_exits_one(toy_cfg, capsys):
     code = cli_main(["train", "--config", str(toy_cfg), "--bogus"])
     assert code == 1

@@ -44,6 +44,15 @@ def pool_oracle(x, pool_height):
     return out, argmax
 
 
+def pool_backward_oracle(grad, argmax, rows, pool_height):
+    """put_along_axis routing: scatter into zero-filled whole windows, then drop
+    the padded rows of a partial last window."""
+    b, n_win, k, maps = grad.shape
+    dwin = np.zeros((b, n_win, pool_height, k, maps), dtype=grad.dtype)
+    np.put_along_axis(dwin, argmax[:, :, None], grad[:, :, None], axis=2)
+    return dwin.reshape(b, n_win * pool_height, k, maps)[:, :rows]
+
+
 def _cfg(**kw):
     base = dict(kernel_heights=(2,), feature_maps=(2,), new_maps=(2,), pool_height=2)
     base.update(kw)
@@ -159,6 +168,21 @@ def test_pool_is_bit_identical_to_argmax_oracle(case):
     assert np.array_equal(out.view(uint), want_out.view(uint))
     assert argmax.dtype == want_argmax.dtype
     assert np.array_equal(argmax, want_argmax)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_pool_inputs(), st.integers(0, 2**32 - 1))
+def test_pool_backward_is_bit_identical_to_scatter_oracle(case, seed):
+    x, pool_height = case
+    _, argmax = fg.pool_forward(x, pool_height)
+    grad = np.random.default_rng(seed).standard_normal(argmax.shape).astype(x.dtype)
+    grad[..., 0] = -0.0     # signed zeros must reach the input rows unchanged
+    rows = x.shape[1]
+    back = fg.pool_backward(grad, argmax, rows, pool_height)
+    want = pool_backward_oracle(grad, argmax, rows, pool_height)
+    assert back.dtype == want.dtype and back.shape == want.shape == x.shape
+    uint = np.uint32 if x.dtype == np.float32 else np.uint64
+    assert np.array_equal(back.view(uint), np.ascontiguousarray(want).view(uint))
 
 
 def test_pool_propagates_nan():
