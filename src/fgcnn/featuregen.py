@@ -216,19 +216,11 @@ def pool_forward(x: np.ndarray, pool_height: int):
 
 def pool_backward(grad: np.ndarray, argmax: np.ndarray, rows: int,
                   pool_height: int) -> np.ndarray:
-    """Route gradients to the argmax rows only.
-
-    Mirrors pool_forward: row j of every window is d[:, j::pool_height], and it
-    takes the window's gradient where argmax == j. Windows do not overlap, so
-    each input row is written at most once.
-    """
-    b, _, k, maps = grad.shape
-    d = np.zeros((b, rows, k, maps), dtype=grad.dtype)
-    for j in range(pool_height):
-        row = d[:, j::pool_height]
-        n = row.shape[1]
-        np.copyto(row, grad[:, :n], where=argmax[:, :n] == j)
-    return d
+    """Route gradients to the argmax rows only."""
+    b, n_win, k, maps = grad.shape
+    dwin = np.zeros((b, n_win, pool_height, k, maps), dtype=grad.dtype)
+    np.put_along_axis(dwin, argmax[:, :, None], grad[:, :, None], axis=2)
+    return dwin.reshape(b, n_win * pool_height, k, maps)[:, :rows]
 
 
 def recombine_forward(s: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
