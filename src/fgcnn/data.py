@@ -490,9 +490,10 @@ def read_dataset_file(path) -> tuple[list[str], list[list[tuple[str, ...]]], lis
         field_names = [h for i, h in enumerate(header) if i != label_pos]
         rows: list[list[tuple[str, ...]]] = []
         labels: list[int] = []
-        for lineno, cells in enumerate(reader, start=2):
+        for cells in reader:
             if not cells:
                 continue
+            lineno = reader.line_num     # the record's last file line; quoted cells span lines
             if len(cells) != len(header):
                 raise DataError(
                     f"{path}: ragged row at line {lineno}: expected {len(header)} "

@@ -3,10 +3,10 @@ and the parameter/multiply bookkeeping report.
 """
 from __future__ import annotations
 
-import io
 import json
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence
@@ -116,9 +116,11 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
 
     Deterministic under (config.seed, single thread). History rows carry the
     epoch's mean training loss and, every eval_every epochs, eval metrics.
-    On divergence (non-finite loss) the parameters and batch-norm running
-    statistics are restored to the last epoch that completed cleanly and
-    NumericError is raised.
+    The arrays in model.params are updated in place; a caller that needs
+    the old values takes model.clone_params() first. On divergence
+    (non-finite loss) the parameters and batch-norm running statistics are
+    restored to the last epoch that completed cleanly and NumericError is
+    raised.
     """
     uses_bn = model.config.classifier.use_bn or (
         model.config.featgen is not None and model.config.featgen.use_bn)
@@ -151,7 +153,7 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
                     if name in grads:
                         grads[name] = grads[name] + 2.0 * config.l2_embedding * model.params[name]
             for name, g in grads.items():
-                model.params[name], opt[name] = nn.adam_step(model.params[name], g, opt[name])
+                nn.adam_step(model.params[name], g, opt[name])
             model.commit_bn(cache)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
                "n_clamped": clamp_stats.n_clamped}
@@ -160,8 +162,10 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
             row["eval_auc"] = m.auc
             row["eval_logloss"] = m.logloss
         history.append(row)
-        last_good = model.clone_params()
-        last_good_bn = dict(model.bn_states)
+        if epoch < config.epochs:
+            for name, snapshot in last_good.items():
+                np.copyto(snapshot, model.params[name])
+            last_good_bn = dict(model.bn_states)
     return history
 
 
@@ -190,7 +194,8 @@ class TruncatedCheckpointError(CheckpointError):
 
 def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -> None:
     """Binary layout: magic, version, config blob, schema digest, then named
-    tensors as little-endian float32, row-major."""
+    tensors as little-endian float32, row-major. Each tensor is written
+    straight from its array into the file."""
     tensors: dict[str, np.ndarray] = dict(model.params)
     for site, state in model.bn_states.items():
         tensors[site + ".running_mean"] = state.mean
@@ -203,33 +208,37 @@ def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -
     blob = json.dumps({"model": model.config.to_dict(),
                        "precision": model.precision}, sort_keys=True).encode("utf-8")
     digest = model.schema.digest().encode("ascii")
-    buf = io.BytesIO()
-    buf.write(CHECKPOINT_MAGIC)
-    buf.write(struct.pack("<I", CHECKPOINT_VERSION))
-    buf.write(struct.pack("<I", len(blob)))
-    buf.write(blob)
-    buf.write(struct.pack("<I", len(digest)))
-    buf.write(digest)
-    buf.write(struct.pack("<I", len(tensors)))
-    for name in sorted(tensors):
-        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
-        nb = name.encode("utf-8")
-        buf.write(struct.pack("<I", len(nb)))
-        buf.write(nb)
-        buf.write(struct.pack("<I", arr.ndim))
-        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        buf.write(arr.tobytes())
-    _write_atomic(Path(path), buf.getvalue())
+    with _atomic_file(Path(path)) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<II", CHECKPOINT_VERSION, len(blob)))
+        fh.write(blob)
+        fh.write(struct.pack("<I", len(digest)))
+        fh.write(digest)
+        fh.write(struct.pack("<I", len(tensors)))
+        for name in sorted(tensors):
+            arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+            nb = name.encode("utf-8")
+            fh.write(struct.pack("<I", len(nb)))
+            fh.write(nb)
+            fh.write(struct.pack(f"<I{arr.ndim}I", arr.ndim, *arr.shape))
+            fh.write(_bytes_of(arr))
 
 
-def _write_atomic(path: Path, data: bytes) -> None:
-    """Write to a temporary file beside path, then rename it over path, so a
-    write that fails partway leaves the previous file intact. (This guards
-    against a failing process, not a power loss: nothing is fsynced.)"""
+def _bytes_of(arr: np.ndarray) -> np.ndarray:
+    """The bytes of a C-contiguous array as a flat uint8 view (no copy)."""
+    return arr.reshape(-1).view(np.uint8)
+
+
+@contextmanager
+def _atomic_file(path: Path):
+    """Yield a binary file that replaces path when the block completes. It is
+    written as a temporary file beside path and renamed over it, so a write
+    that fails partway leaves the previous file intact. (This guards against
+    a failing process, not a power loss: nothing is fsynced.)"""
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -275,9 +284,12 @@ def load_checkpoint(path, schema: DatasetSchema):
             name = _read_exact(fh, name_len).decode("utf-8")
             (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
             shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            size = int(np.prod(shape)) if ndim else 1
-            arr = np.frombuffer(_read_exact(fh, 4 * size), dtype="<f4").reshape(shape)
-            tensors[name] = arr.copy()
+            arr = np.empty(shape, dtype="<f4")
+            got = fh.readinto(_bytes_of(arr))
+            if got != arr.nbytes:
+                raise TruncatedCheckpointError(
+                    f"checkpoint truncated: wanted {arr.nbytes} bytes, got {got}")
+            tensors[name] = arr
     config = ModelConfig.from_dict(blob["model"])
     dtype = nn.as_dtype(blob["precision"])
     params: dict[str, np.ndarray] = {}
@@ -285,7 +297,7 @@ def load_checkpoint(path, schema: DatasetSchema):
     bn_vars: dict[str, np.ndarray] = {}
     opt_raw: dict[str, dict] = {}
     for name, arr in tensors.items():
-        arr = arr.astype(dtype)
+        arr = arr.astype(dtype, copy=False)
         if name.startswith("opt."):
             base, leaf = name[4:].rsplit(".", 1)
             opt_raw.setdefault(base, {})[leaf] = arr

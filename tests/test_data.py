@@ -538,6 +538,14 @@ def test_bad_label_names_file_line_after_blank_line(tmp_path):
         d.read_dataset_file(path)
 
 
+def test_bad_label_names_file_line_after_multiline_cell(tmp_path):
+    # the quoted cell of record 2 spans file lines 2 and 3
+    path = tmp_path / "badlabel.csv"
+    path.write_text('f0,f1,label\n"a\nb",x,1\nc,y,2\n', encoding="utf-8")
+    with pytest.raises(d.DataError, match=r"badlabel\.csv: label at line 4 must be 0 or 1, got 2"):
+        d.read_dataset_file(path)
+
+
 def test_write_read_encode_roundtrip_with_multivalent_fields(tmp_path):
     rows = [[("a",), ("x", "y", "z"), ("p",)], [("b",), ("y",), ("q", "p")],
             [("a",), ("w", "x"), ("r",)], [("c",), ("x",), ("p", "q", "r")]]

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgcnn import nn
 
@@ -123,12 +127,93 @@ def test_batchnorm_gradient_vs_finite_differences():
 
 # --- Adam --------------------------------------------------------------------
 
+def adam_step_pure(param, grad, state):
+    """The whole-tensor Adam update: returns (new_param, new_state) and
+    leaves its inputs alone. Oracle for the in-place nn.adam_step."""
+    t = state.t + 1
+    m = state.beta1 * state.m + (1.0 - state.beta1) * grad
+    v = state.beta2 * state.v + (1.0 - state.beta2) * grad * grad
+    m_hat = m / (1.0 - state.beta1 ** t)
+    v_hat = v / (1.0 - state.beta2 ** t)
+    new_param = param - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return new_param, replace(state, m=m, v=v, t=t)
+
+
+def _bits(arr):
+    return arr.dtype, arr.shape, arr.tobytes()
+
+
+def _adam_grad(rng, size, dtype, kind):
+    fi = np.finfo(dtype)
+    if kind == "zero":
+        g = np.zeros(size, dtype)
+    elif kind == "tiny":         # subnormals and the smallest normals
+        g = (rng.standard_normal(size) * float(fi.tiny)).astype(dtype)
+    elif kind == "huge":         # g * g overflows to inf
+        g = (rng.standard_normal(size) * float(fi.max) / 4).astype(dtype)
+    else:
+        g = rng.standard_normal(size).astype(dtype)
+    # sprinkle signed zeros over every kind
+    g[rng.random(size) < 0.1] = 0.0
+    g[rng.random(size) < 0.1] = -0.0
+    return g
+
+
+@settings(max_examples=40, deadline=None)
+@given(size=st.sampled_from([0, 1, 7, nn.ADAM_CHUNK - 1, nn.ADAM_CHUNK,
+                             nn.ADAM_CHUNK + 1, 2 * nn.ADAM_CHUNK + 5]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       kinds=st.lists(st.sampled_from(["zero", "tiny", "huge", "normal"]),
+                      min_size=1, max_size=4),
+       lr=st.sampled_from([1e-3, 0.1]),
+       seed=st.integers(0, 2**32 - 1))
+def test_adam_in_place_is_bit_identical_to_pure(size, dtype, kinds, lr, seed):
+    rng = np.random.default_rng(seed)
+    param = rng.standard_normal(size).astype(dtype)
+    param[rng.random(size) < 0.05] = -0.0
+    ref_param, ref_state = param.copy(), nn.adam_init(param, lr=lr)
+    state = nn.adam_init(param, lr=lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for kind in kinds:
+            grad = _adam_grad(rng, size, dtype, kind)
+            ref_param, ref_state = adam_step_pure(ref_param, grad, ref_state)
+            assert nn.adam_step(param, grad, state) is None
+    assert _bits(param) == _bits(ref_param)
+    assert _bits(state.m) == _bits(ref_state.m)
+    assert _bits(state.v) == _bits(ref_state.v)
+    assert state.t == ref_state.t == len(kinds)
+
+
+def _strided():
+    return np.ones(16)[::2]
+
+
+def _read_only():
+    a = np.ones(8)
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make", [_strided, _read_only])
+@pytest.mark.parametrize("which", ["param", "m", "v"])
+def test_adam_rejects_arrays_it_cannot_update_in_place(which, make):
+    arrays = {"param": np.ones(8), "m": np.zeros(8), "v": np.zeros(8)}
+    arrays[which] = make()
+    before = {k: a.copy() for k, a in arrays.items()}
+    state = nn.AdamState(m=arrays["m"], v=arrays["v"], lr=0.1)
+    with pytest.raises(ValueError, match="C-contiguous writeable"):
+        nn.adam_step(arrays["param"], np.ones(8), state)
+    assert state.t == 0
+    for k, arr in arrays.items():
+        assert np.array_equal(arr, before[k]), k
+
+
 def test_adam_zero_grad_never_moves_param():
     p = np.array([1.0, -2.0, 3.0])
     state = nn.adam_init(p, lr=0.1)
     q = p.copy()
     for _ in range(50):
-        q, state = nn.adam_step(q, np.zeros(3), state)
+        nn.adam_step(q, np.zeros(3), state)
     assert np.array_equal(q, p)
 
 
@@ -138,7 +223,7 @@ def test_adam_converges_on_scalar_quadratic():
     state = nn.adam_init(x, lr=0.1)
     for _ in range(200):
         grad = 2.0 * (x - 3.0)
-        x, state = nn.adam_step(x, grad, state)
+        nn.adam_step(x, grad, state)
     assert abs(x[0] - 3.0) < 1e-3
 
 
@@ -150,23 +235,11 @@ def test_adam_is_deterministic():
         p = np.ones(4)
         st = nn.adam_init(p, lr=0.01)
         for g in grads:
-            p, st = nn.adam_step(p, g, st)
+            nn.adam_step(p, g, st)
         return p
 
     a, b = run(), run()
-    assert np.array_equal(a, b)
-
-
-def test_adam_is_pure():
-    p = np.array([1.0, 2.0])
-    g = np.array([0.5, -0.5])
-    state = nn.adam_init(p, lr=0.1)
-    p2, state2 = nn.adam_step(p, g, state)
-    assert np.array_equal(p, [1.0, 2.0])
-    assert state.t == 0 and np.all(state.m == 0)
-    assert state2.t == 1
-    p3, _ = nn.adam_step(p, g, state)
-    assert np.array_equal(p2, p3)
+    assert np.array_equal(a, b) and not np.array_equal(a, np.ones(4))
 
 
 # --- grad_check itself --------------------------------------------------------

@@ -1,6 +1,9 @@
 import builtins
 import errno
+import io
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -178,9 +181,10 @@ def test_divergence_restores_bn_stats_of_last_good_epoch(monkeypatch):
     monkeypatch.setattr(training, "loss_and_grad", nan_loss_in_epoch_two)
     with pytest.raises(nn.NumericError, match="diverged at epoch 2"):
         train(model, instances, TrainConfig(epochs=2, **cfg))
+    # bit for bit: the in-place steps of epoch 2 must not reach the snapshot
     assert model.param_names() == reference.param_names()
     for name in reference.params:
-        assert np.array_equal(model.params[name], reference.params[name]), name
+        assert model.params[name].tobytes() == reference.params[name].tobytes(), name
     assert sorted(model.bn_states) == sorted(reference.bn_states) != []
     for site, state in reference.bn_states.items():
         assert np.array_equal(model.bn_states[site].mean, state.mean), site
@@ -195,6 +199,15 @@ def test_l2_regularization_shrinks_embeddings():
     train(model2, instances2, TrainConfig(**cfg, l2_embedding=1e-2))
     assert (np.linalg.norm(model2.params["emb.clf"])
             < np.linalg.norm(model.params["emb.clf"]))
+
+
+def test_one_epoch_train_leaves_cloned_params_unaffected():
+    schema, instances, model, _ = _toy_setup()
+    before = model.clone_params()
+    frozen = {n: p.tobytes() for n, p in before.items()}
+    train(model, instances, TrainConfig(batch_size=16, epochs=1, seed=2))
+    assert {n: p.tobytes() for n, p in before.items()} == frozen
+    assert any(model.params[n].tobytes() != frozen[n] for n in frozen)
 
 
 def test_bn_requires_batch_of_two():
@@ -225,7 +238,7 @@ def test_convex_submodel_loss_slope():
         losses.append(float(loss_vec.mean()))
         grads = model.backward_batch(cache, dlogit / batch.size)
         for n in opt:
-            model.params[n], opt[n] = nn.adam_step(model.params[n], grads[n], opt[n])
+            nn.adam_step(model.params[n], grads[n], opt[n])
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
 
 
@@ -326,12 +339,75 @@ def test_checkpoint_preserves_bn_state(tmp_path):
         assert np.array_equal(state.var, loaded.bn_states[site].var)
 
 
+def checkpoint_bytes_oracle(model, optimizer=None) -> bytes:
+    """The checkpoint file as a whole-file BytesIO writer assembles it.
+    Oracle for the streaming save_checkpoint."""
+    tensors = dict(model.params)
+    for site, state in model.bn_states.items():
+        tensors[site + ".running_mean"] = state.mean
+        tensors[site + ".running_var"] = state.var
+    for name, st_ in (optimizer or {}).items():
+        tensors[f"opt.{name}.m"] = st_.m
+        tensors[f"opt.{name}.v"] = st_.v
+        tensors[f"opt.{name}.t"] = np.array([st_.t], dtype=np.float32)
+    blob = json.dumps({"model": model.config.to_dict(),
+                       "precision": model.precision}, sort_keys=True).encode("utf-8")
+    digest = model.schema.digest().encode("ascii")
+    buf = io.BytesIO()
+    buf.write(training.CHECKPOINT_MAGIC)
+    buf.write(struct.pack("<I", training.CHECKPOINT_VERSION))
+    buf.write(struct.pack("<I", len(blob)))
+    buf.write(blob)
+    buf.write(struct.pack("<I", len(digest)))
+    buf.write(digest)
+    buf.write(struct.pack("<I", len(tensors)))
+    for name in sorted(tensors):
+        arr = np.ascontiguousarray(tensors[name], dtype="<f4")
+        nb = name.encode("utf-8")
+        buf.write(struct.pack("<I", len(nb)))
+        buf.write(nb)
+        buf.write(struct.pack("<I", arr.ndim))
+        buf.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+        buf.write(arr.tobytes())
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+def test_checkpoint_file_matches_bytesio_writer(tmp_path, precision):
+    schema, instances, model, _ = _toy_setup(
+        classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True))
+    model = model.astype(precision)
+    train(model, instances, TrainConfig(batch_size=16, epochs=1, seed=8,
+                                        precision=precision))
+    opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
+    for n, p in model.params.items():
+        nn.adam_step(p, np.full_like(p, 0.5), opt[n])
+    for optimizer in (None, opt):
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path, optimizer=optimizer)
+        assert path.read_bytes() == checkpoint_bytes_oracle(model, optimizer)
+
+
+def test_loaded_checkpoint_trains_on(tmp_path):
+    schema, instances, model, _ = _toy_setup()
+    cfg = TrainConfig(batch_size=16, epochs=1, seed=8)
+    train(model, instances, cfg)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    loaded, _ = load_checkpoint(path, schema)
+    assert all(p.flags.c_contiguous and p.flags.writeable for p in loaded.params.values())
+    train(model, instances, cfg)
+    train(loaded, instances, cfg)
+    for name, arr in model.params.items():
+        assert loaded.params[name].tobytes() == arr.tobytes(), name
+
+
 def test_checkpoint_roundtrips_optimizer(tmp_path):
     schema, instances, model, _ = _toy_setup()
     opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
     g = {n: np.ones_like(p) for n, p in model.params.items()}
     for n in model.params:
-        model.params[n], opt[n] = nn.adam_step(model.params[n], g[n], opt[n])
+        nn.adam_step(model.params[n], g[n], opt[n])
     path = tmp_path / "opt.ckpt"
     save_checkpoint(model, path, optimizer=opt)
     _, opt2 = load_checkpoint(path, schema)
@@ -373,9 +449,10 @@ def test_checkpoint_truncation(tmp_path):
     path = tmp_path / "t.ckpt"
     save_checkpoint(model, path)
     raw = path.read_bytes()
-    path.write_bytes(raw[: len(raw) // 2])
-    with pytest.raises(TruncatedCheckpointError):
-        load_checkpoint(path, schema)
+    for cut in (len(raw) // 2, len(raw) - 2):
+        path.write_bytes(raw[:cut])
+        with pytest.raises(TruncatedCheckpointError):
+            load_checkpoint(path, schema)
 
 
 class _DiskFullFile:
