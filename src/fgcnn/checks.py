@@ -52,21 +52,28 @@ def check_embedding_gather(seed: int) -> float:
 
 
 def check_conv(seed: int) -> float:
+    """Worst error over an odd kernel shorter than its input (h=3, 5 rows,
+    2->2 maps) and an even one taller than it (h=4, 3 rows, 3->2 maps),
+    whose SAME padding is uneven (1 row above, 2 below)."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 5, 4, 2))
-    w = rng.standard_normal((3, 1, 2, 2)) * 0.5
-    g = rng.standard_normal((2, 5, 4, 2))
 
     def forward(p):
         return np.tanh(fg_mod.conv_affine(p["x"], p["w"]))
 
-    def backward(p):
-        a = np.tanh(fg_mod.conv_affine(p["x"], p["w"]))
-        dz = g * nn.tanh_grad_from_output(a)
-        dx, dw = fg_mod.conv_affine_backward(dz, p["x"], p["w"])
-        return {"x": dx, "w": dw}
+    worst = 0.0
+    for h, rows, in_maps, out_maps in ((3, 5, 2, 2), (4, 3, 3, 2)):
+        x = rng.standard_normal((2, rows, 4, in_maps))
+        w = rng.standard_normal((h, 1, in_maps, out_maps)) * 0.5
+        g = rng.standard_normal((2, rows, 4, out_maps))
 
-    return _inner_product_check(forward, backward, {"x": x, "w": w}, g)
+        def backward(p, g=g):
+            a = forward(p)
+            dz = g * nn.tanh_grad_from_output(a)
+            dx, dw = fg_mod.conv_affine_backward(dz, p["x"], p["w"])
+            return {"x": dx, "w": dw}
+
+        worst = max(worst, _inner_product_check(forward, backward, {"x": x, "w": w}, g))
+    return worst
 
 
 def check_pool(seed: int) -> float:

@@ -155,36 +155,72 @@ def bn_sites(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, int]:
 # ---------------------------------------------------------------------------
 # stage kernels
 
+CONV_CHUNK = 1 << 22     # window-matrix elements gathered per batch slice
+
+
+def _windows(x: np.ndarray, h: int):
+    """Yield (lo, hi, cols) over batch slices of x [b, rows, k, in_maps].
+
+    cols [(hi - lo) * rows * k, h * in_maps] holds, for every output
+    position (n, r, c), the h input rows r - pad_top .. r - pad_top + h - 1
+    of column c under SAME zero padding, ordered (tap, map) like
+    w.reshape(h * in_maps, out_maps). One np.take over each padded,
+    flattened example copies runs of in_maps floats; a slice holds at most
+    CONV_CHUNK elements (at least one example).
+    """
+    b, rows, k, in_maps = x.shape
+    pad_top = (h - 1) // 2
+    # (padded row, column) offset of tap j at output position (r, c)
+    idx = ((np.arange(rows)[:, None, None] + np.arange(h)) * k
+           + np.arange(k)[:, None]).reshape(-1)
+    step = max(1, CONV_CHUNK // (idx.size * in_maps))
+    for lo in range(0, b, step):
+        xp = np.pad(x[lo:lo + step], ((0, 0), (pad_top, h - 1 - pad_top), (0, 0), (0, 0)))
+        cols = np.take(xp.reshape(xp.shape[0], -1, in_maps), idx, axis=1)
+        yield lo, lo + xp.shape[0], cols.reshape(-1, h * in_maps)
+
+
 def conv_affine(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Field-axis convolution, SAME zero padding, stride 1, no bias.
 
     x: [b, rows, k, in_maps], w: [h, 1, in_maps, out_maps] -> [b, rows, k, out_maps].
+    Computed as the window matrix of x times w.reshape(h * in_maps, out_maps),
+    written slice by slice into the output.
     """
     b, rows, k, in_maps = x.shape
-    h = w.shape[0]
+    h, out_maps = w.shape[0], w.shape[3]
     if w.shape[2] != in_maps:
         raise ValueError(f"conv shape mismatch: input has {in_maps} maps, kernel {w.shape}")
-    pad_top = (h - 1) // 2
-    pad_bot = h - 1 - pad_top
-    xp = np.pad(x, ((0, 0), (pad_top, pad_bot), (0, 0), (0, 0)))
-    out = np.zeros((b, rows, k, w.shape[3]), dtype=x.dtype)
-    for j in range(h):
-        out += np.tensordot(xp[:, j:j + rows], w[j, 0], axes=([3], [0]))
+    w2 = w.reshape(h * in_maps, out_maps)
+    out = np.empty((b, rows, k, out_maps), dtype=x.dtype)
+    out2 = out.reshape(-1, out_maps)
+    for lo, hi, cols in _windows(x, h):
+        np.matmul(cols, w2, out=out2[lo * rows * k:hi * rows * k])
     return out
 
 
 def conv_affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Gradients (dx, dw) of conv_affine: dw = colsᵀ @ grad over the window
+    slices; dx sums one grad @ w[j]ᵀ product per tap, shifted to the input
+    rows that tap reads."""
     b, rows, k, in_maps = x.shape
-    h = w.shape[0]
+    h, out_maps = w.shape[0], w.shape[3]
+    g2 = grad.reshape(-1, out_maps)
+    dw = np.zeros((h * in_maps, out_maps), dtype=w.dtype)
+    for lo, hi, cols in _windows(x, h):
+        dw += cols.T @ g2[lo * rows * k:hi * rows * k]
     pad_top = (h - 1) // 2
-    pad_bot = h - 1 - pad_top
-    xp = np.pad(x, ((0, 0), (pad_top, pad_bot), (0, 0), (0, 0)))
-    dxp = np.zeros_like(xp)
-    dw = np.zeros_like(w)
+    dx = (g2 @ w[pad_top, 0].T).reshape(x.shape)
     for j in range(h):
-        dxp[:, j:j + rows] += np.tensordot(grad, w[j, 0], axes=([3], [1]))
-        dw[j, 0] = np.tensordot(xp[:, j:j + rows], grad, axes=([0, 1, 2], [0, 1, 2]))
-    return dxp[:, pad_top:pad_top + rows], dw
+        s = j - pad_top          # output row r reads input row r + s through tap j
+        if s == 0 or abs(s) >= rows:
+            continue
+        tap = (g2 @ w[j, 0].T).reshape(x.shape)
+        if s > 0:
+            dx[:, s:] += tap[:, :rows - s]
+        else:
+            dx[:, :rows + s] += tap[:, -s:]
+    return dx, dw.reshape(w.shape)
 
 
 def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:

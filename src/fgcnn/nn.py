@@ -109,17 +109,27 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
     Train mode uses in-batch statistics and returns an updated running-stat
     state; infer mode normalizes with the running statistics. Returns
     (out, cache, new_state); cache is None in infer mode.
+
+    Column sums are taken as ones @ x: on tall arrays such as the conv
+    sites' [b*rows*k, maps] that is one BLAS pass, where a strided axis-0
+    reduction walks the rows. The variance is a second pass over x - mean,
+    not E[x^2] - E[x]^2, which cancels catastrophically.
     """
     if x.ndim != 2:
         raise ValueError(f"batchnorm expects 2-D input, got shape {x.shape}")
     if mode == "train":
-        if x.shape[0] < 2:
+        n = x.shape[0]
+        if n < 2:
             raise ValueError("batchnorm in train mode needs batch size >= 2")
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
+        ones = np.ones(n, dtype=x.dtype)
+        mu = (ones @ x) / n
+        xhat = x - mu
+        out = np.multiply(xhat, xhat)
+        var = (ones @ out) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat = (x - mu) * inv_std
-        out = xhat * g + b
+        xhat *= inv_std
+        np.multiply(xhat, g, out=out)
+        out += b
         m = state.momentum
         new_state = BnState(
             mean=(m * state.mean + (1.0 - m) * mu).astype(x.dtype),
@@ -128,19 +138,32 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
         )
         return out, (xhat, inv_std, g), new_state
     if mode == "infer":
-        xhat = (x - state.mean) / np.sqrt(state.var + BN_EPS)
-        return xhat * g + b, None, state
+        # (x - mean) / std * g + b folded into one scale and one shift
+        scale = g / np.sqrt(state.var + BN_EPS)
+        out = x * scale
+        out += b - state.mean * scale
+        return out, None, state
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
 
 def batchnorm_backward(grad: np.ndarray, cache):
-    """Gradients (dx, dg, db) for train-mode batchnorm."""
+    """Gradients (dx, dg, db) for train-mode batchnorm.
+
+    dx = g*inv_std * (grad - db/n - xhat*dg/n): the textbook
+    inv_std/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)) with
+    dxhat = grad*g, so sum(dxhat) = g*db and sum(dxhat*xhat) = g*dg, and
+    only two column sums are taken.
+    """
     xhat, inv_std, g = cache
     n = grad.shape[0]
-    dg = (grad * xhat).sum(axis=0)
-    db = grad.sum(axis=0)
-    dxhat = grad * g
-    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    ones = np.ones(n, dtype=grad.dtype)
+    db = ones @ grad
+    dx = grad * xhat
+    dg = ones @ dx
+    np.multiply(xhat, dg / n, out=dx)
+    np.subtract(grad, dx, out=dx)
+    dx -= db / n
+    dx *= g * inv_std
     return dx, dg, db
 
 

@@ -18,7 +18,7 @@ from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClampStats, loss_and_grad
 from .data import DataError, DatasetSchema, Instance, make_batches
-from .model import FgcnnModel, ModelConfig
+from .model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
 
 CHECKPOINT_MAGIC = b"FGCN"
 CHECKPOINT_VERSION = 1
@@ -192,6 +192,11 @@ class TruncatedCheckpointError(CheckpointError):
     code = "truncated"
 
 
+class CheckpointTensorError(CheckpointError):
+    """A stored tensor is missing, unexpected or misshaped for the stored config."""
+    code = "tensor_mismatch"
+
+
 def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -> None:
     """Binary layout: magic, version, config blob, schema digest, then named
     tensors as little-endian float32, row-major. Each tensor is written
@@ -291,6 +296,7 @@ def load_checkpoint(path, schema: DatasetSchema):
                     f"checkpoint truncated: wanted {arr.nbytes} bytes, got {got}")
             tensors[name] = arr
     config = ModelConfig.from_dict(blob["model"])
+    _check_tensor_shapes(tensors, schema, config)
     dtype = nn.as_dtype(blob["precision"])
     params: dict[str, np.ndarray] = {}
     bn_means: dict[str, np.ndarray] = {}
@@ -317,6 +323,37 @@ def load_checkpoint(path, schema: DatasetSchema):
             for base, st in opt_raw.items()
         }
     return model, optimizer
+
+
+def _check_tensor_shapes(tensors: dict[str, np.ndarray], schema: DatasetSchema,
+                        config: ModelConfig) -> None:
+    """Compare the stored tensors with those the stored config allocates:
+    every parameter, each batch-norm site's running mean and variance, and
+    for each optimizer entry present its m, v (shaped like the parameter)
+    and step count t. Raises CheckpointTensorError naming the first bad
+    tensor in name order."""
+    params = param_shapes(schema, config)
+    expected = dict(params)
+    for site, dim in bn_site_dims(schema, config).items():
+        expected[site + ".running_mean"] = (dim,)
+        expected[site + ".running_var"] = (dim,)
+    for name in tensors:
+        if name.startswith("opt."):
+            base = name[4:].rsplit(".", 1)[0]
+            if base in params:
+                expected.update({f"opt.{base}.m": params[base],
+                                 f"opt.{base}.v": params[base], f"opt.{base}.t": (1,)})
+    for name in sorted(expected.keys() | tensors.keys()):
+        if name not in tensors:
+            raise CheckpointTensorError(
+                f"checkpoint lacks tensor {name!r} of shape {expected[name]}")
+        if name not in expected:
+            raise CheckpointTensorError(
+                f"checkpoint holds tensor {name!r}, which its config does not use")
+        if tensors[name].shape != expected[name]:
+            raise CheckpointTensorError(
+                f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
+                f"its config needs {expected[name]}")
 
 
 # ---------------------------------------------------------------------------

@@ -320,6 +320,35 @@ def test_cli_bad_checkpoint_exits_two(toy_cfg, tmp_path, capsys):
                      "--checkpoint", str(bad)]) == 2
 
 
+def _retouched_checkpoint(toy_cfg, tmp_path, edit):
+    """Train the toy model, apply edit to its params and save it again."""
+    from fgcnn.data import DatasetSchema
+    from fgcnn.training import load_checkpoint, save_checkpoint
+
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(toy_cfg), "--out", str(out)]) == 0
+    model, _ = load_checkpoint(out / "model.ckpt", DatasetSchema.load(out / "schema.txt"))
+    edit(model.params)
+    save_checkpoint(model, out / "bad.ckpt")
+    return out / "bad.ckpt"
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda p: p.pop("fg.conv1.w"), ["lacks", "'fg.conv1.w'", "(2, 1, 1, 2)"]),
+    (lambda p: p.update({"clf.fc1.w": p["clf.fc1.w"][:-1]}),
+     ["'clf.fc1.w'", "has shape", "needs"]),
+])
+def test_cli_eval_of_checkpoint_with_bad_tensor_exits_two(toy_cfg, tmp_path, capsys,
+                                                         edit, words):
+    bad = _retouched_checkpoint(toy_cfg, tmp_path, edit)
+    capsys.readouterr()
+    assert cli_main(["eval", "--config", str(toy_cfg), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert all(word in err for word in words), err
+
+
 def test_cli_complexity_prints_counts(toy_cfg, capsys):
     assert cli_main(["complexity", "--config", str(toy_cfg)]) == 0
     out = capsys.readouterr().out

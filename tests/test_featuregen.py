@@ -29,6 +29,33 @@ def conv_oracle(x, w):
     return out
 
 
+def conv_affine_oracle(x, w):
+    """One shifted tensordot per kernel tap over the padded input.
+    Oracle for the gathered windowed matmul in fg.conv_affine."""
+    b, rows, k, in_maps = x.shape
+    h = w.shape[0]
+    pad_top = (h - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_top, h - 1 - pad_top), (0, 0), (0, 0)))
+    out = np.zeros((b, rows, k, w.shape[3]), dtype=x.dtype)
+    for j in range(h):
+        out += np.tensordot(xp[:, j:j + rows], w[j, 0], axes=([3], [0]))
+    return out
+
+
+def conv_affine_backward_oracle(grad, x, w):
+    """Per-tap tensordot gradients into a padded buffer. Oracle for
+    fg.conv_affine_backward."""
+    rows, h = x.shape[1], w.shape[0]
+    pad_top = (h - 1) // 2
+    xp = np.pad(x, ((0, 0), (pad_top, h - 1 - pad_top), (0, 0), (0, 0)))
+    dxp = np.zeros_like(xp)
+    dw = np.zeros_like(w)
+    for j in range(h):
+        dxp[:, j:j + rows] += np.tensordot(grad, w[j, 0], axes=([3], [1]))
+        dw[j, 0] = np.tensordot(xp[:, j:j + rows], grad, axes=([0, 1, 2], [0, 1, 2]))
+    return dxp[:, pad_top:pad_top + rows], dw
+
+
 def pool_oracle(x, pool_height):
     """argmax/take_along_axis pooling: pad to whole windows with -inf, then
     take the first maximal row of every window."""
@@ -106,6 +133,39 @@ def test_conv_shape_mismatch_rejected():
 
 def test_conv_gradients():
     assert check_conv(0) < 1e-4
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 7), rows=st.integers(1, 8), k=st.integers(1, 4),
+       in_maps=st.integers(1, 5), out_maps=st.integers(1, 5), b=st.integers(1, 5),
+       chunk_examples=st.integers(0, 6), seed=st.integers(0, 2**32 - 1))
+def test_conv_matches_shifted_tensordot_oracle(h, rows, k, in_maps, out_maps, b,
+                                               chunk_examples, seed):
+    # CONV_CHUNK covers chunk_examples whole examples plus a remainder, so a
+    # call spans several slices, single-example ones (0 or 1) included
+    rng = np.random.default_rng(seed)
+    per_example = rows * k * h * in_maps
+    chunk = chunk_examples * per_example + int(rng.integers(per_example))
+    x = rng.standard_normal((b, rows, k, in_maps))
+    w = rng.standard_normal((h, 1, in_maps, out_maps))
+    g = rng.standard_normal((b, rows, k, out_maps))
+    want_dx, want_dw = conv_affine_backward_oracle(g, x, w)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fg, "CONV_CHUNK", chunk)
+        n_slices = len(list(fg._windows(x, h)))
+        out = fg.conv_affine(x, w)
+        dx, dw = fg.conv_affine_backward(g, x, w)
+        out32 = fg.conv_affine(x.astype(np.float32), w.astype(np.float32))
+        dx32, dw32 = fg.conv_affine_backward(g.astype(np.float32), x.astype(np.float32),
+                                             w.astype(np.float32))
+    assert n_slices == -(-b // max(1, chunk_examples))
+    np.testing.assert_allclose(out, conv_affine_oracle(x, w), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dx, want_dx, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(dw, want_dw, rtol=0, atol=1e-12)
+    assert out32.dtype == dx32.dtype == dw32.dtype == np.float32
+    np.testing.assert_allclose(out32, conv_affine_oracle(x, w), rtol=0, atol=1e-4)
+    np.testing.assert_allclose(dx32, want_dx, rtol=0, atol=1e-4)
+    np.testing.assert_allclose(dw32, want_dw, rtol=0, atol=1e-4)
 
 
 # --- pooling --------------------------------------------------------------------

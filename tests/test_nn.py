@@ -125,6 +125,102 @@ def test_batchnorm_gradient_vs_finite_differences():
     assert check_batchnorm(0) < 1e-4
 
 
+def batchnorm_forward_oracle(x, g, b, state, mode):
+    """Axis-0 mean/var reductions and the unfolded infer formula.
+    Oracle for nn.batchnorm_forward."""
+    if mode == "train":
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
+        inv_std = 1.0 / np.sqrt(var + nn.BN_EPS)
+        xhat = (x - mu) * inv_std
+        m = state.momentum
+        new_state = nn.BnState(mean=(m * state.mean + (1.0 - m) * mu).astype(x.dtype),
+                               var=(m * state.var + (1.0 - m) * var).astype(x.dtype),
+                               momentum=m)
+        return xhat * g + b, (xhat, inv_std, g), new_state
+    xhat = (x - state.mean) / np.sqrt(state.var + nn.BN_EPS)
+    return xhat * g + b, None, state
+
+
+def batchnorm_backward_oracle(grad, cache):
+    """Four axis-0 sums over dxhat = grad * g. Oracle for nn.batchnorm_backward."""
+    xhat, inv_std, g = cache
+    n = grad.shape[0]
+    dg = (grad * xhat).sum(axis=0)
+    db = grad.sum(axis=0)
+    dxhat = grad * g
+    dx = (inv_std / n) * (n * dxhat - dxhat.sum(axis=0) - xhat * (dxhat * xhat).sum(axis=0))
+    return dx, dg, db
+
+
+def _bn_case(seed, n, d, scale, shift, constant):
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((n, d)) * scale + shift
+    if constant is not None:
+        x[:, constant % d] = shift
+    g, b = rng.standard_normal((2, d))
+    grad = rng.standard_normal((n, d))
+    state = nn.BnState(mean=rng.standard_normal(d), var=rng.random(d) + 0.5)
+    return x, g, b, grad, state
+
+
+def _close(got, want, tol):
+    # tol is absolute up to magnitude 1 and relative to the oracle's largest
+    # entry above it: a constant column makes inv_std ~ 316, so dx reaches
+    # the hundreds while the kernels differ only in summation order
+    np.testing.assert_allclose(got, want, rtol=0,
+                               atol=tol * max(1.0, float(np.abs(want).max())))
+
+
+# Shifts are multiples of 1/4, so a constant column sums exactly and its
+# xhat is exactly 0 in both kernels; with other constants xhat is rounding
+# noise times inv_std ~ 316, and dg sums that noise differently in each.
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 64), d=st.integers(1, 6),
+       scale=st.sampled_from([0.1, 1.0, 10.0]), shift=st.integers(-20, 20).map(lambda i: i / 4),
+       constant=st.none() | st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_batchnorm_matches_axis_sum_oracle(n, d, scale, shift, constant, seed):
+    x, g, b, grad, state = _bn_case(seed, n, d, scale, shift, constant)
+    out, cache, new = nn.batchnorm_forward(x, g, b, state, "train")
+    want_out, want_cache, want_new = batchnorm_forward_oracle(x, g, b, state, "train")
+    _close(out, want_out, 1e-12)
+    _close(new.mean, want_new.mean, 1e-12)
+    _close(new.var, want_new.var, 1e-12)
+    assert new.momentum == state.momentum
+    for got, want in zip(nn.batchnorm_backward(grad, cache),
+                         batchnorm_backward_oracle(grad, want_cache)):
+        _close(got, want, 1e-12)
+    out, cache, same = nn.batchnorm_forward(x, g, b, state, "infer")
+    assert cache is None and same is state
+    _close(out, batchnorm_forward_oracle(x, g, b, state, "infer")[0], 1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 64), d=st.integers(1, 6), shift=st.floats(-2.0, 2.0),
+       seed=st.integers(0, 2**32 - 1))
+def test_batchnorm_f32_matches_f64_oracle(n, d, shift, seed):
+    # no constant column: its f32 mean is off by an ulp, which inv_std ~ 316
+    # magnifies past 1e-4 in any f32 kernel, the old one included
+    x, g, b, grad, state = _bn_case(seed, n, d, 1.0, shift, None)
+    x, g, b, grad = (a.astype(np.float32).astype(np.float64) for a in (x, g, b, grad))
+    state = nn.BnState(mean=state.mean.astype(np.float32).astype(np.float64),
+                       var=state.var.astype(np.float32).astype(np.float64))
+    s32 = nn.BnState(mean=state.mean.astype(np.float32), var=state.var.astype(np.float32))
+    f32 = [a.astype(np.float32) for a in (x, g, b)]
+    out, cache, new = nn.batchnorm_forward(*f32, s32, "train")
+    want_out, want_cache, want_new = batchnorm_forward_oracle(x, g, b, state, "train")
+    assert out.dtype == new.mean.dtype == new.var.dtype == np.float32
+    _close(out, want_out, 1e-4)
+    _close(new.mean, want_new.mean, 1e-4)
+    _close(new.var, want_new.var, 1e-4)
+    for got, want in zip(nn.batchnorm_backward(grad.astype(np.float32), cache),
+                         batchnorm_backward_oracle(grad, want_cache)):
+        assert got.dtype == np.float32
+        _close(got, want, 1e-4)
+    out, _, _ = nn.batchnorm_forward(*f32, s32, "infer")
+    _close(out, batchnorm_forward_oracle(x, g, b, state, "infer")[0], 1e-4)
+
+
 # --- Adam --------------------------------------------------------------------
 
 def adam_step_pure(param, grad, state):

@@ -14,8 +14,8 @@ from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig
 from fgcnn.data import generate_synthetic, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig
-from fgcnn.model import FgcnnModel, ModelConfig
-from fgcnn.training import (CheckpointVersionError, NotACheckpointError,
+from fgcnn.model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
+from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotACheckpointError,
                             SchemaDigestError, TrainConfig, TruncatedCheckpointError,
                             auc_score, complexity_report, evaluate, load_checkpoint,
                             logloss_score, save_checkpoint, train)
@@ -413,6 +413,58 @@ def test_checkpoint_roundtrips_optimizer(tmp_path):
     _, opt2 = load_checkpoint(path, schema)
     assert opt2 is not None and opt2["emb.gen"].t == 1
     assert np.allclose(opt2["emb.gen"].m, opt["emb.gen"].m, atol=1e-7)
+
+
+@pytest.mark.parametrize("model_kw", [
+    {},
+    dict(include_raw=False),
+    dict(classifier=ClassifierConfig(kind="deepfm", hidden_sizes=(8, 4), use_bn=True)),
+    dict(classifier=ClassifierConfig(kind="fm")),
+    dict(featgen=None),
+    dict(featgen=FeatureGenConfig(kernel_heights=(2, 3), feature_maps=(2, 3),
+                                  new_maps=(1, 2), use_bn=True)),
+    dict(featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,), new_maps=(2,),
+                                  use_bn=True, style="mlp")),
+    dict(featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,), new_maps=(2,),
+                                  use_recombination=False)),
+])
+def test_param_shapes_and_bn_sites_match_build(model_kw):
+    schema, _, model, config = _toy_setup(**model_kw)
+    assert param_shapes(schema, config) == {n: p.shape for n, p in model.params.items()}
+    assert bn_site_dims(schema, config) == {s: st.mean.shape[0]
+                                            for s, st in model.bn_states.items()}
+
+
+def _drop_first_bn_mean(model, opt):
+    site = sorted(model.bn_states)[0]
+    model.bn_states[site] = nn.BnState(mean=np.zeros(0, np.float32),
+                                       var=model.bn_states[site].var)
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda m, o: m.params.pop("clf.out.b"), ["lacks", "'clf.out.b'", "(1,)"]),
+    (lambda m, o: m.params.update({"clf.extra.w": np.ones(3, np.float32)}),
+     ["'clf.extra.w'", "does not use"]),
+    (lambda m, o: m.params.update({"emb.gen": m.params["emb.gen"].T.copy()}),
+     ["'emb.gen'", "has shape (4, 20)", "needs (20, 4)"]),
+    (_drop_first_bn_mean, ["'clf.fc1.bn.running_mean'", "has shape (0,)", "needs (8,)"]),
+    (lambda m, o: o.update({"emb.gen": nn.adam_init(np.ones(3, np.float32), 0.1)}),
+     ["'opt.emb.gen.m'", "has shape (3,)"]),
+    (lambda m, o: o.update({"clf.nope": nn.adam_init(np.ones(3, np.float32), 0.1)}),
+     ["'opt.clf.nope.m'", "does not use"]),
+])
+def test_checkpoint_tensors_checked_against_config(tmp_path, edit, words):
+    schema, _, model, _ = _toy_setup(
+        classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True))
+    opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
+    path = tmp_path / "good.ckpt"
+    save_checkpoint(model, path, optimizer=opt)
+    load_checkpoint(path, schema)
+    edit(model, opt)
+    save_checkpoint(model, path, optimizer=opt)
+    with pytest.raises(CheckpointTensorError) as info:
+        load_checkpoint(path, schema)
+    assert all(word in str(info.value) for word in words), str(info.value)
 
 
 def test_checkpoint_bad_magic(tmp_path):
