@@ -68,3 +68,10 @@ def test_parse_seeds(text, seeds):
 def test_final_line_rejects_empty_output():
     with pytest.raises(ValueError):
         bench_pairs.final_line("\n \n")
+
+
+def test_env_line_with_and_without_workload_prefix():
+    env = {"threads": 1, "nproc": 2}
+    assert bench_pairs.env_line(f"toy env {json.dumps(env)}\ntoy {{}}\n") == env
+    assert bench_pairs.env_line(f"env {json.dumps(env)}\n{{}}\n") == env
+    assert bench_pairs.env_line("detail {}\n{}\n") == {}

@@ -435,7 +435,7 @@ def test_param_shapes_and_bn_sites_match_build(model_kw):
                                             for s, st in model.bn_states.items()}
 
 
-def _drop_first_bn_mean(model, opt):
+def _shrink_first_bn_mean(model, opt):
     site = sorted(model.bn_states)[0]
     model.bn_states[site] = nn.BnState(mean=np.zeros(0, np.float32),
                                        var=model.bn_states[site].var)
@@ -447,7 +447,7 @@ def _drop_first_bn_mean(model, opt):
      ["'clf.extra.w'", "does not use"]),
     (lambda m, o: m.params.update({"emb.gen": m.params["emb.gen"].T.copy()}),
      ["'emb.gen'", "has shape (4, 20)", "needs (20, 4)"]),
-    (_drop_first_bn_mean, ["'clf.fc1.bn.running_mean'", "has shape (0,)", "needs (8,)"]),
+    (_shrink_first_bn_mean, ["'clf.fc1.bn.running_mean'", "has shape (0,)", "needs (8,)"]),
     (lambda m, o: o.update({"emb.gen": nn.adam_init(np.ones(3, np.float32), 0.1)}),
      ["'opt.emb.gen.m'", "has shape (3,)"]),
     (lambda m, o: o.update({"clf.nope": nn.adam_init(np.ones(3, np.float32), 0.1)}),

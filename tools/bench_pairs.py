@@ -49,6 +49,16 @@ def final_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
+def env_line(stdout: str) -> dict:
+    """The first `env` line of a perfbench run (`--workload all` prefixes it
+    with the workload name), or {} when there is none."""
+    for line in stdout.splitlines():
+        m = re.match(r"(?:\S+ )?env (\{.*\})$", line)
+        if m:
+            return json.loads(m.group(1))
+    return {}
+
+
 def _side(values: list[float]) -> dict:
     q1, median, q3 = np.percentile(values, [25, 50, 75])
     return {"q1": round(float(q1), 6), "median": round(float(median), 6),
@@ -118,9 +128,7 @@ def run_bench(checkout: Path, seed: int, seconds: int) -> tuple[dict, dict]:
         cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0 and not proc.stdout.strip():
         raise RuntimeError(f"benchmark failed in {checkout}:\n{proc.stderr[-2000:]}")
-    env = next((json.loads(line[4:]) for line in proc.stdout.splitlines()
-                if line.startswith("env ")), {})
-    return final_line(proc.stdout), env
+    return final_line(proc.stdout), env_line(proc.stdout)
 
 
 def run_tier1(checkout: Path) -> dict:
