@@ -2,7 +2,7 @@
 """Run the benchmark in alternating parent/change pairs and write the perf record.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --seeds 701-710 \\
-        --pr 7 --claim ref.train_examples_per_s --tier1
+        --pr N --claim ref.train_examples_per_s --tier1
 
 For every seed, `python3 perfbench/run.py --workload all --seconds S --seed N`
 runs once in each checkout; the first pair starts with the change and the
