@@ -126,7 +126,7 @@ class FgcnnModel:
         t = config.augmented_fields(n_f)
         params.update(clf_mod.init_params(config.classifier, t, k, rng, dtype))
         bn_states = {site: nn.init_bn_state(dim, dtype)
-                     for site, dim in bn_site_dims(schema, config).items()}
+                     for site, dim in bn_site_dims(config, schema.n_f).items()}
         return cls(schema, config, params, bn_states, precision)
 
     def _table(self, name: str) -> EmbeddingTable:
@@ -219,26 +219,27 @@ class FgcnnModel:
         return FgcnnModel(self.schema, self.config, params, states, precision)
 
 
-def param_shapes(schema: DatasetSchema, config: ModelConfig) -> dict[str, tuple[int, ...]]:
-    """Name -> shape of every parameter FgcnnModel.build allocates."""
-    config.validate(schema.n_f)
-    n_f, k = schema.n_f, config.k
+def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int, ...]]:
+    """Name -> shape of every parameter FgcnnModel.build allocates for n_f
+    fields and t_f embedding rows."""
+    config.validate(n_f)
+    k = config.k
     shapes: dict[str, tuple[int, ...]] = {}
     if config.featgen is not None:
-        shapes["emb.gen"] = (schema.t_f, k)
+        shapes["emb.gen"] = (t_f, k)
     if config.include_raw:
-        shapes["emb.clf"] = (schema.t_f, k)
+        shapes["emb.clf"] = (t_f, k)
     if config.featgen is not None:
         shapes.update(fg_mod.param_shapes(n_f, k, config.featgen))
     shapes.update(clf_mod.param_shapes(config.classifier, config.augmented_fields(n_f), k))
     return shapes
 
 
-def bn_site_dims(schema: DatasetSchema, config: ModelConfig) -> dict[str, int]:
+def bn_site_dims(config: ModelConfig, n_f: int) -> dict[str, int]:
     """Batch-norm site name -> normalized dimension, for every site of the model."""
     sites: dict[str, int] = {}
     if config.featgen is not None:
-        sites.update(fg_mod.bn_sites(schema.n_f, config.k, config.featgen))
+        sites.update(fg_mod.bn_sites(n_f, config.k, config.featgen))
     sites.update(clf_mod.bn_sites(config.classifier))
     return sites
 

@@ -332,9 +332,9 @@ def _check_tensor_shapes(tensors: dict[str, np.ndarray], schema: DatasetSchema,
     for each optimizer entry present its m, v (shaped like the parameter)
     and step count t. Raises CheckpointTensorError naming the first bad
     tensor in name order."""
-    params = param_shapes(schema, config)
+    params = param_shapes(config, schema.n_f, schema.t_f)
     expected = dict(params)
-    for site, dim in bn_site_dims(schema, config).items():
+    for site, dim in bn_site_dims(config, schema.n_f).items():
         expected[site + ".running_mean"] = (dim,)
         expected[site + ".running_var"] = (dim,)
     for name in tensors:
@@ -485,20 +485,10 @@ def complexity_report(config: ModelConfig, n_f: int, t_f: int) -> ComplexityRepo
 
 
 def _enumerate_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, int]:
-    """Tensor sizes grouped by component, computed from the same shape rules
-    the builder allocates with (no allocation)."""
-    k = config.k
-    sizes: dict[str, int] = {}
-    if config.featgen is not None:
-        sizes["emb.gen"] = t_f * k
-    if config.include_raw:
-        sizes["emb.clf"] = t_f * k
-    if config.featgen is not None:
-        for name, shape in fg_mod.param_shapes(n_f, k, config.featgen).items():
-            sizes[name] = int(np.prod(shape))
-    t_fields = config.augmented_fields(n_f)
-    for name, shape in clf_mod.param_shapes(config.classifier, t_fields, k).items():
-        sizes[name] = int(np.prod(shape))
+    """Tensor sizes grouped by component, from the shapes the builder
+    allocates (no allocation)."""
+    sizes = {name: int(np.prod(shape))
+             for name, shape in param_shapes(config, n_f, t_f).items()}
     groups = {
         "embedding": 0, "conv_weights": 0, "recomb_weights": 0, "recomb_biases": 0,
         "clf_first_layer_weights": 0, "other": 0, "total": 0,

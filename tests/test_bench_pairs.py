@@ -14,8 +14,8 @@ SPEC = {"workloads": [{"name": "ref"}, {"name": "toy"}],
                        {"name": "peak_rss_mb", "better": "lower", "bound": 0.15}]}
 
 
-def _line(train, rss):
-    return json.dumps({"correct": True, "attempted": 10, "failed": 0, "metrics": {
+def _line(train, rss, failed=0):
+    return json.dumps({"correct": failed == 0, "attempted": 10, "failed": failed, "metrics": {
         "ref.train_examples_per_s": {"value": train, "unit": "examples/s"},
         "ref.peak_rss_mb": {"value": rss, "unit": "MiB"}}})
 
@@ -44,9 +44,10 @@ def test_summary_of_canned_final_lines():
     assert (r["change_wins"], r["parent_wins"]) == (1, 4)
     assert r["median_gain_exceeds_parent_iqr"] is False
     assert r["within_bound"] is False                         # 590 > 500 * 1.15
-    claim = bench_pairs.claim_block(s, "ref.train_examples_per_s", len(pairs))
+    claim = bench_pairs.claim_block(s, "ref.train_examples_per_s", pairs)
     assert claim["median_gain"] == 20.0 and claim["parent_iqr"] == 10.0
     assert claim["change_wins"] == 4 and claim["met"] is False   # 4 of 5 < 90%
+    assert claim["flags"] == []
 
 
 def test_ties_count_for_neither_side_and_claim_needs_nine_in_ten():
@@ -55,8 +56,44 @@ def test_ties_count_for_neither_side_and_claim_needs_nine_in_ten():
     s = bench_pairs.summarize(_pairs(parent, change), SPEC)
     r = s["ref.peak_rss_mb"]
     assert (r["change_wins"], r["parent_wins"]) == (0, 0) and r["within_bound"] is True
-    claim = bench_pairs.claim_block(s, "ref.train_examples_per_s", 10)
+    claim = bench_pairs.claim_block(s, "ref.train_examples_per_s", _pairs(parent, change))
     assert claim["change_wins"] == 9 and claim["met"] is True
+
+
+def test_failed_operations_flag_the_record_and_fail_the_claim():
+    parent = [(100, 500)] * 10
+    change = [(150, 500)] * 9 + [(150, 500, 3)]                  # one run fails 3 of 10
+    pairs = _pairs(parent, change)
+    ops = bench_pairs.operations(pairs)
+    assert ops["parent"] == {"attempted": 100, "failed": 0, "failed_share": 0.0,
+                             "all_correct": True}
+    assert ops["change"] == {"attempted": 100, "failed": 3, "failed_share": 0.03,
+                             "all_correct": False}
+    assert bench_pairs.flags(ops) == [
+        "a change run is not correct",
+        "the change fails a larger share of operations than the parent"]
+    s = bench_pairs.summarize(pairs, SPEC)
+    claim = bench_pairs.claim_block(s, "ref.train_examples_per_s", pairs)
+    assert claim["change_wins"] == 10 and claim["median_gain"] == 50.0
+    assert claim["met"] is False and len(claim["flags"]) == 2
+    # failures at the parent only: the comparison is still flagged
+    pairs = _pairs([(100, 500, 1)] + parent[1:], [(150, 500)] * 10)
+    assert bench_pairs.flags(bench_pairs.operations(pairs)) == ["a parent run is not correct"]
+    claim = bench_pairs.claim_block(bench_pairs.summarize(pairs, SPEC),
+                                    "ref.train_examples_per_s", pairs)
+    assert claim["met"] is False
+
+
+def test_within_bound_is_unresolved_when_a_side_spreads_wider_than_the_bound():
+    steady = [(100, 500)] * 4
+    wide = [(60, 500), (80, 500), (120, 500), (140, 500)]       # IQR 30 > 0.25 * 100
+    for parent, change in ((wide, steady), (steady, wide)):
+        s = bench_pairs.summarize(_pairs(parent, change), SPEC)
+        assert s["ref.train_examples_per_s"]["within_bound"] == "unresolved"
+        assert s["ref.peak_rss_mb"]["within_bound"] is True
+    better = [(150, 500), (160, 500), (190, 500), (200, 500)]     # all above the parent
+    s = bench_pairs.summarize(_pairs(wide, better), SPEC)
+    assert s["ref.train_examples_per_s"]["within_bound"] is True
 
 
 @pytest.mark.parametrize("text, seeds", [("701-703", [701, 702, 703]),
@@ -75,3 +112,19 @@ def test_env_line_with_and_without_workload_prefix():
     assert bench_pairs.env_line(f"toy env {json.dumps(env)}\ntoy {{}}\n") == env
     assert bench_pairs.env_line(f"env {json.dumps(env)}\n{{}}\n") == env
     assert bench_pairs.env_line("detail {}\n{}\n") == {}
+
+
+@pytest.mark.parametrize("code", [0, 1])
+def test_run_bench_rejects_a_failing_exit_even_with_output(tmp_path, code):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(
+        "import sys\n"
+        "print('toy env {\"nproc\": 2}')\n"
+        f"print({_line(100, 500)!r})\n"
+        f"sys.exit({code})\n")
+    if code:
+        with pytest.raises(RuntimeError):
+            bench_pairs.run_bench(tmp_path, seed=1)
+    else:
+        final, env = bench_pairs.run_bench(tmp_path, seed=1)
+        assert final["correct"] is True and env == {"nproc": 2}

@@ -430,9 +430,10 @@ def test_checkpoint_roundtrips_optimizer(tmp_path):
 ])
 def test_param_shapes_and_bn_sites_match_build(model_kw):
     schema, _, model, config = _toy_setup(**model_kw)
-    assert param_shapes(schema, config) == {n: p.shape for n, p in model.params.items()}
-    assert bn_site_dims(schema, config) == {s: st.mean.shape[0]
-                                            for s, st in model.bn_states.items()}
+    assert param_shapes(config, schema.n_f, schema.t_f) == {
+        n: p.shape for n, p in model.params.items()}
+    assert bn_site_dims(config, schema.n_f) == {s: st.mean.shape[0]
+                                                for s, st in model.bn_states.items()}
 
 
 def _shrink_first_bn_mean(model, opt):

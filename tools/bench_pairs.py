@@ -2,18 +2,23 @@
 """Run the benchmark in alternating parent/change pairs and write the perf record.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --seeds 701-710 \\
-        --pr N --claim ref.train_examples_per_s --tier1
+        --pr N --claim ref.train_examples_per_s
 
-For every seed, `python3 perfbench/run.py --workload all --seconds S --seed N`
-runs once in each checkout; the first pair starts with the change and the
+For every seed, `python3 perfbench/run.py --workload all --seed N` runs once
+in each checkout, at the benchmark's own run length; the first pair starts with the change and the
 order alternates from there. The final JSON line of every run is kept, and
 BENCH_<pr>.json (written into the change checkout, or --out) is rewritten
 after each pair, so an interrupted series keeps the pairs it finished. The
 summary gives, per end-to-end metric of BENCHMARK.json and per workload,
 the parent's and the change's quartiles, the wins of each side, whether the
 median gain exceeds the parent's interquartile range, and whether the
-change's median stays within the metric's bound. --tier1 also runs the Tier-1
-test command once in each checkout and records pass counts and wall time.
+change's median stays within the metric's bound ("unresolved" when either
+side's interquartile range is wider than the bound allows, unless every change
+run reads better than every parent run). It also totals
+each side's attempted and failed operations; a change run that is not
+correct, or a larger share of failed operations than the parent's, is
+flagged and fails the claim. Last, the Tier-1 test command runs once in
+each checkout and its pass counts and wall time are recorded.
 """
 from __future__ import annotations
 
@@ -84,10 +89,14 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
             ps, cs = _side(par), _side(chg)
             gain = sign * (cs["median"] - ps["median"])
             bound = metric["bound"]
-            if sign > 0:
-                within = cs["median"] >= ps["median"] * (1.0 - bound)
+            if min(sign * c for c in chg) > max(sign * p for p in par):
+                within = True                 # every change run reads better
+            elif any(q["q3"] - q["q1"] > bound * abs(q["median"]) for q in (ps, cs)):
+                within = "unresolved"
+            elif sign > 0:
+                within = bool(cs["median"] >= ps["median"] * (1.0 - bound))
             else:
-                within = cs["median"] <= ps["median"] * (1.0 + bound)
+                within = bool(cs["median"] <= ps["median"] * (1.0 + bound))
             summary[key] = {
                 "better": metric["better"],
                 "bound": bound,
@@ -98,15 +107,39 @@ def summarize(pairs: list[dict], spec: dict) -> dict:
                 "change_wins": sum(sign * (c - p) > 0 for p, c in zip(par, chg)),
                 "parent_wins": sum(sign * (p - c) > 0 for p, c in zip(par, chg)),
                 "median_gain_exceeds_parent_iqr": bool(gain > ps["q3"] - ps["q1"]),
-                "within_bound": bool(within),
+                "within_bound": within,
             }
     return summary
 
 
-def claim_block(summary: dict, key: str, n_pairs: int) -> dict:
-    """The claimed metric: met when the change wins at least 9 pairs in 10
-    and its median gain exceeds the parent's interquartile range."""
-    s = summary[key]
+def operations(pairs: list[dict]) -> dict:
+    """Per side: operations attempted and failed over all runs, the failed
+    share, and whether every run reported correct."""
+    ops = {}
+    for side in ("parent", "change"):
+        runs = [p[side] for p in pairs]
+        attempted = sum(r["attempted"] for r in runs)
+        failed = sum(r["failed"] for r in runs)
+        ops[side] = {"attempted": attempted, "failed": failed,
+                     "failed_share": round(failed / max(attempted, 1), 6),
+                     "all_correct": all(r["correct"] for r in runs)}
+    return ops
+
+
+def flags(ops: dict) -> list[str]:
+    """What makes a comparison of the two sides untrustworthy."""
+    out = [f"a {side} run is not correct" for side in ("parent", "change")
+           if not ops[side]["all_correct"]]
+    if ops["change"]["failed_share"] > ops["parent"]["failed_share"]:
+        out.append("the change fails a larger share of operations than the parent")
+    return out
+
+
+def claim_block(summary: dict, key: str, pairs: list[dict]) -> dict:
+    """The claimed metric: met when the change wins at least 9 pairs in 10,
+    its median gain exceeds the parent's interquartile range and no run
+    is flagged."""
+    s, n_pairs, bad = summary[key], len(pairs), flags(operations(pairs))
     sign = 1.0 if s["better"] == "higher" else -1.0
     gain = sign * (s["change"]["median"] - s["parent"]["median"])
     iqr = s["parent"]["q3"] - s["parent"]["q1"]
@@ -117,16 +150,16 @@ def claim_block(summary: dict, key: str, n_pairs: int) -> dict:
             "change_quartiles": [s["change"]["q1"], s["change"]["q3"]],
             "change_wins": s["change_wins"], "pairs": n_pairs,
             "median_gain": round(gain, 6), "parent_iqr": round(iqr, 6),
-            "met": bool(s["change_wins"] >= 0.9 * n_pairs and gain > iqr)}
+            "flags": bad,
+            "met": bool(s["change_wins"] >= 0.9 * n_pairs and gain > iqr and not bad)}
 
 
-def run_bench(checkout: Path, seed: int, seconds: int) -> tuple[dict, dict]:
+def run_bench(checkout: Path, seed: int) -> tuple[dict, dict]:
     """(final line, env line) of one benchmark run in checkout."""
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all",
-         "--seconds", str(seconds), "--seed", str(seed)],
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed)],
         cwd=checkout, capture_output=True, text=True)
-    if proc.returncode != 0 and not proc.stdout.strip():
+    if proc.returncode != 0:
         raise RuntimeError(f"benchmark failed in {checkout}:\n{proc.stderr[-2000:]}")
     return final_line(proc.stdout), env_line(proc.stdout)
 
@@ -165,10 +198,8 @@ def main(argv=None) -> int:
     ap.add_argument("--change", type=Path, required=True, help="change checkout")
     ap.add_argument("--seeds", required=True, help="e.g. 701-710 or 701,703")
     ap.add_argument("--pr", required=True, help="number in the BENCH_<pr>.json name")
-    ap.add_argument("--seconds", type=int, default=30)
     ap.add_argument("--claim", help="claimed metric, e.g. ref.train_examples_per_s")
     ap.add_argument("--what", default="", help="one line on what the change does")
-    ap.add_argument("--tier1", action="store_true", help="also time the Tier-1 tests")
     ap.add_argument("--out", type=Path, help="default: <change>/BENCH_<pr>.json")
     args = ap.parse_args(argv)
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
@@ -178,8 +209,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent_commit": _head(args.parent),
         "change_commit": _head(args.change),
-        "command": f"python3 perfbench/run.py --workload all --seed <seed> "
-                   f"--seconds {args.seconds}",
+        "command": "python3 perfbench/run.py --workload all --seed <seed>",
         "host": {"cpu": _cpu()},
         "seeds": seeds,
         "order": "one parent run and one change run per seed, alternating which "
@@ -190,21 +220,21 @@ def main(argv=None) -> int:
         sides = ("change", "parent") if i % 2 == 0 else ("parent", "change")
         run = {"seed": seed, "first": sides[0]}
         for side in sides:
-            run[side], env = run_bench(getattr(args, side), seed, args.seconds)
+            run[side], env = run_bench(getattr(args, side), seed)
             record["host"].update(env)
         record["runs"].append(run)
+        record["operations"] = operations(record["runs"])
+        record["flags"] = flags(record["operations"])
         record["summary"] = summarize(record["runs"], spec)
         if args.claim:
-            record["claim"] = claim_block(record["summary"], args.claim, len(record["runs"]))
+            record["claim"] = claim_block(record["summary"], args.claim, record["runs"])
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"seed {seed}: {len(record['runs'])}/{len(seeds)} pairs written to {out}",
               flush=True)
-    if args.tier1:
-        record["tier1"] = {"command": "PYTHONPATH=src " + " ".join(
-            ["python"] + TIER1[1:])}
-        for side in ("parent", "change"):
-            record["tier1"][side] = run_tier1(getattr(args, side))
-        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
+    record["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
+    for side in ("parent", "change"):
+        record["tier1"][side] = run_tier1(getattr(args, side))
+    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     return 0
 
 
