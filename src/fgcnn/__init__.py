@@ -4,21 +4,19 @@ from .classifier import ClassifierConfig, fm_layer, loss_and_grad
 from .data import (Batch, DatasetSchema, FieldSchema, Instance, SyntheticSpec,
                    build_vocab, bucketize_numeric, generate_synthetic,
                    make_batches, negative_sample, permute_fields, planted_spec)
-from .embedding import (DualEmbeddings, EmbeddingTable, assemble_embedding_matrix,
-                        backward_embedding, init_embeddings)
+from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
 from .featuregen import FeatureGenConfig, augment, generate, generated_count
 from .model import FgcnnModel, ModelConfig
 from .training import (Metrics, TrainConfig, complexity_report, evaluate,
                        load_checkpoint, save_checkpoint, train)
 
 __all__ = [
-    "Batch", "ClassifierConfig", "DatasetSchema", "DualEmbeddings",
-    "EmbeddingTable", "FeatureGenConfig", "FgcnnModel", "FieldSchema",
-    "Instance", "Metrics", "ModelConfig", "SyntheticSpec", "TrainConfig",
-    "assemble_embedding_matrix", "augment", "backward_embedding",
-    "build_vocab", "bucketize_numeric", "complexity_report", "evaluate",
-    "fm_layer", "generate", "generate_synthetic", "generated_count",
-    "init_embeddings", "load_checkpoint", "loss_and_grad", "make_batches",
+    "Batch", "ClassifierConfig", "DatasetSchema", "EmbeddingTable",
+    "FeatureGenConfig", "FgcnnModel", "FieldSchema", "Instance", "Metrics",
+    "ModelConfig", "SyntheticSpec", "TrainConfig", "assemble_embedding_matrix",
+    "augment", "backward_embedding", "build_vocab", "bucketize_numeric",
+    "complexity_report", "evaluate", "fm_layer", "generate", "generate_synthetic",
+    "generated_count", "load_checkpoint", "loss_and_grad", "make_batches",
     "negative_sample", "permute_fields", "planted_spec", "save_checkpoint",
     "train",
 ]

@@ -11,7 +11,7 @@ from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClassifierConfig, fm_layer, fm_layer_backward, loss_and_grad
 from .data import make_batches, planted_spec, generate_synthetic, synthetic_schema
-from .embedding import assemble_embedding_matrix, backward_embedding, init_embeddings
+from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
 from .featuregen import FeatureGenConfig
 from .model import FgcnnModel, ModelConfig
 
@@ -36,8 +36,9 @@ def check_embedding_gather(seed: int) -> float:
     schema = synthetic_schema(spec)
     instances, _ = generate_synthetic(spec, 6)
     batch = make_batches(instances, 6)[0]
-    dual = init_embeddings(schema, 3, seed, dtype=np.float64)
-    table = dual.gen_table
+    table = EmbeddingTable(rng.standard_normal((schema.t_f, 3)), schema.offsets(),
+                           tuple(schema.field_names()),
+                           tuple(f.cardinality for f in schema.fields))
     g = rng.standard_normal((6, 3, 3))
 
     def forward(params):
@@ -51,28 +52,34 @@ def check_embedding_gather(seed: int) -> float:
     return _inner_product_check(forward, backward, {"w": table.weights.copy()}, g)
 
 
+def _block_check(params: dict[str, np.ndarray], name: str, x: np.ndarray,
+                 g: np.ndarray, linear=None, linear_backward=None) -> float:
+    """Check nn.block_forward/block_backward (inference mode, no batch norm)
+    with respect to x and the layer's parameters."""
+    def forward(p):
+        a, _, _ = nn.block_forward(p["x"], p, name, "tanh", {}, "infer", linear)
+        return a
+
+    def backward(p):
+        _, cache, _ = nn.block_forward(p["x"], p, name, "tanh", {}, "infer", linear)
+        dx, grads = nn.block_backward(g, cache, linear_backward)
+        return {"x": dx, **grads}
+
+    return _inner_product_check(forward, backward, {"x": x, **params}, g)
+
+
 def check_conv(seed: int) -> float:
     """Worst error over an odd kernel shorter than its input (h=3, 5 rows,
     2->2 maps) and an even one taller than it (h=4, 3 rows, 3->2 maps),
     whose SAME padding is uneven (1 row above, 2 below)."""
     rng = np.random.default_rng(seed)
-
-    def forward(p):
-        return np.tanh(fg_mod.conv_affine(p["x"], p["w"]))
-
     worst = 0.0
     for h, rows, in_maps, out_maps in ((3, 5, 2, 2), (4, 3, 3, 2)):
         x = rng.standard_normal((2, rows, 4, in_maps))
         w = rng.standard_normal((h, 1, in_maps, out_maps)) * 0.5
         g = rng.standard_normal((2, rows, 4, out_maps))
-
-        def backward(p, g=g):
-            a = forward(p)
-            dz = g * nn.tanh_grad_from_output(a)
-            dx, dw = fg_mod.conv_affine_backward(dz, p["x"], p["w"])
-            return {"x": dx, "w": dw}
-
-        worst = max(worst, _inner_product_check(forward, backward, {"x": x, "w": w}, g))
+        worst = max(worst, _block_check({"fg.conv1.w": w}, "fg.conv1", x, g,
+                                        fg_mod.conv_affine, fg_mod.conv_affine_backward))
     return worst
 
 
@@ -93,22 +100,12 @@ def check_pool(seed: int) -> float:
 
 
 def check_recombination(seed: int) -> float:
+    """Affine map over the flattened pooled maps [2, 3, 4, 2], then tanh."""
     rng = np.random.default_rng(seed)
     s = rng.standard_normal((2, 3, 4, 2))
-    w = rng.standard_normal((24, 8)) * 0.3
-    b = rng.standard_normal(8) * 0.1
-    g = rng.standard_normal((2, 2, 4))
-
-    def forward(p):
-        return fg_mod.recombine_forward(p["s"], p["w"], p["b"])
-
-    def backward(p):
-        out = fg_mod.recombine_forward(p["s"], p["w"], p["b"])
-        dz = g.reshape(2, -1) * nn.tanh_grad_from_output(out.reshape(2, -1))
-        dflat, dw, db = nn.affine_backward(dz, p["s"].reshape(2, -1), p["w"])
-        return {"s": dflat.reshape(p["s"].shape), "w": dw, "b": db}
-
-    return _inner_product_check(forward, backward, {"s": s, "w": w, "b": b}, g)
+    params = {"fg.recomb1.w": rng.standard_normal((24, 8)) * 0.3,
+              "fg.recomb1.b": rng.standard_normal(8) * 0.1}
+    return _block_check(params, "fg.recomb1", s, rng.standard_normal((2, 8)))
 
 
 def check_fm_layer(seed: int) -> float:
@@ -252,4 +249,10 @@ def run_suite(seeds=(0, 1, 2)) -> dict[str, float]:
         check_full_model(s, style="mlp") for s in seeds)
     results["full_model_no_recombination"] = max(
         check_full_model(s, use_recombination=False) for s in seeds)
+    results["full_model_mlp_featgen_bn"] = max(
+        check_full_model(s, use_bn=True, style="mlp") for s in seeds)
+    results["full_model_no_recombination_bn"] = max(
+        check_full_model(s, use_bn=True, use_recombination=False) for s in seeds)
+    results["full_model_dnn"] = max(check_full_model(s, kind="dnn") for s in seeds)
+    results["full_model_fm"] = max(check_full_model(s, kind="fm") for s in seeds)
     return results

@@ -17,7 +17,6 @@ from typing import Optional
 import numpy as np
 
 from . import nn
-from .embedding import glorot_uniform
 
 KINDS = ("ipnn", "dnn", "fm", "deepfm")
 LOSS_EPS = 1e-7
@@ -108,36 +107,11 @@ def param_shapes(config: ClassifierConfig, t: int, k: int) -> dict[str, tuple[in
         return shapes
     width = mlp_input_width(config.kind, t, k)
     for i, h in enumerate(config.hidden_sizes, start=1):
-        shapes[f"clf.fc{i}.w"] = (width, h)
-        shapes[f"clf.fc{i}.b"] = (h,)
-        if config.use_bn:
-            shapes[f"clf.fc{i}.bn.g"] = (h,)
-            shapes[f"clf.fc{i}.bn.b"] = (h,)
+        shapes.update(nn.block_shapes(f"clf.fc{i}", (width, h), config.use_bn))
         width = h
     shapes["clf.out.w"] = (width, 1)
     shapes["clf.out.b"] = (1,)
     return shapes
-
-
-def init_params(config: ClassifierConfig, t: int, k: int,
-                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(config, t, k).items():
-        if name.endswith(".bn.g"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith(".b") or name.endswith(".bn.b"):
-            params[name] = np.zeros(shape, dtype=dtype)
-        elif name == "clf.linear.w":
-            params[name] = np.zeros(shape, dtype=dtype)
-        else:
-            params[name] = glorot_uniform(rng, shape[0], shape[1], shape, dtype)
-    return params
-
-
-def bn_sites(config: ClassifierConfig) -> dict[str, int]:
-    if not config.use_bn or config.kind == "fm":
-        return {}
-    return {f"clf.fc{i}.bn": h for i, h in enumerate(config.hidden_sizes, start=1)}
 
 
 # ---------------------------------------------------------------------------
@@ -163,35 +137,22 @@ def classifier_forward(e: np.ndarray, params: dict[str, np.ndarray],
 
     if config.kind == "ipnn":
         rfm = fm_layer(e)
-        x = np.concatenate([rfm, e.reshape(b, t * k)], axis=1)
+        h = np.concatenate([rfm, e.reshape(b, t * k)], axis=1)
         cache["fm_width"] = rfm.shape[1]
     else:
-        x = e.reshape(b, t * k)
-    cache["x0"] = x
-
+        h = e.reshape(b, t * k)
     layers = []
-    h = x
-    train = mode == "train"
     for i in range(1, config.n_h + 1):
-        layer: dict = {"x_in": h}
-        z = nn.affine(h, params[f"clf.fc{i}.w"], params[f"clf.fc{i}.b"])
-        if config.use_bn:
-            site = f"clf.fc{i}.bn"
-            z, bncache, ns = nn.batchnorm_forward(
-                z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
-            new_states[site] = ns
-            layer["bn"] = bncache
-        layer["z"] = z
-        a = nn.relu(z)
-        if train and config.dropout_keep < 1.0:
+        h, block, ns = nn.block_forward(h, params, f"clf.fc{i}", "relu", bn_states, mode)
+        new_states.update(ns)
+        mask = None
+        if mode == "train" and config.dropout_keep < 1.0:
             if dropout_rng is None:
                 raise ValueError("dropout in train mode needs an rng")
             keep = config.dropout_keep
-            mask = (dropout_rng.random(a.shape) < keep).astype(a.dtype) / keep
-            a = a * mask
-            layer["dropout"] = mask
-        layers.append(layer)
-        h = a
+            mask = (dropout_rng.random(h.shape) < keep).astype(h.dtype) / keep
+            h = h * mask
+        layers.append((block, mask))
     cache["layers"] = layers
     cache["h_last"] = h
     logit = logit + nn.affine(h, params["clf.out.w"], params["clf.out.b"])[:, 0]
@@ -218,18 +179,11 @@ def classifier_backward(dlogit: np.ndarray, cache: dict,
     dh, dw, db = nn.affine_backward(dlogit[:, None], cache["h_last"], params["clf.out.w"])
     grads["clf.out.w"] = dw
     grads["clf.out.b"] = db
-    for i in range(config.n_h, 0, -1):
-        layer = cache["layers"][i - 1]
-        if "dropout" in layer:
-            dh = dh * layer["dropout"]
-        dz = dh * nn.relu_grad(layer["z"])
-        if config.use_bn:
-            dz, dg, dbeta = nn.batchnorm_backward(dz, layer["bn"])
-            grads[f"clf.fc{i}.bn.g"] = dg
-            grads[f"clf.fc{i}.bn.b"] = dbeta
-        dh, dw, db = nn.affine_backward(dz, layer["x_in"], params[f"clf.fc{i}.w"])
-        grads[f"clf.fc{i}.w"] = dw
-        grads[f"clf.fc{i}.b"] = db
+    for block, mask in reversed(cache["layers"]):
+        if mask is not None:
+            dh = dh * mask
+        dh, layer_grads = nn.block_backward(dh, block)
+        grads.update(layer_grads)
 
     if config.kind == "ipnn":
         p = cache["fm_width"]
@@ -238,37 +192,6 @@ def classifier_backward(dlogit: np.ndarray, cache: dict,
     else:
         d_e += dh.reshape(e.shape)
     return d_e, grads
-
-
-# thin op-level surfaces -----------------------------------------------------
-
-def ipnn_forward(e, params, config, bn_states=None, mode="infer", dropout_rng=None):
-    """Returns (logit, yhat) for the ipnn kind."""
-    if config.kind != "ipnn":
-        raise ValueError(f"ipnn_forward called with kind {config.kind!r}")
-    logit, _, _ = classifier_forward(e, params, config, bn_states, mode, dropout_rng)
-    return logit, nn.sigmoid(logit)
-
-
-def dnn_forward(e, params, config, bn_states=None, mode="infer", dropout_rng=None):
-    if config.kind != "dnn":
-        raise ValueError(f"dnn_forward called with kind {config.kind!r}")
-    logit, _, _ = classifier_forward(e, params, config, bn_states, mode, dropout_rng)
-    return nn.sigmoid(logit)
-
-
-def fm_only_forward(e, linear_w, linear_b):
-    """Bias + per-field linear term + all pairwise inner products."""
-    params = {"clf.linear.w": linear_w, "clf.linear.b": np.atleast_1d(linear_b)}
-    logit, _, _ = classifier_forward(e, params, ClassifierConfig(kind="fm", hidden_sizes=()))
-    return nn.sigmoid(logit)
-
-
-def deepfm_forward(e, params, config, bn_states=None, mode="infer", dropout_rng=None):
-    if config.kind != "deepfm":
-        raise ValueError(f"deepfm_forward called with kind {config.kind!r}")
-    logit, _, _ = classifier_forward(e, params, config, bn_states, mode, dropout_rng)
-    return nn.sigmoid(logit)
 
 
 # ---------------------------------------------------------------------------

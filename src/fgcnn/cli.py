@@ -258,7 +258,7 @@ def _cmd_gradcheck(args) -> int:
     worst = max(results.values())
     for name, err in sorted(results.items()):
         status = "ok" if err < checks.THRESHOLD else "FAIL"
-        print(f"{status:4} {name:<28} max relative error {err:.3e}")
+        print(f"{status:4} {name:<30} max relative error {err:.3e}")
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -2,19 +2,19 @@
 
 Sections: [model], [feature_generation], [classifier], [training], [data],
 [synthetic], [complexity]. Every knob has a desk-scale default, so a config
-file only states what it changes.
+file only states what it changes; an unknown section or key is an error.
 """
 from __future__ import annotations
 
 import configparser
 import hashlib
 import json
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import dataclass, is_dataclass, replace
+from typing import Optional, get_origin
 
 from .classifier import ClassifierConfig
 from .featuregen import FeatureGenConfig
-from .model import ModelConfig
+from .model import ModelConfig, field_types
 from .training import TrainConfig
 
 
@@ -91,88 +91,77 @@ def _bool(raw: str) -> bool:
     raise ConfigFileError(f"not a boolean: {raw!r}")
 
 
+def _parse(tp, raw: str):
+    if tp is bool:
+        return _bool(raw)
+    if get_origin(tp) is tuple:
+        return _ints(raw)
+    if tp is str:
+        return raw.strip()
+    return tp(raw)
+
+
+def _apply(obj, section: str, items: dict[str, str], rename: Optional[dict] = None):
+    """replace(obj, ...) with each key of a config section parsed by the type
+    of the field it names. Fields holding nested configs are not keys;
+    rename maps a file key to a field, which is then known only by that key."""
+    rename = rename or {}
+    types = field_types(type(obj))
+    keys = {name: name for name, tp in types.items()
+            if not is_dataclass(tp) and name not in rename.values()}
+    keys.update(rename)
+    for key in items:
+        if key not in keys:
+            raise ConfigFileError(f"unknown key {key!r} in section [{section}]")
+    return replace(obj, **{keys[key]: _parse(types[keys[key]], raw)
+                           for key, raw in items.items()})
+
+
 def load_config(path) -> ExperimentConfig:
+    """Read an INI config over default_config(). A key sets the config field
+    of the same name, parsed by that field's type; [data] train, test and
+    schema set train_path, test_path and schema_path. [feature_generation]
+    enabled = false drops feature generation. An unknown section or key is
+    a ConfigFileError."""
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigFileError(f"{path}: {exc}") from exc
     if not read:
         raise ConfigFileError(f"cannot read config file {path}")
     cfg = default_config()
     try:
-        if parser.has_section("model"):
-            s = parser["model"]
-            cfg.model.k = s.getint("k", cfg.model.k)
-            cfg.model.include_raw = _bool(s.get("include_raw", str(cfg.model.include_raw)))
-        if parser.has_section("feature_generation"):
-            s = parser["feature_generation"]
-            if not _bool(s.get("enabled", "true")):
-                cfg.model.featgen = None
+        for name in parser.sections():
+            items = dict(parser[name])
+            if name == "model":
+                cfg.model = _apply(cfg.model, name, items)
+            elif name == "feature_generation":
+                enabled = _bool(items.pop("enabled", "true"))
+                featgen = _apply(cfg.model.featgen, name, items)
+                cfg.model.featgen = featgen if enabled else None
+            elif name == "classifier":
+                cfg.model.classifier = _apply(cfg.model.classifier, name, items)
+            elif name == "training":
+                cfg.train = _apply(cfg.train, name, items)
+            elif name == "data":
+                cfg.data = _apply(cfg.data, name, items, {
+                    "train": "train_path", "test": "test_path", "schema": "schema_path"})
+            elif name == "synthetic":
+                cfg.synthetic = _apply(cfg.synthetic, name, items)
+                if len(cfg.synthetic.pair) != 2:
+                    raise ConfigFileError(
+                        f"[synthetic] pair needs two field indices, got {items['pair']!r}")
+            elif name == "complexity":
+                unknown = sorted(items.keys() - {"n_fields", "total_features"})
+                if unknown:
+                    raise ConfigFileError(f"unknown key {unknown[0]!r} in section [complexity]")
+                if len(items) != 2:
+                    raise ConfigFileError(
+                        "section [complexity] needs both n_fields and total_features")
+                cfg.schema_dims = (int(items["n_fields"]), int(items["total_features"]))
             else:
-                fg = cfg.model.featgen or FeatureGenConfig(
-                    kernel_heights=(2,), feature_maps=(3,), new_maps=(3,))
-                if "kernel_heights" in s:
-                    fg = replace(fg, kernel_heights=_ints(s["kernel_heights"]))
-                if "feature_maps" in s:
-                    fg = replace(fg, feature_maps=_ints(s["feature_maps"]))
-                if "new_maps" in s:
-                    fg = replace(fg, new_maps=_ints(s["new_maps"]))
-                if "pool_height" in s:
-                    fg = replace(fg, pool_height=s.getint("pool_height"))
-                if "use_bn" in s:
-                    fg = replace(fg, use_bn=_bool(s["use_bn"]))
-                if "use_recombination" in s:
-                    fg = replace(fg, use_recombination=_bool(s["use_recombination"]))
-                if "style" in s:
-                    fg = replace(fg, style=s["style"].strip())
-                cfg.model.featgen = fg
-        if parser.has_section("classifier"):
-            s = parser["classifier"]
-            c = cfg.model.classifier
-            cfg.model.classifier = ClassifierConfig(
-                kind=s.get("kind", c.kind).strip(),
-                hidden_sizes=_ints(s["hidden_sizes"]) if "hidden_sizes" in s else c.hidden_sizes,
-                use_bn=_bool(s.get("use_bn", str(c.use_bn))),
-                dropout_keep=s.getfloat("dropout_keep", c.dropout_keep),
-            )
-        if parser.has_section("training"):
-            s = parser["training"]
-            t = cfg.train
-            cfg.train = TrainConfig(
-                batch_size=s.getint("batch_size", t.batch_size),
-                learning_rate=s.getfloat("learning_rate", t.learning_rate),
-                epochs=s.getint("epochs", t.epochs),
-                seed=s.getint("seed", t.seed),
-                l2_embedding=s.getfloat("l2_embedding", t.l2_embedding),
-                eval_every=s.getint("eval_every", t.eval_every),
-                precision=s.get("precision", t.precision).strip(),
-            )
-        if parser.has_section("data"):
-            s = parser["data"]
-            cfg.data = DataConfig(
-                train_path=s.get("train", None),
-                test_path=s.get("test", None),
-                schema_path=s.get("schema", None),
-                min_count=s.getint("min_count", 1),
-                max_vals=s.getint("max_vals") if "max_vals" in s else None,
-            )
-        if parser.has_section("synthetic"):
-            s = parser["synthetic"]
-            d = cfg.synthetic or SyntheticConfig()
-            pair = _ints(s.get("pair", f"{d.pair[0]},{d.pair[1]}"))
-            cfg.synthetic = SyntheticConfig(
-                n_fields=s.getint("n_fields", d.n_fields),
-                cardinality=s.getint("cardinality", d.cardinality),
-                pair=(pair[0], pair[1]),
-                strength=s.getfloat("strength", d.strength),
-                bias=s.getfloat("bias", d.bias),
-                seed=s.getint("seed", d.seed),
-                n_train=s.getint("n_train", d.n_train),
-                n_test=s.getint("n_test", d.n_test),
-            )
-        if parser.has_section("complexity"):
-            s = parser["complexity"]
-            cfg.schema_dims = (s.getint("n_fields"), s.getint("total_features"))
-    except (ValueError, KeyError) as exc:
-        if isinstance(exc, ConfigFileError):
-            raise
+                raise ConfigFileError(f"unknown section [{name}]")
+    except ValueError as exc:
         raise ConfigFileError(f"{path}: {exc}") from exc
     return cfg

@@ -1,9 +1,9 @@
-"""Dual embedding tables and batched field-embedding assembly.
+"""Embedding tables and batched field-embedding assembly.
 
 One flat table holds a row per one-hot feature; a field's global row is its
-local index plus the field offset. Two same-shaped tables are kept: one feeds
-feature generation, the other the classifier's raw-feature path, so the two
-gradient streams never mix.
+local index plus the field offset. A model keeps two same-shaped tables
+(emb.gen and emb.clf): one feeds feature generation, the other the
+classifier's raw-feature path, so the two gradient streams never mix.
 """
 from __future__ import annotations
 
@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Batch, DataError, DatasetSchema
+from .data import Batch, DataError
 
 
 @dataclass
@@ -28,44 +28,6 @@ class EmbeddingTable:
     @property
     def t_f(self) -> int:
         return self.weights.shape[0]
-
-
-@dataclass
-class DualEmbeddings:
-    gen_table: EmbeddingTable   # feeds feature generation
-    clf_table: EmbeddingTable   # feeds the classifier's raw path
-
-
-def _table_from_schema(schema: DatasetSchema, weights: np.ndarray) -> EmbeddingTable:
-    return EmbeddingTable(
-        weights=weights,
-        offsets=schema.offsets(),
-        field_names=tuple(schema.field_names()),
-        cardinalities=tuple(f.cardinality for f in schema.fields),
-    )
-
-
-def glorot_uniform(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   shape, dtype) -> np.ndarray:
-    bound = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def init_embedding_table(schema: DatasetSchema, k: int, rng: np.random.Generator,
-                         dtype=np.float32) -> EmbeddingTable:
-    if k < 1:
-        raise ValueError(f"embedding size must be >= 1, got {k}")
-    weights = glorot_uniform(rng, schema.t_f, k, (schema.t_f, k), dtype)
-    return _table_from_schema(schema, weights)
-
-
-def init_embeddings(schema: DatasetSchema, k: int, seed: int,
-                    dtype=np.float32) -> DualEmbeddings:
-    """Glorot-uniform init of both tables; deterministic under the seed."""
-    rng = np.random.default_rng(seed)
-    gen = init_embedding_table(schema, k, rng, dtype)
-    clf = init_embedding_table(schema, k, rng, dtype)
-    return DualEmbeddings(gen_table=gen, clf_table=clf)
 
 
 def _validate_indices(batch: Batch, table: EmbeddingTable) -> None:

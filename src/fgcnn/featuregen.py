@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from . import nn
-from .embedding import glorot_uniform
 
 
 class ConfigError(ValueError):
@@ -92,64 +91,23 @@ def param_shapes(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, tuple[
     shapes: dict[str, tuple[int, ...]] = {}
     rows = rows_chain(n_f, config)
     if config.style == "mlp":
-        counts = round_field_counts(n_f, config)
         width_in = n_f * k
-        for i, n_i in enumerate(counts, start=1):
-            width_out = n_i * k
-            shapes[f"fg.mlp{i}.w"] = (width_in, width_out)
-            shapes[f"fg.mlp{i}.b"] = (width_out,)
-            if config.use_bn:
-                shapes[f"fg.mlp{i}.bn.g"] = (width_out,)
-                shapes[f"fg.mlp{i}.bn.b"] = (width_out,)
-            width_in = width_out
+        for i, n_i in enumerate(round_field_counts(n_f, config), start=1):
+            shapes.update(nn.block_shapes(f"fg.mlp{i}", (width_in, n_i * k), config.use_bn))
+            width_in = n_i * k
         return shapes
     in_maps = 1
     for i in range(1, config.n_c + 1):
-        h = config.kernel_heights[i - 1]
         out_maps = config.feature_maps[i - 1]
-        shapes[f"fg.conv{i}.w"] = (h, 1, in_maps, out_maps)
-        if config.use_bn:
-            shapes[f"fg.conv{i}.bn.g"] = (out_maps,)
-            shapes[f"fg.conv{i}.bn.b"] = (out_maps,)
+        shapes.update(nn.block_shapes(
+            f"fg.conv{i}", (config.kernel_heights[i - 1], 1, in_maps, out_maps),
+            config.use_bn, bias=False))
         if config.use_recombination:
-            d_in = rows[i] * k * out_maps
-            d_out = rows[i] * k * config.new_maps[i - 1]
-            shapes[f"fg.recomb{i}.w"] = (d_in, d_out)
-            shapes[f"fg.recomb{i}.b"] = (d_out,)
-            if config.use_bn:
-                shapes[f"fg.recomb{i}.bn.g"] = (d_out,)
-                shapes[f"fg.recomb{i}.bn.b"] = (d_out,)
+            shapes.update(nn.block_shapes(
+                f"fg.recomb{i}", (rows[i] * k * out_maps, rows[i] * k * config.new_maps[i - 1]),
+                config.use_bn))
         in_maps = out_maps
     return shapes
-
-
-def init_params(n_f: int, k: int, config: FeatureGenConfig,
-                rng: np.random.Generator, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Glorot-uniform weights, zero biases, unit batch-norm scale."""
-    params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(n_f, k, config).items():
-        if name.endswith(".bn.g"):
-            params[name] = np.ones(shape, dtype=dtype)
-        elif name.endswith(".b") or name.endswith(".bn.b"):
-            params[name] = np.zeros(shape, dtype=dtype)
-        elif ".conv" in name:
-            h, _, in_maps, out_maps = shape
-            params[name] = glorot_uniform(rng, h * in_maps, h * out_maps, shape, dtype)
-        else:
-            d_in, d_out = shape
-            params[name] = glorot_uniform(rng, d_in, d_out, shape, dtype)
-    return params
-
-
-def bn_sites(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, int]:
-    """Batch-norm site name -> normalized dimension."""
-    if not config.use_bn:
-        return {}
-    sites = {}
-    for name, shape in param_shapes(n_f, k, config).items():
-        if name.endswith(".bn.g"):
-            sites[name[: -len(".bn.g")] + ".bn"] = shape[0]
-    return sites
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +181,6 @@ def conv_affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx, dw.reshape(w.shape)
 
 
-def conv_forward(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Convolution followed by tanh (the plain, batch-norm-free stage)."""
-    return np.tanh(conv_affine(x, w))
-
-
 def pool_forward(x: np.ndarray, pool_height: int):
     """Non-overlapping max over windows of pool_height along the field axis.
 
@@ -259,23 +212,6 @@ def pool_backward(grad: np.ndarray, argmax: np.ndarray, rows: int,
     return dwin.reshape(b, n_win * pool_height, k, maps)[:, :rows]
 
 
-def recombine_forward(s: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dense recombination of pooled local patterns into global new features.
-
-    s: [batch, rows, k, maps] flattened row-major; output reshaped to
-    [batch, rows * new_maps, k].
-    """
-    batch = s.shape[0]
-    flat = s.reshape(batch, -1)
-    if flat.shape[1] != w.shape[0]:
-        raise ValueError(
-            f"recombination shape mismatch: flattened input {flat.shape[1]} vs "
-            f"weights {w.shape}")
-    out = np.tanh(nn.affine(flat, w, b))
-    k = s.shape[2]
-    return out.reshape(batch, -1, k)
-
-
 # ---------------------------------------------------------------------------
 # full generation chain
 
@@ -283,53 +219,42 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
              bn_states: Optional[dict] = None, mode: str = "infer"):
     """Run the generation chain over raw embeddings e [b, n_f, k].
 
-    Returns (r, cache, new_bn_states) where r is [b, N, k] with the rounds'
-    outputs concatenated in order. The cache feeds generate_backward.
+    A round is one dense layer block over the previous round's output
+    (style "mlp"), or a conv block, max-pooling and a recombination block
+    over the pooled maps (style "cnn"; without recombination the pooled
+    maps become fields directly). Returns (r, cache, new_bn_states) where
+    r is [b, N, k] with the rounds' outputs concatenated in order. The
+    cache feeds generate_backward.
     """
     b, n_f, k = e.shape
     config.validate(n_f)
     bn_states = bn_states or {}
-    if config.style == "mlp":
-        return _generate_mlp(e, params, config, bn_states, mode)
-    x = e[..., None]                                  # [b, rows, k, 1]
-    rounds = []
-    outs = []
-    new_states: dict = {}
+    x = e if config.style == "mlp" else e[..., None]      # cnn: [b, rows, k, maps]
+    rounds, outs, new_states = [], [], {}
     for i in range(1, config.n_c + 1):
         try:
-            cache_i: dict = {"x_in": x, "rows_in": x.shape[1]}
-            z = conv_affine(x, params[f"fg.conv{i}.w"])
-            if config.use_bn:
-                site = f"fg.conv{i}.bn"
-                flat = z.reshape(-1, z.shape[-1])
-                zn, bncache, ns = nn.batchnorm_forward(
-                    flat, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
-                new_states[site] = ns
-                cache_i["conv_bn"] = (bncache, z.shape)
-                z = zn.reshape(z.shape)
-            a = np.tanh(z)
-            cache_i["conv_act"] = a
+            if config.style == "mlp":
+                x, block, ns = nn.block_forward(x, params, f"fg.mlp{i}", "tanh",
+                                                bn_states, mode)
+                new_states.update(ns)
+                rounds.append({"mlp": block})
+                outs.append(x.reshape(b, -1, k))
+                continue
+            a, block, ns = nn.block_forward(x, params, f"fg.conv{i}", "tanh",
+                                            bn_states, mode, linear=conv_affine)
+            new_states.update(ns)
             s, argmax = pool_forward(a, config.pool_height)
-            cache_i["pool_argmax"] = argmax
-            cache_i["s"] = s
+            round_i = {"conv": block, "argmax": argmax, "rows_in": a.shape[1],
+                       "s_shape": s.shape}
             if config.use_recombination:
-                flat = s.reshape(b, -1)
-                zr = nn.affine(flat, params[f"fg.recomb{i}.w"], params[f"fg.recomb{i}.b"])
-                if config.use_bn:
-                    site = f"fg.recomb{i}.bn"
-                    zr, bncache, ns = nn.batchnorm_forward(
-                        zr, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
-                    new_states[site] = ns
-                    cache_i["recomb_bn"] = bncache
-                r_flat = np.tanh(zr)
-                cache_i["recomb_act"] = r_flat
-                cache_i["recomb_in"] = flat
-                r = r_flat.reshape(b, -1, k)
+                r, round_i["recomb"], ns = nn.block_forward(
+                    s, params, f"fg.recomb{i}", "tanh", bn_states, mode)
+                new_states.update(ns)
+                outs.append(r.reshape(b, -1, k))
             else:
                 # pooled maps become fields directly: [b, rows_i, k, m] -> [b, rows_i*m, k]
-                r = s.transpose(0, 1, 3, 2).reshape(b, -1, k)
-            outs.append(r)
-            rounds.append(cache_i)
+                outs.append(s.transpose(0, 1, 3, 2).reshape(b, -1, k))
+            rounds.append(round_i)
             x = s
         except (KeyError, ValueError) as exc:
             raise type(exc)(f"feature generation round {i}: {exc}") from exc
@@ -338,97 +263,35 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
     return r_all, cache, new_states
 
 
-def generate_backward(grad_r: np.ndarray, cache: dict, params: dict[str, np.ndarray]):
+def generate_backward(grad_r: np.ndarray, cache: dict):
     """Reverse-mode gradients of generate: returns (d_e, param_grads)."""
     config: FeatureGenConfig = cache["config"]
     b, n_f, k = cache["shape"]
-    if config.style == "mlp":
-        return _generate_mlp_backward(grad_r, cache, params)
-    counts = round_field_counts(n_f, config)
     grads: dict[str, np.ndarray] = {}
     # split the concatenated gradient back into rounds
-    per_round = np.split(grad_r, np.cumsum(counts)[:-1], axis=1)
-    d_next_in: Optional[np.ndarray] = None     # gradient flowing into round i+1's input
+    per_round = np.split(grad_r, np.cumsum(round_field_counts(n_f, config))[:-1], axis=1)
+    d_in: Optional[np.ndarray] = None     # gradient flowing into round i+1's input
     for i in range(config.n_c, 0, -1):
-        cache_i = cache["rounds"][i - 1]
-        s = cache_i["s"]
+        round_i = cache["rounds"][i - 1]
+        if config.style == "mlp":
+            da = per_round[i - 1].reshape(b, -1)
+            if d_in is not None:
+                da = da + d_in
+            d_in, g = nn.block_backward(da, round_i["mlp"])
+            grads.update(g)
+            continue
         if config.use_recombination:
-            r_flat_grad = per_round[i - 1].reshape(b, -1)
-            dz = r_flat_grad * nn.tanh_grad_from_output(cache_i["recomb_act"])
-            if config.use_bn:
-                dz, dg, dbeta = nn.batchnorm_backward(dz, cache_i["recomb_bn"])
-                grads[f"fg.recomb{i}.bn.g"] = dg
-                grads[f"fg.recomb{i}.bn.b"] = dbeta
-            dflat, dw, dbias = nn.affine_backward(dz, cache_i["recomb_in"],
-                                                  params[f"fg.recomb{i}.w"])
-            grads[f"fg.recomb{i}.w"] = dw
-            grads[f"fg.recomb{i}.b"] = dbias
-            ds = dflat.reshape(s.shape)
+            ds, g = nn.block_backward(per_round[i - 1], round_i["recomb"])
+            grads.update(g)
         else:
-            ds = per_round[i - 1].reshape(b, s.shape[1], s.shape[3], s.shape[2])
-            ds = ds.transpose(0, 1, 3, 2)
-        if d_next_in is not None:
-            ds = ds + d_next_in
-        da = pool_backward(ds, cache_i["pool_argmax"], cache_i["rows_in"],
-                           config.pool_height)
-        dz = da * nn.tanh_grad_from_output(cache_i["conv_act"])
-        if config.use_bn:
-            bncache, zshape = cache_i["conv_bn"]
-            dzf, dg, dbeta = nn.batchnorm_backward(dz.reshape(-1, zshape[-1]), bncache)
-            grads[f"fg.conv{i}.bn.g"] = dg
-            grads[f"fg.conv{i}.bn.b"] = dbeta
-            dz = dzf.reshape(zshape)
-        dx, dwc = conv_affine_backward(dz, cache_i["x_in"], params[f"fg.conv{i}.w"])
-        grads[f"fg.conv{i}.w"] = dwc
-        d_next_in = dx
-    return d_next_in[..., 0], grads
-
-
-def _generate_mlp(e, params, config, bn_states, mode):
-    b, n_f, k = e.shape
-    counts = round_field_counts(n_f, config)
-    x = e.reshape(b, n_f * k)
-    outs = []
-    layers = []
-    new_states: dict = {}
-    for i, n_i in enumerate(counts, start=1):
-        z = nn.affine(x, params[f"fg.mlp{i}.w"], params[f"fg.mlp{i}.b"])
-        bncache = None
-        if config.use_bn:
-            site = f"fg.mlp{i}.bn"
-            z, bncache, ns = nn.batchnorm_forward(
-                z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
-            new_states[site] = ns
-        a = np.tanh(z)
-        layers.append({"x_in": x, "act": a, "bn": bncache})
-        outs.append(a.reshape(b, n_i, k))
-        x = a
-    cache = {"layers": layers, "config": config, "shape": (b, n_f, k)}
-    return np.concatenate(outs, axis=1), cache, new_states
-
-
-def _generate_mlp_backward(grad_r, cache, params):
-    config: FeatureGenConfig = cache["config"]
-    b, n_f, k = cache["shape"]
-    counts = round_field_counts(n_f, config)
-    per_round = np.split(grad_r, np.cumsum(counts)[:-1], axis=1)
-    grads: dict[str, np.ndarray] = {}
-    d_next: Optional[np.ndarray] = None
-    for i in range(config.n_c, 0, -1):
-        layer = cache["layers"][i - 1]
-        da = per_round[i - 1].reshape(b, -1)
-        if d_next is not None:
-            da = da + d_next
-        dz = da * nn.tanh_grad_from_output(layer["act"])
-        if config.use_bn:
-            dz, dg, dbeta = nn.batchnorm_backward(dz, layer["bn"])
-            grads[f"fg.mlp{i}.bn.g"] = dg
-            grads[f"fg.mlp{i}.bn.b"] = dbeta
-        dx, dw, dbias = nn.affine_backward(dz, layer["x_in"], params[f"fg.mlp{i}.w"])
-        grads[f"fg.mlp{i}.w"] = dw
-        grads[f"fg.mlp{i}.b"] = dbias
-        d_next = dx
-    return d_next.reshape(b, n_f, k), grads
+            sb, rows, sk, maps = round_i["s_shape"]
+            ds = per_round[i - 1].reshape(sb, rows, maps, sk).transpose(0, 1, 3, 2)
+        if d_in is not None:
+            ds = ds + d_in
+        da = pool_backward(ds, round_i["argmax"], round_i["rows_in"], config.pool_height)
+        d_in, g = nn.block_backward(da, round_i["conv"], conv_affine_backward)
+        grads.update(g)
+    return d_in.reshape(b, n_f, k), grads
 
 
 def augment(e_prime: Optional[np.ndarray], r: Optional[np.ndarray]) -> np.ndarray:

@@ -4,8 +4,10 @@ end to end.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+import functools
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
+from typing import Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -14,8 +16,7 @@ from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClassifierConfig
 from .data import Batch, DatasetSchema, make_batches
-from .embedding import (EmbeddingTable, assemble_embedding_matrix,
-                        backward_embedding, init_embedding_table)
+from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
 from .featuregen import FeatureGenConfig
 
 
@@ -43,53 +44,38 @@ class ModelConfig:
         return t
 
     def to_dict(self) -> dict:
-        d = {
-            "k": self.k,
-            "include_raw": self.include_raw,
-            "classifier": {
-                "kind": self.classifier.kind,
-                "hidden_sizes": list(self.classifier.hidden_sizes),
-                "use_bn": self.classifier.use_bn,
-                "dropout_keep": self.classifier.dropout_keep,
-            },
-            "featgen": None,
-        }
-        if self.featgen is not None:
-            fg = self.featgen
-            d["featgen"] = {
-                "kernel_heights": list(fg.kernel_heights),
-                "feature_maps": list(fg.feature_maps),
-                "new_maps": list(fg.new_maps),
-                "pool_height": fg.pool_height,
-                "use_bn": fg.use_bn,
-                "use_recombination": fg.use_recombination,
-                "style": fg.style,
-            }
-        return d
+        """Field name -> value, nested configs as dicts; the JSON form is the
+        checkpoint's config blob and the config digest's model part."""
+        return _to_dict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        c = d["classifier"]
-        featgen = None
-        if d.get("featgen") is not None:
-            f = d["featgen"]
-            featgen = FeatureGenConfig(
-                kernel_heights=tuple(f["kernel_heights"]),
-                feature_maps=tuple(f["feature_maps"]),
-                new_maps=tuple(f["new_maps"]),
-                pool_height=f["pool_height"],
-                use_bn=f["use_bn"],
-                use_recombination=f["use_recombination"],
-                style=f.get("style", "cnn"),
-            )
-        return cls(
-            k=d["k"],
-            include_raw=d["include_raw"],
-            classifier=ClassifierConfig(
-                kind=c["kind"], hidden_sizes=tuple(c["hidden_sizes"]),
-                use_bn=c["use_bn"], dropout_keep=c["dropout_keep"]),
-            featgen=featgen,
-        )
+        """Inverse of to_dict, also for its JSON form (lists for tuples);
+        missing keys take the field defaults."""
+        return _from_dict(cls, d)
+
+
+@functools.cache
+def field_types(cls) -> dict[str, type]:
+    """Field name -> declared type of dataclass cls, Optional[X] read as X."""
+    hints = get_type_hints(cls)
+    return {f.name: get_args(tp)[0] if get_origin(tp := hints[f.name]) is Union else tp
+            for f in fields(cls)}
+
+
+def _to_dict(obj) -> dict:
+    return {name: _to_dict(v) if is_dataclass(v) else v for name, v in vars(obj).items()}
+
+
+def _from_dict(cls, d: dict):
+    kwargs = {}
+    for name, tp in field_types(cls).items():
+        if name in d:
+            v = d[name]
+            if v is not None and is_dataclass(tp):
+                v = _from_dict(tp, v)
+            kwargs[name] = tuple(v) if isinstance(v, list) else v
+    return cls(**kwargs)
 
 
 class FgcnnModel:
@@ -112,19 +98,23 @@ class FgcnnModel:
     @classmethod
     def build(cls, schema: DatasetSchema, config: ModelConfig, seed: int,
               precision: str = "f32") -> "FgcnnModel":
-        config.validate(schema.n_f)
+        """Allocate every tensor param_shapes names, in its order, under one
+        rule: ones for batch-norm scales; zeros for biases, batch-norm
+        shifts and the FM linear weights; Glorot-uniform otherwise, with
+        fans rf*shape[-2] and rf*shape[-1] where rf = prod(shape[:-2])
+        (h*in_maps and h*out_maps for a conv kernel [h, 1, in_maps, out_maps])."""
         dtype = nn.as_dtype(precision)
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
-        n_f, k = schema.n_f, config.k
-        if config.featgen is not None:
-            params["emb.gen"] = _embedding_weights(schema, k, rng, dtype)
-        if config.include_raw:
-            params["emb.clf"] = _embedding_weights(schema, k, rng, dtype)
-        if config.featgen is not None:
-            params.update(fg_mod.init_params(n_f, k, config.featgen, rng, dtype))
-        t = config.augmented_fields(n_f)
-        params.update(clf_mod.init_params(config.classifier, t, k, rng, dtype))
+        for name, shape in param_shapes(config, schema.n_f, schema.t_f).items():
+            if name.endswith(".bn.g"):
+                params[name] = np.ones(shape, dtype=dtype)
+            elif name.endswith(".b") or name == "clf.linear.w":
+                params[name] = np.zeros(shape, dtype=dtype)
+            else:
+                rf = math.prod(shape[:-2])
+                bound = np.sqrt(6.0 / (rf * shape[-2] + rf * shape[-1]))
+                params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
         bn_states = {site: nn.init_bn_state(dim, dtype)
                      for site, dim in bn_site_dims(config, schema.n_f).items()}
         return cls(schema, config, params, bn_states, precision)
@@ -179,7 +169,7 @@ class FgcnnModel:
             pos = n_raw
         if cfg.featgen is not None:
             d_r = d_aug[:, pos:]
-            d_e, fg_grads = fg_mod.generate_backward(d_r, cache["fg"], self.params)
+            d_e, fg_grads = fg_mod.generate_backward(d_r, cache["fg"])
             grads.update(fg_grads)
             grads["emb.gen"] = backward_embedding(d_e, batch, self._table("emb.gen"))
         return grads
@@ -236,13 +226,9 @@ def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int
 
 
 def bn_site_dims(config: ModelConfig, n_f: int) -> dict[str, int]:
-    """Batch-norm site name -> normalized dimension, for every site of the model."""
-    sites: dict[str, int] = {}
-    if config.featgen is not None:
-        sites.update(fg_mod.bn_sites(n_f, config.k, config.featgen))
-    sites.update(clf_mod.bn_sites(config.classifier))
-    return sites
-
-
-def _embedding_weights(schema: DatasetSchema, k: int, rng, dtype) -> np.ndarray:
-    return init_embedding_table(schema, k, rng, dtype).weights
+    """Batch-norm site name -> normalized dimension, for every site of the
+    model: the ".bn.g" shapes of param_shapes (which the embedding height
+    does not affect)."""
+    return {name[:-len(".g")]: shape[0]
+            for name, shape in param_shapes(config, n_f, 0).items()
+            if name.endswith(".bn.g")}

@@ -168,6 +168,74 @@ def batchnorm_backward(grad: np.ndarray, cache):
 
 
 # ---------------------------------------------------------------------------
+# layer block: linear map -> optional batch norm -> activation
+
+# (activation, derivative read off its output): relu's output is > 0 exactly
+# where its input is, so the block keeps only the output for backward.
+_ACTIVATIONS = {"tanh": (tanh, tanh_grad_from_output), "relu": (relu, relu_grad)}
+
+
+def block_shapes(name: str, w_shape: tuple[int, ...], use_bn: bool,
+                 bias: bool = True) -> dict[str, tuple[int, ...]]:
+    """Shapes of the tensors block_forward reads for layer name, whose
+    weight maps to w_shape[-1] outputs."""
+    d_out = (w_shape[-1],)
+    shapes = {name + ".w": w_shape}
+    if bias:
+        shapes[name + ".b"] = d_out
+    if use_bn:
+        shapes[name + ".bn.g"] = d_out
+        shapes[name + ".bn.b"] = d_out
+    return shapes
+
+
+def block_forward(x: np.ndarray, params: dict, name: str, act: str,
+                  bn_states: dict, mode: str, linear=None):
+    """One layer unit: params[name + ".w"] applied to x, batch norm at site
+    name + ".bn" when its scale name + ".bn.g" is in params, then act.
+
+    linear(x, w) is a bias-free map (the field-axis convolution); without
+    it, x is flattened to [b, -1] and mapped by affine with params[name + ".b"].
+    Batch norm normalizes the last axis over all others. Returns
+    (a, cache, {site: new state} or {}).
+    """
+    w = params[name + ".w"]
+    if linear is None:
+        x2 = x.reshape(x.shape[0], -1)
+        z = affine(x2, w, params[name + ".b"])
+    else:
+        x2 = x
+        z = linear(x, w)
+    bncache = None
+    new_states = {}
+    site = name + ".bn"
+    if site + ".g" in params:
+        zn, bncache, new_states[site] = batchnorm_forward(
+            z.reshape(-1, z.shape[-1]), params[site + ".g"], params[site + ".b"],
+            bn_states[site], mode)
+        z = zn.reshape(z.shape)
+    a = _ACTIVATIONS[act][0](z)
+    return a, (name, act, x.shape, x2, w, bncache, a), new_states
+
+
+def block_backward(da: np.ndarray, cache, linear_backward=None):
+    """Gradients of block_forward: returns (dx, {param name: grad}).
+    linear_backward(dz, x, w) -> (dx, dw) pairs with the forward's linear."""
+    name, act, x_shape, x2, w, bncache, a = cache
+    dz = da.reshape(a.shape) * _ACTIVATIONS[act][1](a)
+    grads = {}
+    if bncache is not None:
+        dzn, grads[name + ".bn.g"], grads[name + ".bn.b"] = batchnorm_backward(
+            dz.reshape(-1, dz.shape[-1]), bncache)
+        dz = dzn.reshape(dz.shape)
+    if linear_backward is None:
+        dx, grads[name + ".w"], grads[name + ".b"] = affine_backward(dz, x2, w)
+    else:
+        dx, grads[name + ".w"] = linear_backward(dz, x2, w)
+    return dx.reshape(x_shape), grads
+
+
+# ---------------------------------------------------------------------------
 # Adam
 
 ADAM_CHUNK = 1 << 16     # elements per in-place pass; 2^14 and 2^18 measured slower

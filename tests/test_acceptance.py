@@ -15,9 +15,9 @@ from fgcnn import checks
 from fgcnn import experiments as ex
 from fgcnn.classifier import ClassifierConfig, fm_layer
 from fgcnn.cli import main as cli_main
-from fgcnn.data import (bayes_auc, generate_synthetic, planted_spec,
-                        synthetic_schema)
-from fgcnn.featuregen import FeatureGenConfig, rows_chain
+from fgcnn.data import (DatasetSchema, FieldSchema, bayes_auc, generate_synthetic,
+                        planted_spec, synthetic_schema)
+from fgcnn.featuregen import FeatureGenConfig, generate, rows_chain
 from fgcnn.model import FgcnnModel, ModelConfig
 from fgcnn.training import (TrainConfig, auc_score, complexity_report, evaluate,
                             load_checkpoint, logloss_score, save_checkpoint, train)
@@ -117,10 +117,12 @@ def test_criterion_2_shape_law():
             new_maps=tuple(int(rng.integers(1, 4)) for _ in range(n_c)),
             pool_height=h_p)
         k = 2
-        from fgcnn.featuregen import generate, init_params
-        params = init_params(n_f, k, cfg, rng, np.float64)
+        schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(n_f)])
+        head = ClassifierConfig(kind="dnn", hidden_sizes=(1,))
+        model = FgcnnModel.build(schema, ModelConfig(k=k, classifier=head, featgen=cfg),
+                                 0, "f64")
         e = rng.standard_normal((1, n_f, k))
-        r, _, _ = generate(e, params, cfg)
+        r, _, _ = generate(e, model.params, cfg)
         chain = rows_chain(n_f, cfg)
         expected = sum(chain[i + 1] * cfg.new_maps[i] for i in range(n_c))
         assert r.shape[1] == expected, (n_f, cfg)

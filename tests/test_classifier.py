@@ -6,7 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgcnn import classifier as clf
+from fgcnn import nn
 from fgcnn.checks import check_fm_layer
+from fgcnn.data import DatasetSchema, FieldSchema
+from fgcnn.model import FgcnnModel, ModelConfig
 
 
 def fm_oracle(e):
@@ -36,8 +39,22 @@ def fm_backward_oracle(grad, e):
     return out
 
 
-def _mlp_params(config, t, k, seed=0, dtype=np.float64):
-    return clf.init_params(config, t, k, np.random.default_rng(seed), dtype)
+def _mlp_params(config, t, k, seed=0):
+    """The head's tensors as FgcnnModel.build initializes them over t raw fields."""
+    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(t)])
+    model = FgcnnModel.build(schema, ModelConfig(k=k, classifier=config), seed, "f64")
+    return {n: p for n, p in model.params.items() if n.startswith("clf.")}
+
+
+def _predict(e, params, config, mode="infer"):
+    logit, _, _ = clf.classifier_forward(e, params, config, mode=mode)
+    return nn.sigmoid(logit)
+
+
+def _fm_predict(e, linear_w, linear_b):
+    """The fm head: bias + per-field linear term + all pairwise inner products."""
+    params = {"clf.linear.w": linear_w, "clf.linear.b": np.array([linear_b])}
+    return _predict(e, params, clf.ClassifierConfig(kind="fm", hidden_sizes=()))
 
 
 # --- fm layer -----------------------------------------------------------------
@@ -103,8 +120,7 @@ def test_ipnn_zero_params_predicts_half():
     t, k = 5, 2
     params = {n: np.zeros(s) for n, s in clf.param_shapes(config, t, k).items()}
     e = np.random.default_rng(4).standard_normal((3, t, k))
-    _, yhat = clf.ipnn_forward(e, params, config)
-    assert np.allclose(yhat, 0.5)
+    assert np.allclose(_predict(e, params, config), 0.5)
 
 
 def test_ipnn_input_width():
@@ -116,7 +132,8 @@ def test_ipnn_matches_dense_math_oracle():
     t, k = 4, 2
     params = _mlp_params(config, t, k, seed=5)
     e = np.random.default_rng(6).standard_normal((2, t, k))
-    logit, yhat = clf.ipnn_forward(e, params, config)
+    logit, _, _ = clf.classifier_forward(e, params, config)
+    yhat = nn.sigmoid(logit)
     # straight-line evaluation with independent matrix math
     x = np.concatenate([fm_oracle(e), e.reshape(2, -1)], axis=1)
     h1 = np.maximum(x @ params["clf.fc1.w"] + params["clf.fc1.b"], 0.0)
@@ -128,9 +145,11 @@ def test_ipnn_matches_dense_math_oracle():
 
 
 def test_ipnn_rejects_wrong_kind():
-    config = clf.ClassifierConfig(kind="dnn", hidden_sizes=(4,))
-    with pytest.raises(ValueError):
-        clf.ipnn_forward(np.zeros((1, 3, 2)), {}, config)
+    # a dnn head's first layer is too narrow for the ipnn input (pairs + fields)
+    dnn_params = _mlp_params(clf.ClassifierConfig(kind="dnn", hidden_sizes=(4,)), 3, 2)
+    config = clf.ClassifierConfig(kind="ipnn", hidden_sizes=(4,))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        clf.classifier_forward(np.zeros((1, 3, 2)), dnn_params, config)
 
 
 # --- dnn ----------------------------------------------------------------------
@@ -140,7 +159,7 @@ def test_dnn_zero_params_predicts_half():
     t, k = 3, 2
     params = {n: np.zeros(s) for n, s in clf.param_shapes(config, t, k).items()}
     e = np.random.default_rng(7).standard_normal((2, t, k))
-    assert np.allclose(clf.dnn_forward(e, params, config), 0.5)
+    assert np.allclose(_predict(e, params, config), 0.5)
 
 
 def test_dnn_input_width():
@@ -158,8 +177,8 @@ def test_dnn_equals_ipnn_with_zeroed_fm_block():
     ipnn_params["clf.fc1.w"] = np.concatenate(
         [np.zeros((p, 5)), dnn_params["clf.fc1.w"]], axis=0)
     e = np.random.default_rng(9).standard_normal((3, t, k))
-    y_dnn = clf.dnn_forward(e, dnn_params, dnn_cfg)
-    _, y_ipnn = clf.ipnn_forward(e, ipnn_params, ipnn_cfg)
+    y_dnn = _predict(e, dnn_params, dnn_cfg)
+    y_ipnn = _predict(e, ipnn_params, ipnn_cfg)
     assert np.allclose(y_dnn, y_ipnn, atol=1e-12)
 
 
@@ -170,7 +189,7 @@ def test_fm_only_zero_everything_predicts_half():
     e[:, 0, 0] = 1.0
     e[:, 1, 1] = 1.0
     e[:, 2, 2] = 1.0          # orthogonal rows
-    yhat = clf.fm_only_forward(e, np.zeros((3, 4)), 0.0)
+    yhat = _fm_predict(e, np.zeros((3, 4)), 0.0)
     assert np.allclose(yhat, 0.5)
 
 
@@ -178,7 +197,7 @@ def test_fm_only_single_pair_closed_form():
     e = np.zeros((1, 3, 2))
     e[0, 0] = [2.0, 0.0]
     e[0, 2] = [1.0, 0.0]      # <e_0, e_2> = 2, all other pairs zero
-    yhat = clf.fm_only_forward(e, np.zeros((3, 2)), 0.0)
+    yhat = _fm_predict(e, np.zeros((3, 2)), 0.0)
     assert abs(yhat[0] - 1.0 / (1.0 + math.exp(-2.0))) < 1e-12
     assert abs(yhat[0] - 0.8808) < 1e-4
 
@@ -193,7 +212,7 @@ def test_fm_only_matches_brute_force():
         + sum(float(e[b, i] @ e[b, j]) for i in range(5) for j in range(i + 1, 5))
         for b in range(4)
     ])
-    yhat = clf.fm_only_forward(e, w, bias)
+    yhat = _fm_predict(e, w, bias)
     assert np.allclose(yhat, 1.0 / (1.0 + np.exp(-logits)), atol=1e-12)
 
 
@@ -206,7 +225,7 @@ def test_deepfm_zero_params_predicts_half():
     e = np.zeros((2, t, k))
     e[:, 0, 0] = 1.0
     e[:, 1, 1] = 1.0
-    assert np.allclose(clf.deepfm_forward(e, params, config), 0.5)
+    assert np.allclose(_predict(e, params, config), 0.5)
 
 
 def test_deepfm_with_zero_mlp_equals_fm_only():
@@ -219,8 +238,8 @@ def test_deepfm_with_zero_mlp_equals_fm_only():
     params["clf.linear.w"] = rng.standard_normal((t, k))
     params["clf.linear.b"] = np.array([0.3])
     e = rng.standard_normal((3, t, k))
-    y_deep = clf.deepfm_forward(e, params, config)
-    y_fm = clf.fm_only_forward(e, params["clf.linear.w"], params["clf.linear.b"][0])
+    y_deep = _predict(e, params, config)
+    y_fm = _fm_predict(e, params["clf.linear.w"], params["clf.linear.b"][0])
     assert np.allclose(y_deep, y_fm, atol=1e-12)
 
 
@@ -237,7 +256,7 @@ def test_deepfm_matches_independent_evaluation():
                          for j in range(i + 1, t)) for b in range(2)])
     lin = np.einsum("btk,tk->b", e, params["clf.linear.w"]) + params["clf.linear.b"][0]
     expect = 1.0 / (1.0 + np.exp(-(mlp_logit + pair + lin)))
-    assert np.allclose(clf.deepfm_forward(e, params, config), expect, atol=1e-12)
+    assert np.allclose(_predict(e, params, config), expect, atol=1e-12)
 
 
 # --- dropout and determinism -------------------------------------------------------
@@ -247,8 +266,8 @@ def test_dropout_is_inference_noop():
     t, k = 3, 2
     params = _mlp_params(config, t, k, seed=15)
     e = np.random.default_rng(16).standard_normal((4, t, k))
-    a = clf.dnn_forward(e, params, config, mode="infer")
-    b = clf.dnn_forward(e, params, config, mode="infer")
+    a = _predict(e, params, config, mode="infer")
+    b = _predict(e, params, config, mode="infer")
     assert np.array_equal(a, b)
 
 
@@ -273,8 +292,8 @@ def test_forward_deterministic_without_bn_and_dropout():
     t, k = 4, 3
     params = _mlp_params(config, t, k, seed=20)
     e = np.random.default_rng(21).standard_normal((3, t, k))
-    a = clf.ipnn_forward(e, params, config)[1]
-    b = clf.ipnn_forward(e, params, config)[1]
+    a = _predict(e, params, config)
+    b = _predict(e, params, config)
     assert np.array_equal(a, b)
 
 

@@ -4,6 +4,9 @@ import pytest
 from fgcnn import data as d
 from fgcnn import embedding as emb
 from fgcnn.checks import check_embedding_gather
+from fgcnn.classifier import ClassifierConfig
+from fgcnn.featuregen import FeatureGenConfig
+from fgcnn.model import FgcnnModel, ModelConfig
 
 
 def _schema(cards=(3, 4, 2), multivalent=()):
@@ -12,6 +15,17 @@ def _schema(cards=(3, 4, 2), multivalent=()):
         mapping = {f"t{i}": i + 1 for i in range(c - 1)}
         fields.append(d.FieldSchema(f"f{j}", mapping, multivalent=j in multivalent))
     return d.DatasetSchema(fields=fields)
+
+
+def _tables(schema, k, seed):
+    """The (emb.gen, emb.clf) tables of a model FgcnnModel.build initializes."""
+    config = ModelConfig(
+        k=k, classifier=ClassifierConfig(kind="dnn", hidden_sizes=(1,)),
+        featgen=FeatureGenConfig(kernel_heights=(1,), feature_maps=(1,), new_maps=(1,)))
+    model = FgcnnModel.build(schema, config, seed)
+    meta = (schema.offsets(), tuple(schema.field_names()),
+            tuple(f.cardinality for f in schema.fields))
+    return tuple(emb.EmbeddingTable(model.params[n], *meta) for n in ("emb.gen", "emb.clf"))
 
 
 def _batch(rows, n_f, max_vals=1):
@@ -26,8 +40,7 @@ def _batch(rows, n_f, max_vals=1):
 
 def test_univalent_lookup_returns_table_row():
     schema = _schema()
-    dual = emb.init_embeddings(schema, k=5, seed=0)
-    table = dual.gen_table
+    table, _ = _tables(schema, k=5, seed=0)
     batch = _batch([[(2,), (3,), (1,)]], n_f=3)
     out = emb.assemble_embedding_matrix(batch, table)
     offsets = schema.offsets()
@@ -38,8 +51,7 @@ def test_univalent_lookup_returns_table_row():
 
 def test_multivalent_field_sums_value_embeddings():
     schema = _schema(cards=(4,), multivalent=(0,))
-    dual = emb.init_embeddings(schema, k=3, seed=1)
-    table = dual.clf_table
+    _, table = _tables(schema, k=3, seed=1)
     batch = _batch([[(1, 2)]], n_f=1, max_vals=2)
     out = emb.assemble_embedding_matrix(batch, table)
     assert np.allclose(out[0, 0], table.weights[1] + table.weights[2])
@@ -56,10 +68,10 @@ def test_zero_table_gives_zero_output():
 
 def test_out_of_range_index_names_field():
     schema = _schema(cards=(3, 4, 2))
-    dual = emb.init_embeddings(schema, k=2, seed=2)
+    table, _ = _tables(schema, k=2, seed=2)
     batch = _batch([[(1,), (9,), (0,)]], n_f=3)
     with pytest.raises(d.DataError, match="f1"):
-        emb.assemble_embedding_matrix(batch, dual.gen_table)
+        emb.assemble_embedding_matrix(batch, table)
 
 
 def test_assemble_is_linear_in_the_table():
@@ -81,8 +93,7 @@ def test_assemble_is_linear_in_the_table():
 
 def test_backward_univalent_copies_gradient_rows():
     schema = _schema()
-    dual = emb.init_embeddings(schema, k=4, seed=4)
-    table = dual.gen_table
+    table, _ = _tables(schema, k=4, seed=4)
     batch = _batch([[(1,), (2,), (1,)]], n_f=3)
     g = np.random.default_rng(5).standard_normal((1, 3, 4))
     grad = emb.backward_embedding(g, batch, table)
@@ -95,19 +106,19 @@ def test_backward_univalent_copies_gradient_rows():
 
 def test_backward_accumulates_shared_feature():
     schema = _schema(cards=(3,))
-    dual = emb.init_embeddings(schema, k=2, seed=6)
+    table, _ = _tables(schema, k=2, seed=6)
     batch = _batch([[(1,)], [(1,)]], n_f=1)
     g = np.array([[[1.0, 2.0]], [[10.0, 20.0]]])
-    grad = emb.backward_embedding(g, batch, dual.gen_table)
+    grad = emb.backward_embedding(g, batch, table)
     assert np.allclose(grad[1], [11.0, 22.0])
 
 
 def test_backward_shape_mismatch_rejected():
     schema = _schema()
-    dual = emb.init_embeddings(schema, k=2, seed=7)
+    table, _ = _tables(schema, k=2, seed=7)
     batch = _batch([[(1,), (1,), (1,)]], n_f=3)
     with pytest.raises(ValueError):
-        emb.backward_embedding(np.zeros((1, 3, 5)), batch, dual.gen_table)
+        emb.backward_embedding(np.zeros((1, 3, 5)), batch, table)
 
 
 def test_backward_matches_finite_differences():
@@ -135,22 +146,21 @@ def test_backward_is_exact_adjoint():
 
 def test_init_deterministic_under_seed():
     schema = _schema()
-    a = emb.init_embeddings(schema, k=6, seed=9)
-    b = emb.init_embeddings(schema, k=6, seed=9)
-    assert np.array_equal(a.gen_table.weights, b.gen_table.weights)
-    assert np.array_equal(a.clf_table.weights, b.clf_table.weights)
+    a = _tables(schema, k=6, seed=9)
+    b = _tables(schema, k=6, seed=9)
+    assert np.array_equal(a[0].weights, b[0].weights)
+    assert np.array_equal(a[1].weights, b[1].weights)
 
 
 def test_init_tables_differ_from_each_other():
-    dual = emb.init_embeddings(_schema(), k=6, seed=10)
-    assert not np.array_equal(dual.gen_table.weights, dual.clf_table.weights)
+    gen, clf = _tables(_schema(), k=6, seed=10)
+    assert not np.array_equal(gen.weights, clf.weights)
 
 
 def test_init_mean_within_three_sigma():
     schema = _schema(cards=(5000,))
     k = 20
-    dual = emb.init_embeddings(schema, k=k, seed=11)
-    w = dual.gen_table.weights
+    w = _tables(schema, k=k, seed=11)[0].weights
     n = w.size
     assert n >= 1e5
     bound = np.sqrt(6.0 / (schema.t_f + k))
@@ -161,8 +171,8 @@ def test_init_mean_within_three_sigma():
 def test_init_bound_respected():
     schema = _schema()
     k = 40
-    dual = emb.init_embeddings(schema, k=k, seed=12)
-    assert dual.gen_table.weights.shape == (schema.t_f, 40)
+    gen, clf = _tables(schema, k=k, seed=12)
+    assert gen.weights.shape == (schema.t_f, 40)
     bound = np.sqrt(6.0 / (schema.t_f + k))
-    assert np.max(np.abs(dual.gen_table.weights)) <= bound
-    assert np.max(np.abs(dual.clf_table.weights)) <= bound
+    assert np.max(np.abs(gen.weights)) <= bound
+    assert np.max(np.abs(clf.weights)) <= bound

@@ -7,6 +7,9 @@ from hypothesis.extra import numpy as hnp
 from fgcnn import featuregen as fg
 from fgcnn.checks import (check_conv, check_pool, check_recombination,
                           check_full_model)
+from fgcnn.classifier import ClassifierConfig
+from fgcnn.data import DatasetSchema, FieldSchema
+from fgcnn.model import FgcnnModel, ModelConfig
 
 
 def conv_oracle(x, w):
@@ -93,7 +96,7 @@ def _cfg(**kw):
 
 def test_conv_zero_input_gives_zero_output():
     w = np.random.default_rng(0).standard_normal((3, 1, 1, 2))
-    out = fg.conv_forward(np.zeros((2, 4, 3, 1)), w)
+    out = np.tanh(fg.conv_affine(np.zeros((2, 4, 3, 1)), w))
     assert np.all(out == 0.0)
 
 
@@ -101,21 +104,21 @@ def test_conv_height_one_degenerates_to_scaling():
     rng = np.random.default_rng(1)
     x = rng.standard_normal((2, 4, 3, 1))
     w = np.full((1, 1, 1, 1), 0.7)
-    assert np.allclose(fg.conv_forward(x, w), np.tanh(0.7 * x))
+    assert np.allclose(np.tanh(fg.conv_affine(x, w)), np.tanh(0.7 * x))
 
 
 def test_conv_matches_nested_loop_oracle():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((1, 5, 4, 1))
     w = rng.standard_normal((3, 1, 1, 2))
-    assert np.allclose(fg.conv_forward(x, w), conv_oracle(x, w), atol=1e-12)
+    assert np.allclose(np.tanh(fg.conv_affine(x, w)), conv_oracle(x, w), atol=1e-12)
 
 
 def test_conv_multichannel_matches_oracle():
     rng = np.random.default_rng(3)
     x = rng.standard_normal((2, 6, 3, 2))
     w = rng.standard_normal((4, 1, 2, 3))
-    assert np.allclose(fg.conv_forward(x, w), conv_oracle(x, w), atol=1e-12)
+    assert np.allclose(np.tanh(fg.conv_affine(x, w)), conv_oracle(x, w), atol=1e-12)
 
 
 def test_conv_kernel_taller_than_input_matches_oracle():
@@ -123,7 +126,7 @@ def test_conv_kernel_taller_than_input_matches_oracle():
     rng = np.random.default_rng(14)
     x = rng.standard_normal((2, 3, 2, 1))
     w = rng.standard_normal((5, 1, 1, 2))
-    assert np.allclose(fg.conv_forward(x, w), conv_oracle(x, w), atol=1e-12)
+    assert np.allclose(np.tanh(fg.conv_affine(x, w)), conv_oracle(x, w), atol=1e-12)
 
 
 def test_conv_shape_mismatch_rejected():
@@ -256,32 +259,41 @@ def test_pool_propagates_nan():
 
 # --- recombination ----------------------------------------------------------------
 
+def _recombined(cfg, n_f, k, w, b, seed):
+    """generate's output with the round-1 recombination tensors set to w, b,
+    and the pooled maps [batch, rows, k, maps] it recombines."""
+    params = _params(n_f, k, cfg, seed=seed)
+    params["fg.recomb1.w"], params["fg.recomb1.b"] = w, b
+    e = np.random.default_rng(seed).standard_normal((3, n_f, k))
+    s, _ = fg.pool_forward(np.tanh(fg.conv_affine(e[..., None], params["fg.conv1.w"])),
+                           cfg.pool_height)
+    r, _, _ = fg.generate(e, params, cfg)
+    return r, s
+
+
 def test_recombine_zero_params_gives_zeros():
-    s = np.random.default_rng(4).standard_normal((2, 3, 2, 2))
-    out = fg.recombine_forward(s, np.zeros((12, 6)), np.zeros(6))
-    assert np.all(out == 0.0)
-    assert out.shape == (2, 3, 2)
+    r, _ = _recombined(_cfg(new_maps=(3,)), 6, 2, np.zeros((12, 18)), np.zeros(18), seed=4)
+    assert np.all(r == 0.0)
+    assert r.shape == (3, 9, 2)
 
 
 def test_recombine_identity_weights_pass_tanh_flatten():
-    rng = np.random.default_rng(5)
-    s = rng.standard_normal((2, 3, 2, 1))
-    out = fg.recombine_forward(s, np.eye(6), np.zeros(6))
-    assert np.allclose(out, np.tanh(s.reshape(2, -1)).reshape(2, 3, 2))
+    r, s = _recombined(_cfg(), 6, 2, np.eye(12), np.zeros(12), seed=5)
+    assert np.allclose(r, np.tanh(s.reshape(3, -1)).reshape(3, 6, 2))
 
 
 def test_recombine_matches_dense_oracle():
     rng = np.random.default_rng(6)
-    s = rng.standard_normal((3, 2, 3, 2))
     w = rng.standard_normal((12, 18))
     b = rng.standard_normal(18)
-    expect = np.tanh(s.reshape(3, 12) @ w + b).reshape(3, 6, 3)
-    assert np.allclose(fg.recombine_forward(s, w, b), expect, atol=1e-12)
+    r, s = _recombined(_cfg(new_maps=(3,)), 6, 2, w, b, seed=6)
+    expect = np.tanh(s.reshape(3, 12) @ w + b).reshape(3, 9, 2)
+    assert np.allclose(r, expect, atol=1e-12)
 
 
 def test_recombine_shape_mismatch_rejected():
-    with pytest.raises(ValueError):
-        fg.recombine_forward(np.zeros((1, 2, 2, 2)), np.zeros((9, 4)), np.zeros(4))
+    with pytest.raises(ValueError, match="round 1"):
+        _recombined(_cfg(), 6, 2, np.zeros((9, 4)), np.zeros(4), seed=7)
 
 
 def test_recombine_gradients():
@@ -290,8 +302,13 @@ def test_recombine_gradients():
 
 # --- full generation chain -----------------------------------------------------------
 
-def _params(n_f, k, cfg, seed=0, dtype=np.float64):
-    return fg.init_params(n_f, k, cfg, np.random.default_rng(seed), dtype)
+def _params(n_f, k, cfg, seed=0, precision="f64"):
+    """The generation tensors as FgcnnModel.build initializes them for n_f fields."""
+    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(n_f)])
+    config = ModelConfig(k=k, classifier=ClassifierConfig(kind="dnn", hidden_sizes=(1,)),
+                         featgen=cfg, include_raw=False)
+    model = FgcnnModel.build(schema, config, seed, precision)
+    return {n: p for n, p in model.params.items() if n.startswith("fg.")}
 
 
 def test_generated_counts_two_rounds():
@@ -312,7 +329,7 @@ def test_avazu_reference_shape_builds_and_runs():
     cfg = _cfg(kernel_heights=(7, 7, 7, 7), feature_maps=(14, 16, 18, 20),
                new_maps=(3, 3, 3, 3))
     n_f, k = 24, 2
-    params = _params(n_f, k, cfg, seed=5, dtype=np.float32)
+    params = _params(n_f, k, cfg, seed=5, precision="f32")
     e = np.random.default_rng(15).standard_normal((3, n_f, k)).astype(np.float32)
     r, _, _ = fg.generate(e, params, cfg)
     assert r.shape == (3, 69, 2)
@@ -367,7 +384,7 @@ def test_generate_backward_zero_grad_gives_zero():
     params = _params(n_f, k, cfg, seed=3)
     e = np.random.default_rng(10).standard_normal((2, n_f, k))
     r, cache, _ = fg.generate(e, params, cfg)
-    d_e, grads = fg.generate_backward(np.zeros_like(r), cache, params)
+    d_e, grads = fg.generate_backward(np.zeros_like(r), cache)
     assert np.all(d_e == 0.0)
     assert all(np.all(g == 0.0) for g in grads.values())
 
