@@ -1,7 +1,7 @@
 """CNN-based automatic feature generation for click-through-rate models."""
 
 from .classifier import ClassifierConfig, fm_layer, loss_and_grad
-from .data import (Batch, DatasetSchema, FieldSchema, Instance, SyntheticSpec,
+from .data import (Batch, DatasetSchema, FieldSchema, Split, SyntheticSpec,
                    build_vocab, bucketize_numeric, generate_synthetic,
                    make_batches, negative_sample, permute_fields, planted_spec)
 from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
@@ -12,8 +12,8 @@ from .training import (Metrics, TrainConfig, complexity_report, evaluate,
 
 __all__ = [
     "Batch", "ClassifierConfig", "DatasetSchema", "EmbeddingTable",
-    "FeatureGenConfig", "FgcnnModel", "FieldSchema", "Instance", "Metrics",
-    "ModelConfig", "SyntheticSpec", "TrainConfig", "assemble_embedding_matrix",
+    "FeatureGenConfig", "FgcnnModel", "FieldSchema", "Metrics",
+    "ModelConfig", "Split", "SyntheticSpec", "TrainConfig", "assemble_embedding_matrix",
     "augment", "backward_embedding", "build_vocab", "bucketize_numeric",
     "complexity_report", "evaluate", "fm_layer", "generate", "generate_synthetic",
     "generated_count", "load_checkpoint", "loss_and_grad", "make_batches",

@@ -34,8 +34,8 @@ def check_embedding_gather(seed: int) -> float:
     rng = np.random.default_rng(seed)
     spec = planted_spec(n_f=3, cardinality=4, pair=(0, 2), seed=seed)
     schema = synthetic_schema(spec)
-    instances, _ = generate_synthetic(spec, 6)
-    batch = make_batches(instances, 6)[0]
+    split, _ = generate_synthetic(spec, 6)
+    batch = make_batches(split, 6)[0]
     table = EmbeddingTable(rng.standard_normal((schema.t_f, 3)), schema.offsets(),
                            tuple(schema.field_names()),
                            tuple(f.cardinality for f in schema.fields))
@@ -177,8 +177,8 @@ def _tiny_model(seed: int, use_bn: bool, style: str = "cnn",
                 use_recombination: bool = True) -> tuple[FgcnnModel, object]:
     spec = planted_spec(n_f=4, cardinality=3, pair=(0, 2), seed=seed)
     schema = synthetic_schema(spec)
-    instances, _ = generate_synthetic(spec, 6)
-    batch = make_batches(instances, 6)[0]
+    split, _ = generate_synthetic(spec, 6)
+    batch = make_batches(split, 6)[0]
     config = ModelConfig(
         k=3,
         classifier=ClassifierConfig(kind=kind, hidden_sizes=(5,), use_bn=use_bn),

@@ -72,7 +72,7 @@ def _build_parser() -> _Parser:
 # data plumbing
 
 def _resolve_data(cfg: ExperimentConfig):
-    """Returns (schema, train_instances, test_instances_or_None, ingest), where
+    """Returns (schema, train_split, test_split_or_None, ingest), where
     ingest maps each split read from a dataset file to its IngestStats."""
     ingest = {}
     if cfg.data.train_path:
@@ -104,9 +104,9 @@ def _synthetic_split(cfg: ExperimentConfig):
     spec = planted_spec(n_f=s.n_fields, cardinality=s.cardinality, pair=s.pair,
                         strength=s.strength, bias=s.bias, seed=s.seed)
     schema = synthetic_schema(spec)
-    instances, probs = generate_synthetic(spec, s.n_train + s.n_test)
-    train_set = instances[:s.n_train]
-    test_set = instances[s.n_train:]
+    split, probs = generate_synthetic(spec, s.n_train + s.n_test)
+    train_set = split[:s.n_train]
+    test_set = split[s.n_train:]
     return schema, train_set, test_set, probs[:s.n_train], probs[s.n_train:]
 
 
@@ -130,7 +130,7 @@ def _cmd_train(args) -> int:
     out = _out_dir(args)
     schema, train_set, test_set, ingest = _resolve_data(cfg)
     model = FgcnnModel.build(schema, cfg.model, cfg.train.seed, cfg.train.precision)
-    history = train(model, train_set, cfg.train, eval_instances=test_set)
+    history = train(model, train_set, cfg.train, eval_split=test_set)
     digest = cfg.digest()
     write_records(out / "metrics.jsonl", history, cfg.train.seed, digest)
     final = evaluate(model, test_set if test_set is not None else train_set)

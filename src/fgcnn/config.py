@@ -123,7 +123,9 @@ def load_config(path) -> ExperimentConfig:
     schema set train_path, test_path and schema_path. [feature_generation]
     enabled = false drops feature generation. An unknown section or key is
     a ConfigFileError."""
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    # No default section: [DEFAULT] is then an unknown section, not keys
+    # configparser would copy into every other section.
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
         read = parser.read(path)
     except configparser.Error as exc:

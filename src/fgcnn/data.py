@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import accumulate, chain, repeat
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -137,16 +137,33 @@ class DatasetSchema:
         return cls.from_text(Path(path).read_text(encoding="utf-8"))
 
 
-@dataclass
-class Instance:
-    """One example: per-field local feature indices plus a binary label."""
-    per_field_indices: tuple[tuple[int, ...], ...]
-    label: int
+@dataclass(eq=False)
+class Split:
+    """N examples as arrays: indices [N, n_f, W] int64 local feature indices,
+    0 in each cell's slots past its length; lengths [N, n_f], the number of
+    values in each cell; labels [N], 0 or 1. Indexing by a slice or an index
+    array selects rows and returns a Split of them (of views, for a slice)."""
+    indices: np.ndarray
+    lengths: np.ndarray
+    labels: np.ndarray
+
+    def __post_init__(self):
+        if (self.indices.ndim != 3 or self.lengths.shape != self.indices.shape[:2]
+                or self.labels.shape != self.indices.shape[:1]):
+            raise DataError(
+                f"split arrays disagree: indices {self.indices.shape}, lengths "
+                f"{self.lengths.shape}, labels {self.labels.shape}")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __getitem__(self, rows) -> "Split":
+        return Split(self.indices[rows], self.lengths[rows], self.labels[rows])
 
 
 @dataclass
 class Batch:
-    """Densified instances. indices/value_mask are [b, n_f, max_vals]; padded
+    """Rows of a split; indices/value_mask are [b, n_f, max_vals]. Padded
     positions carry index 0 and mask 0 so they contribute nothing to sums."""
     indices: np.ndarray
     value_mask: np.ndarray
@@ -223,11 +240,12 @@ def build_vocab(field_names: Sequence[str], rows: Sequence[TokenRow],
 
 def encode_instances(schema: DatasetSchema, rows: Sequence[TokenRow],
                      labels: Sequence[int], max_vals: Optional[int] = None
-                     ) -> tuple[list[Instance], IngestStats]:
-    """Map token rows to Instances under a fitted schema.
+                     ) -> tuple[Split, IngestStats]:
+    """Map token rows to a Split under a fitted schema.
 
     Unknown tokens encode to the dummy index 0. Multivalent cells longer than
     max_vals are truncated; truncations are counted in the returned stats.
+    The split is padded to its longest cell (at least 1 slot).
     """
     n = min(len(rows), len(labels))
     rows, labels = rows[:n], list(labels)[:n]
@@ -236,7 +254,7 @@ def encode_instances(schema: DatasetSchema, rows: Sequence[TokenRow],
     if labels.count(0) + labels.count(1) != n:
         r = next(r for r, label in enumerate(labels) if label not in (0, 1))
         faults.append((r, -1, f"label at line {r + 1} must be 0 or 1, got {labels[r]!r}"))
-    columns = []
+    values, cell_lengths = [np.zeros(0, dtype=np.int64)], []     # concatenate needs one array
     for j, (f, column) in enumerate(zip(schema.fields, _columns(rows, schema.n_f, faults))):
         lengths = list(map(len, column))
         longest = max(lengths, default=0)
@@ -249,16 +267,20 @@ def encode_instances(schema: DatasetSchema, rows: Sequence[TokenRow],
             column = [cell[:max_vals] for cell in column]
             lengths = list(map(len, column))
         # Indices start at 1, so a 0 marks exactly the unknown tokens.
-        enc = tuple(map(f.token_to_index.get, chain.from_iterable(column), repeat(0)))
-        stats.unknown_tokens += enc.count(0)
-        if lengths.count(1) == len(lengths):
-            columns.append(list(zip(enc)))
-        else:
-            bounds = list(accumulate(lengths, initial=0))
-            columns.append(list(map(enc.__getitem__, map(slice, bounds, bounds[1:]))))
+        enc = np.fromiter(map(f.token_to_index.get, chain.from_iterable(column), repeat(0)),
+                          dtype=np.int64, count=sum(lengths))
+        stats.unknown_tokens += int(np.count_nonzero(enc == 0))
+        values.append(enc)
+        cell_lengths.append(lengths)
     _raise_first(faults)
-    cells = zip(*columns) if columns else repeat((), n)
-    return list(map(Instance, cells, map(int, labels))), stats
+    # Field-major [n_f, n, W], so the boolean scatter fills the cells in
+    # (field, row, position) order, the order the columns were flattened in.
+    lengths = np.array(cell_lengths, dtype=np.int64).reshape(schema.n_f, n)
+    slots = np.arange(max(1, int(lengths.max(initial=0)))) < lengths[..., None]
+    indices = np.zeros(slots.shape, dtype=np.int64)
+    indices[slots] = np.concatenate(values)
+    return Split(indices.transpose(1, 0, 2).copy(), lengths.T.copy(),
+                 np.array(labels, dtype=np.int64)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -290,80 +312,58 @@ def fit_quantile_boundaries(values: Sequence[float], n_buckets: int) -> list[flo
 # ---------------------------------------------------------------------------
 # sampling and batching
 
-def negative_sample(instances: Sequence[Instance], keep_prob_negative: float,
-                    seed: int) -> list[Instance]:
+def negative_sample(split: Split, keep_prob_negative: float, seed: int) -> Split:
     """Keep every positive; keep each negative independently with the given
-    probability. Deterministic under the seed."""
+    probability. Deterministic under the seed: the negatives draw one uniform
+    each, in row order."""
     if not (0.0 < keep_prob_negative <= 1.0):
         raise DataError(f"keep_prob_negative must be in (0, 1], got {keep_prob_negative}")
-    rng = np.random.default_rng(seed)
-    out = []
-    for inst in instances:
-        if inst.label == 1:
-            out.append(inst)
-        elif rng.random() < keep_prob_negative:
-            out.append(inst)
-    return out
+    keep = split.labels == 1
+    negatives = np.flatnonzero(~keep)
+    keep[negatives] = np.random.default_rng(seed).random(len(negatives)) < keep_prob_negative
+    return split[np.flatnonzero(keep)]
 
 
-def make_batches(instances: Sequence[Instance], batch_size: int,
+def make_batches(split: Split, batch_size: int,
                  shuffle_seed: Optional[int] = None) -> list[Batch]:
-    """Densify instances into padded batches; the last batch may be short.
+    """Cut a split into padded batches; the last batch may be short.
 
     Without a shuffle seed the original order is preserved. Each batch is
-    padded to the longest cell among its own instances (at least 1).
+    trimmed to the longest cell among its own rows (at least 1 slot).
     """
     if batch_size < 1:
         raise DataError(f"batch_size must be >= 1, got {batch_size}")
-    if not instances:
+    if not split:
         raise DataError("cannot batch an empty dataset")
-    n = len(instances)
-    n_f = len(instances[0].per_field_indices)
-    if any(len(inst.per_field_indices) != n_f for inst in instances):
-        raise DataError(f"instances disagree on the field count (first has {n_f})")
-    cells = list(chain.from_iterable(inst.per_field_indices for inst in instances))
-    lengths = np.fromiter(map(len, cells), dtype=np.int64, count=len(cells)).reshape(n, n_f)
-    values = np.fromiter(chain.from_iterable(cells), dtype=np.int64, count=int(lengths.sum()))
-    labels = np.fromiter((inst.label for inst in instances), dtype=np.float64, count=n)
-    # One padded [n, n_f, max_vals] table for the whole list; the boolean
-    # scatter fills cells in (instance, field, position) order, which is the
-    # order values was flattened in.
-    slots = np.arange(max(1, int(lengths.max()))) < lengths[..., None]
-    dense = np.zeros(slots.shape, dtype=np.int64)
-    dense[slots] = values
+    n = len(split)
     order = np.arange(n)
     if shuffle_seed is not None:
         order = np.random.default_rng(shuffle_seed).permutation(n)
     batches = []
     for start in range(0, n, batch_size):
         rows = order[start:start + batch_size]
-        width = max(1, int(lengths[rows].max()))
-        batches.append(Batch(indices=dense[rows, :, :width],
-                             value_mask=slots[rows, :, :width].astype(np.float64),
-                             labels=labels[rows]))
+        lengths = split.lengths[rows]
+        width = max(1, int(lengths.max()))
+        batches.append(Batch(indices=split.indices[rows, :, :width],
+                             value_mask=(np.arange(width) < lengths[..., None]).astype(np.float64),
+                             labels=split.labels[rows].astype(np.float64)))
     return batches
 
 
-def permute_fields(instances: Sequence[Instance], permutation: Sequence[int],
-                   schema: DatasetSchema) -> tuple[list[Instance], DatasetSchema]:
+def permute_fields(split: Split, permutation: Sequence[int],
+                   schema: DatasetSchema) -> tuple[Split, DatasetSchema]:
     """Reorder fields so new position p carries old field permutation[p]."""
     n_f = schema.n_f
     if sorted(permutation) != list(range(n_f)):
         raise DataError(f"permutation {list(permutation)} is not a bijection on [0, {n_f})")
-    new_fields = [schema.fields[p] for p in permutation]
-    new_schema = DatasetSchema(fields=new_fields, min_count=schema.min_count)
-    new_instances = [
-        Instance(tuple(inst.per_field_indices[p] for p in permutation), inst.label)
-        for inst in instances
-    ]
-    return new_instances, new_schema
+    new_schema = DatasetSchema(fields=[schema.fields[p] for p in permutation],
+                               min_count=schema.min_count)
+    return (Split(split.indices[:, permutation], split.lengths[:, permutation], split.labels),
+            new_schema)
 
 
 def inverse_permutation(permutation: Sequence[int]) -> list[int]:
-    inv = [0] * len(permutation)
-    for p, src in enumerate(permutation):
-        inv[src] = p
-    return inv
+    return np.argsort(permutation).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -416,8 +416,8 @@ def synthetic_schema(spec: SyntheticSpec) -> DatasetSchema:
     return DatasetSchema(fields=fields, min_count=1)
 
 
-def generate_synthetic(spec: SyntheticSpec, n: int) -> tuple[list[Instance], np.ndarray]:
-    """Sample n instances plus their true click probabilities.
+def generate_synthetic(spec: SyntheticSpec, n: int) -> tuple[Split, np.ndarray]:
+    """Sample a split of n univalent rows plus their true click probabilities.
 
     Field values are uniform over each field's retained tokens; the label is
     Bernoulli(sigmoid(bias + pair_weights[v_a, v_b])).
@@ -431,11 +431,7 @@ def generate_synthetic(spec: SyntheticSpec, n: int) -> tuple[list[Instance], np.
     logits = spec.bias + np.asarray(spec.pair_weights)[values[:, a], values[:, b]]
     probs = 1.0 / (1.0 + np.exp(-logits))
     labels = (rng.random(n) < probs).astype(np.int64)
-    instances = [
-        Instance(tuple((int(v) + 1,) for v in values[i]), int(labels[i]))
-        for i in range(n)
-    ]
-    return instances, probs
+    return Split((values + 1)[:, :, None], np.ones(values.shape, dtype=np.int64), labels), probs
 
 
 def bayes_auc(true_probs: np.ndarray, labels: Sequence[int]) -> float:
@@ -453,15 +449,16 @@ def bayes_auc(true_probs: np.ndarray, labels: Sequence[int]) -> float:
 # ---------------------------------------------------------------------------
 # file format
 
-def write_dataset_file(path, schema: DatasetSchema, instances: Sequence[Instance]) -> None:
+def write_dataset_file(path, schema: DatasetSchema, split: Split) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.field_names() + [LABEL_COLUMN])
         tokens = [[DUMMY_TOKEN] + f.tokens_in_index_order() for f in schema.fields]
-        for inst in instances:
-            row = [VALUE_SEP.join(map(toks.__getitem__, vals))
-                   for toks, vals in zip(tokens, inst.per_field_indices)]
-            row.append(str(inst.label))
+        for cells, lengths, label in zip(split.indices.tolist(), split.lengths.tolist(),
+                                         split.labels.tolist()):
+            row = [VALUE_SEP.join(map(toks.__getitem__, vals[:m]))
+                   for toks, vals, m in zip(tokens, cells, lengths)]
+            row.append(label)
             writer.writerow(row)
 
 
@@ -511,7 +508,7 @@ def read_dataset_file(path) -> tuple[list[str], list[list[tuple[str, ...]]], lis
 
 
 def load_dataset(path, schema: DatasetSchema,
-                 max_vals: Optional[int] = None) -> tuple[list[Instance], IngestStats]:
+                 max_vals: Optional[int] = None) -> tuple[Split, IngestStats]:
     """Read a dataset file and encode it under an existing schema."""
     field_names, rows, labels = read_dataset_file(path)
     if field_names != schema.field_names():
@@ -522,9 +519,9 @@ def load_dataset(path, schema: DatasetSchema,
 
 
 def fit_dataset(path, min_count: int,
-                max_vals: Optional[int] = None) -> tuple[DatasetSchema, list[Instance], IngestStats]:
+                max_vals: Optional[int] = None) -> tuple[DatasetSchema, Split, IngestStats]:
     """Read a dataset file, fit the vocabulary, and encode the same rows."""
     field_names, rows, labels = read_dataset_file(path)
     schema = build_vocab(field_names, rows, min_count)
-    instances, stats = encode_instances(schema, rows, labels, max_vals=max_vals)
-    return schema, instances, stats
+    split, stats = encode_instances(schema, rows, labels, max_vals=max_vals)
+    return schema, split, stats

@@ -10,7 +10,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import DatasetSchema, Instance, permute_fields
+from .data import DatasetSchema, Split, permute_fields
 from .featuregen import ConfigError
 from .model import FgcnnModel, ModelConfig
 from .training import TrainConfig, evaluate, train
@@ -60,7 +60,7 @@ def build_variant(name: str, base: ModelConfig, schema: DatasetSchema, seed: int
     return FgcnnModel.build(schema, variant_model_config(name, base), seed, precision)
 
 
-def run_ablation(train_set: Sequence[Instance], test_set: Sequence[Instance],
+def run_ablation(train_set: Split, test_set: Split,
                  schema: DatasetSchema, base: ModelConfig, train_cfg: TrainConfig,
                  variants: Sequence[str] = VARIANT_NAMES) -> list[dict]:
     """Train every variant under the same seed and report test metrics."""
@@ -74,8 +74,8 @@ def run_ablation(train_set: Sequence[Instance], test_set: Sequence[Instance],
     return rows
 
 
-def run_compatibility(kinds: Sequence[str], train_set: Sequence[Instance],
-                      test_set: Sequence[Instance], schema: DatasetSchema,
+def run_compatibility(kinds: Sequence[str], train_set: Split,
+                      test_set: Split, schema: DatasetSchema,
                       base: ModelConfig, train_cfg: TrainConfig,
                       seeds: Sequence[int] = (0,)) -> list[dict]:
     """For each classifier kind, train with and without feature generation
@@ -141,7 +141,7 @@ def shuffle_permutations(n_f: int, n_permutations: int, seed: int) -> list[list[
     return perms
 
 
-def run_shuffle_study(train_set: Sequence[Instance], test_set: Sequence[Instance],
+def run_shuffle_study(train_set: Split, test_set: Split,
                       schema: DatasetSchema, base: ModelConfig, train_cfg: TrainConfig,
                       n_permutations: int, seed: int = 0) -> ShuffleStudyResult:
     """Train the full model and its recombination-free twin on identical field
@@ -166,8 +166,8 @@ def run_shuffle_study(train_set: Sequence[Instance], test_set: Sequence[Instance
 SWEEP_KNOBS = ("kernel_height", "n_layers", "new_maps")
 
 
-def sweep(knob: str, values: Sequence[int], train_set: Sequence[Instance],
-          test_set: Sequence[Instance], schema: DatasetSchema, base: ModelConfig,
+def sweep(knob: str, values: Sequence[int], train_set: Split,
+          test_set: Split, schema: DatasetSchema, base: ModelConfig,
           train_cfg: TrainConfig) -> list[dict]:
     """Train once per knob value with everything else fixed; structurally
     invalid values are skipped with a note."""

@@ -15,7 +15,7 @@ from . import classifier as clf_mod
 from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClassifierConfig
-from .data import Batch, DatasetSchema, make_batches
+from .data import Batch, DatasetSchema, Split, make_batches
 from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
 from .featuregen import FeatureGenConfig
 
@@ -51,7 +51,7 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of to_dict, also for its JSON form (lists for tuples);
-        missing keys take the field defaults."""
+        missing keys take the field defaults, unknown ones raise ValueError."""
         return _from_dict(cls, d)
 
 
@@ -67,14 +67,15 @@ def _to_dict(obj) -> dict:
     return {name: _to_dict(v) if is_dataclass(v) else v for name, v in vars(obj).items()}
 
 
-def _from_dict(cls, d: dict):
+def _from_dict(cls, d: dict, prefix: str = ""):
+    types = field_types(cls)
     kwargs = {}
-    for name, tp in field_types(cls).items():
-        if name in d:
-            v = d[name]
-            if v is not None and is_dataclass(tp):
-                v = _from_dict(tp, v)
-            kwargs[name] = tuple(v) if isinstance(v, list) else v
+    for name, v in d.items():
+        if name not in types:
+            raise ValueError(f"unknown model config key {prefix + name!r}")
+        if v is not None and is_dataclass(types[name]):
+            v = _from_dict(types[name], v, f"{prefix}{name}.")
+        kwargs[name] = tuple(v) if isinstance(v, list) else v
     return cls(**kwargs)
 
 
@@ -179,9 +180,9 @@ class FgcnnModel:
 
     # -- inference -------------------------------------------------------
 
-    def predict_scores(self, instances, batch_size: int = 1024) -> np.ndarray:
+    def predict_scores(self, split: Split, batch_size: int = 1024) -> np.ndarray:
         scores = []
-        for batch in make_batches(instances, batch_size):
+        for batch in make_batches(split, batch_size):
             yhat, _ = self.forward_batch(batch, mode="infer")
             scores.append(yhat)
         return np.concatenate(scores)

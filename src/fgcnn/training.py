@@ -9,7 +9,7 @@ import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import classifier as clf_mod
 from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClampStats, loss_and_grad
-from .data import DataError, DatasetSchema, Instance, make_batches
+from .data import DatasetSchema, Split, make_batches
 from .model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
 
 CHECKPOINT_MAGIC = b"FGCN"
@@ -89,16 +89,13 @@ def logloss_score(scores: np.ndarray, labels: np.ndarray) -> float:
     return float(loss.mean())
 
 
-def evaluate(model: FgcnnModel, instances: Sequence[Instance],
-             batch_size: int = 1024) -> Metrics:
+def evaluate(model: FgcnnModel, split: Split, batch_size: int = 1024) -> Metrics:
     """Score a dataset and report AUC plus mean log loss.
 
     Single-class datasets get auc=None; log loss is still computed.
     """
-    if not instances:
-        raise DataError("cannot evaluate on an empty dataset")
-    scores = model.predict_scores(instances, batch_size=batch_size)
-    labels = np.array([inst.label for inst in instances], dtype=float)
+    scores = model.predict_scores(split, batch_size=batch_size)
+    labels = split.labels.astype(float)
     return Metrics(
         auc=auc_score(scores, labels),
         logloss=logloss_score(scores, labels),
@@ -110,8 +107,8 @@ def evaluate(model: FgcnnModel, instances: Sequence[Instance],
 # ---------------------------------------------------------------------------
 # training loop
 
-def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
-          eval_instances: Optional[Sequence[Instance]] = None) -> list[dict]:
+def train(model: FgcnnModel, split: Split, config: TrainConfig,
+          eval_split: Optional[Split] = None) -> list[dict]:
     """Run Adam over mini-batches for the configured number of epochs.
 
     Deterministic under (config.seed, single thread). History rows carry the
@@ -125,8 +122,6 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
     uses_bn = model.config.classifier.use_bn or (
         model.config.featgen is not None and model.config.featgen.use_bn)
     config.validate(uses_bn=uses_bn)
-    if not instances:
-        raise DataError("cannot train on an empty dataset")
     opt = {name: nn.adam_init(p, lr=config.learning_rate)
            for name, p in model.params.items()}
     clamp_stats = ClampStats()
@@ -137,7 +132,7 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
         shuffle_seed = config.seed * 1_000_003 + epoch
         dropout_rng = np.random.default_rng(shuffle_seed + 500_009)
         losses = []
-        for batch in make_batches(instances, config.batch_size, shuffle_seed=shuffle_seed):
+        for batch in make_batches(split, config.batch_size, shuffle_seed=shuffle_seed):
             yhat, cache = model.forward_batch(batch, mode="train", dropout_rng=dropout_rng)
             loss_vec, dlogit = loss_and_grad(yhat, batch.labels, clamp_stats)
             loss = float(loss_vec.mean())
@@ -157,8 +152,8 @@ def train(model: FgcnnModel, instances: Sequence[Instance], config: TrainConfig,
             model.commit_bn(cache)
         row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
                "n_clamped": clamp_stats.n_clamped}
-        if eval_instances is not None and epoch % config.eval_every == 0:
-            m = evaluate(model, eval_instances)
+        if eval_split is not None and epoch % config.eval_every == 0:
+            m = evaluate(model, eval_split)
             row["eval_auc"] = m.auc
             row["eval_logloss"] = m.logloss
         history.append(row)
@@ -261,8 +256,8 @@ def _read_exact(fh, n: int) -> bytes:
 def load_checkpoint(path, schema: DatasetSchema):
     """Rebuild a model (and optimizer state, when present) from a checkpoint.
 
-    Refuses to load if the file is not a checkpoint, its format version is
-    unknown, or the schema digest does not match the supplied schema.
+    Refuses to load if the file is not a checkpoint, its format version or
+    a model config key is unknown, or the schema digest does not match.
     Returns (model, optimizer_or_None).
     """
     with open(path, "rb") as fh:
@@ -295,7 +290,10 @@ def load_checkpoint(path, schema: DatasetSchema):
                 raise TruncatedCheckpointError(
                     f"checkpoint truncated: wanted {arr.nbytes} bytes, got {got}")
             tensors[name] = arr
-    config = ModelConfig.from_dict(blob["model"])
+    try:
+        config = ModelConfig.from_dict(blob["model"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     _check_tensor_shapes(tensors, schema, config)
     dtype = nn.as_dtype(blob["precision"])
     params: dict[str, np.ndarray] = {}

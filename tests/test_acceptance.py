@@ -47,7 +47,7 @@ def family():
     schema = synthetic_schema(spec)
     instances, probs = generate_synthetic(spec, 25000)
     train_set, test_set = instances[:20000], instances[20000:]
-    ceiling = bayes_auc(probs[20000:], [i.label for i in test_set])
+    ceiling = bayes_auc(probs[20000:], test_set.labels)
     return {"schema": schema, "train": train_set, "test": test_set,
             "bayes_auc": ceiling}
 

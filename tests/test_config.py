@@ -62,6 +62,16 @@ def test_model_config_dict_round_trip(c):
         assert ModelConfig.from_dict(blob).featgen == replace(c.featgen, style="cnn")
 
 
+@pytest.mark.parametrize("blob, key", [
+    ({"k": 3, "classifier": {"kind": "dnn", "hiden_sizes": [4]}}, "'classifier.hiden_sizes'"),
+    ({"k": 3, "featgen": {"kernel_heights": [2], "styl": "mlp"}}, "'featgen.styl'"),
+    ({"kk": 3}, "'kk'"),
+])
+def test_model_config_from_dict_rejects_unknown_keys(blob, key):
+    with pytest.raises(ValueError, match=key):
+        ModelConfig.from_dict(blob)
+
+
 # --- rejected config files ------------------------------------------------------------
 
 def _load(tmp_path, text):
@@ -76,8 +86,10 @@ def _load(tmp_path, text):
     ("[model]\nclassifier = dnn\n", ["'classifier'", "[model]"]),
     ("[data]\ntrain_path = a.csv\n", ["'train_path'", "[data]"]),
     ("[complexity]\nn_fields = 24\ntotal_features = 9\nk = 3\n", ["'k'", "[complexity]"]),
+    ("[DEFAULT]\nseed = 3\n[training]\nepochs = 2\n", ["unknown section [DEFAULT]"]),
+    ("[DEFAULT]\nseed = 3\n[classifier]\nkind = dnn\n", ["unknown section [DEFAULT]"]),
 ], ids=["key_typo", "section_typo", "nested_config_key", "field_name_of_renamed_key",
-        "complexity_key"])
+        "complexity_key", "default_next_to_training", "default_next_to_classifier"])
 def test_unknown_section_or_key_is_rejected(tmp_path, text, words):
     with pytest.raises(ConfigFileError) as info:
         _load(tmp_path, text)
@@ -111,7 +123,9 @@ def test_keys_parse_by_field_type(tmp_path):
     "[synthetic]\npair = 3\n",
     "[complexity]\nn_fields = 24\n",
     "k = 3\n",
-], ids=["key_typo", "one_pair_index", "half_complexity", "no_section_header"])
+    "[DEFAULT]\nseed = 3\n[training]\nepochs = 2\n",
+], ids=["key_typo", "one_pair_index", "half_complexity", "no_section_header",
+        "default_section"])
 def test_cli_reports_bad_config_with_exit_two(tmp_path, capsys, text):
     path = tmp_path / "c.cfg"
     path.write_text(text, encoding="utf-8")

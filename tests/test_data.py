@@ -1,9 +1,52 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fgcnn import data as d
+
+
+@dataclass
+class Instance:
+    """One example as per-field tuples of local indices: the input format of
+    the oracles below, which a Split replaced in the program."""
+    per_field_indices: tuple[tuple[int, ...], ...]
+    label: int
+
+
+def to_split(instances, n_f=None):
+    """The Split of a list of Instances, padded to its longest cell (n_f is
+    needed only for an empty list)."""
+    n_f = len(instances[0].per_field_indices) if instances else n_f
+    lengths = np.array([[len(c) for c in i.per_field_indices] for i in instances],
+                       dtype=np.int64).reshape(len(instances), n_f)
+    indices = np.zeros((len(instances), n_f, max(1, int(lengths.max(initial=0)))), np.int64)
+    for r, inst in enumerate(instances):
+        for j, cell in enumerate(inst.per_field_indices):
+            indices[r, j, :len(cell)] = cell
+    return d.Split(indices, lengths, np.array([i.label for i in instances], dtype=np.int64))
+
+
+def to_instances(split):
+    """The Instances of a split's rows, cells cut to their lengths."""
+    return [Instance(tuple(tuple(cell[:m]) for cell, m in zip(cells, lengths)), label)
+            for cells, lengths, label in zip(split.indices.tolist(), split.lengths.tolist(),
+                                             split.labels.tolist())]
+
+
+def assert_same_split(a, b):
+    for name in ("indices", "lengths", "labels"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and x.shape == y.shape, name
+        assert np.array_equal(x, y), name
+
+
+def encode_as_instances(schema, rows, labels, max_vals=None):
+    """encode_instances with its split as Instances, to compare with the oracle."""
+    split, stats = d.encode_instances(schema, rows, labels, max_vals=max_vals)
+    return to_instances(split), stats
 
 
 def rows_from_tokens(*columns):
@@ -121,7 +164,7 @@ def encode_instances_oracle(schema, rows, labels, max_vals=None):
                 toks = toks[:max_vals]
             encoded.append(tuple(f.encode(t) for t in toks))
             stats.unknown_tokens += sum(1 for t in toks if t not in f.token_to_index)
-        out.append(d.Instance(tuple(encoded), int(label)))
+        out.append(Instance(tuple(encoded), int(label)))
         stats.rows += 1
     return out, stats
 
@@ -160,15 +203,15 @@ def test_ingest_matches_per_token_oracle(case):
     schema = d.build_vocab(case["names"], case["train"], case["min_count"])
     want = build_vocab_oracle(case["names"], case["train"], case["min_count"])
     assert schema.to_text() == want.to_text()
-    insts, stats = d.encode_instances(schema, case["train"], [1] * len(case["train"]),
+    split, stats = d.encode_instances(schema, case["train"], [1] * len(case["train"]),
                                       max_vals=case["max_vals"])
-    assert (insts, stats) == encode_instances_oracle(want, case["train"], [1] * len(insts),
-                                                     max_vals=case["max_vals"])
-    assert all(type(i) is int for inst in insts for cell in inst.per_field_indices
-               for i in cell)
+    insts, want_stats = encode_instances_oracle(want, case["train"], [1] * len(split),
+                                                max_vals=case["max_vals"])
+    assert stats == want_stats
+    assert_same_split(split, to_split(insts))
     # a field drawn as multivalent may have fitted univalent, so a test row
     # can be rejected; both must then raise the same message
-    assert _outcome(d.encode_instances, schema, case["test"], case["labels"],
+    assert _outcome(encode_as_instances, schema, case["test"], case["labels"],
                     max_vals=case["max_vals"]) == \
         _outcome(encode_instances_oracle, want, case["test"], case["labels"],
                  max_vals=case["max_vals"])
@@ -209,7 +252,7 @@ def test_ingest_faults_raise_the_oracles_first_message(case, faults):
     assert (got if isinstance(got, str) else got.to_text()) == \
         (want if isinstance(want, str) else want.to_text())
     schema = d.build_vocab(case["names"], case["train"], case["min_count"])
-    got = _outcome(d.encode_instances, schema, rows, labels, max_vals=case["max_vals"])
+    got = _outcome(encode_as_instances, schema, rows, labels, max_vals=case["max_vals"])
     want = _outcome(encode_instances_oracle, schema, rows, labels, max_vals=case["max_vals"])
     assert got == want
 
@@ -228,9 +271,11 @@ def test_encode_empty_table_and_short_labels_match_oracle():
     rows = [[("a",), ("x", "y")], [("b",), ("y",)], [("c",), ("z",)]]
     schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
     for labels in ([], [1], [0, 1]):
-        assert d.encode_instances(schema, rows, labels) == \
+        assert encode_as_instances(schema, rows, labels) == \
             encode_instances_oracle(schema, rows, labels)
-    assert d.encode_instances(schema, [], []) == ([], d.IngestStats())
+    split, stats = d.encode_instances(schema, [], [])
+    assert stats == d.IngestStats()
+    assert_same_split(split, to_split([], n_f=2))
 
 
 # --- bucketize ---------------------------------------------------------------
@@ -266,23 +311,22 @@ def test_quantile_fit_balances_buckets():
 # --- negative sampling ---------------------------------------------------------
 
 def _labeled_stream(n_pos, n_neg, seed=0):
-    rng = np.random.default_rng(seed)
-    insts = ([d.Instance(((1,),), 1) for _ in range(n_pos)]
-             + [d.Instance(((1,),), 0) for _ in range(n_neg)])
-    rng.shuffle(insts)
-    return insts
+    labels = np.repeat(np.array([1, 0], dtype=np.int64), [n_pos, n_neg])
+    np.random.default_rng(seed).shuffle(labels)
+    n = n_pos + n_neg
+    return d.Split(np.ones((n, 1, 1), dtype=np.int64), np.ones((n, 1), dtype=np.int64), labels)
 
 
 def test_negative_sample_identity_at_keep_one():
     stream = _labeled_stream(10, 30)
-    assert d.negative_sample(stream, 1.0, seed=1) == stream
+    assert_same_split(d.negative_sample(stream, 1.0, seed=1), stream)
 
 
 def test_negative_sample_hits_target_ratio():
     stream = _labeled_stream(10000, 90000)
     out = d.negative_sample(stream, 1.0 / 9.0, seed=2)
-    n_pos = sum(1 for i in out if i.label == 1)
-    n_neg = sum(1 for i in out if i.label == 0)
+    n_pos = int((out.labels == 1).sum())
+    n_neg = int((out.labels == 0).sum())
     assert n_pos == 10000
     # binomial: mean 10000, sigma = sqrt(90000 * p * (1-p)) ~ 99.4
     sigma = np.sqrt(90000 * (1 / 9) * (8 / 9))
@@ -293,7 +337,7 @@ def test_negative_sample_deterministic_under_seed():
     stream = _labeled_stream(100, 900, seed=3)
     a = d.negative_sample(stream, 0.5, seed=7)
     b = d.negative_sample(stream, 0.5, seed=7)
-    assert a == b
+    assert_same_split(a, b)
 
 
 def test_negative_sample_validates_probability():
@@ -313,15 +357,15 @@ def test_synthetic_zero_weights_gives_half_probability():
 def test_synthetic_strong_negative_bias_rarely_clicks():
     spec = d.SyntheticSpec(n_f=4, cardinalities=(3, 3, 3, 3), interacting_pair=(0, 2),
                            pair_weights=np.zeros((3, 3)), bias=-10.0, seed=0)
-    insts, _ = d.generate_synthetic(spec, 10000)
-    pos_rate = sum(i.label for i in insts) / len(insts)
+    split, _ = d.generate_synthetic(spec, 10000)
+    pos_rate = split.labels.sum() / len(split)
     assert pos_rate < 0.01
 
 
 def test_synthetic_bayes_auc_is_a_meaningful_ceiling():
     spec = d.planted_spec(n_f=6, cardinality=5, pair=(0, 3), strength=2.0, seed=1)
-    insts, probs = d.generate_synthetic(spec, 5000)
-    auc = d.bayes_auc(probs, [i.label for i in insts])
+    split, probs = d.generate_synthetic(spec, 5000)
+    auc = d.bayes_auc(probs, split.labels)
     assert 0.7 < auc < 1.0
 
 
@@ -335,18 +379,19 @@ def test_synthetic_deterministic():
     spec = d.planted_spec(seed=5)
     a, pa = d.generate_synthetic(spec, 50)
     b, pb = d.generate_synthetic(spec, 50)
-    assert a == b and np.array_equal(pa, pb)
+    assert_same_split(a, b)
+    assert np.array_equal(pa, pb)
 
 
 # --- batching -------------------------------------------------------------------
 
-def _univalent_instances(n, n_f=3, card=4, seed=0):
+def _univalent_split(n, n_f=3, card=4, seed=0):
     rng = np.random.default_rng(seed)
-    return [
-        d.Instance(tuple((int(rng.integers(1, card)),) for _ in range(n_f)),
-                   int(rng.integers(0, 2)))
+    return to_split([
+        Instance(tuple((int(rng.integers(1, card)),) for _ in range(n_f)),
+                 int(rng.integers(0, 2)))
         for _ in range(n)
-    ]
+    ])
 
 
 def batches_oracle(instances, batch_size, shuffle_seed=None):
@@ -372,14 +417,20 @@ def batches_oracle(instances, batch_size, shuffle_seed=None):
 
 
 @st.composite
-def _batching_cases(draw):
+def _instance_lists(draw, min_size=0):
+    """(n_f, instances) with univalent or multivalent cells; the empty and the
+    one-row list are drawn often."""
     n_f = draw(st.integers(1, 4))
     longest = draw(st.sampled_from([1, 4]))         # univalent or multivalent cells
     cell = st.lists(st.integers(0, 50), min_size=1 if longest == 1 else 0, max_size=longest)
-    instance = st.builds(d.Instance,
-                         st.tuples(*[cell.map(tuple)] * n_f),
-                         st.integers(0, 1))
-    instances = draw(st.lists(instance, min_size=1, max_size=30))
+    instance = st.builds(Instance, st.tuples(*[cell.map(tuple)] * n_f), st.integers(0, 1))
+    n = draw(st.sampled_from([min_size, 1]) | st.integers(min_size, 30))
+    return n_f, draw(st.lists(instance, min_size=n, max_size=n))
+
+
+@st.composite
+def _batching_cases(draw):
+    _, instances = draw(_instance_lists(min_size=1))
     batch_size = draw(st.integers(1, len(instances) + 2))
     shuffle_seed = draw(st.none() | st.integers(0, 1000))
     return instances, batch_size, shuffle_seed
@@ -389,7 +440,7 @@ def _batching_cases(draw):
 @given(_batching_cases())
 def test_make_batches_matches_per_instance_densifier(case):
     instances, batch_size, shuffle_seed = case
-    got = d.make_batches(instances, batch_size, shuffle_seed=shuffle_seed)
+    got = d.make_batches(to_split(instances), batch_size, shuffle_seed=shuffle_seed)
     want = batches_oracle(instances, batch_size, shuffle_seed)
     assert isinstance(got, list) and len(got) == len(want)
     for g, w in zip(got, want):
@@ -399,39 +450,51 @@ def test_make_batches_matches_per_instance_densifier(case):
             assert np.array_equal(a, b), name
 
 
-def test_make_batches_rejects_ragged_field_counts():
-    # the second and third instances together carry as many cells as two
-    # well-formed ones would
-    insts = [d.Instance(((1,), (2,)), 0), d.Instance(((1,), (2,), (3,)), 1),
-             d.Instance(((1,),), 0)]
-    with pytest.raises(d.DataError, match="field count"):
-        d.make_batches(insts, 2)
+@pytest.mark.parametrize("shapes", [
+    ((4, 2, 1), (4, 3), (4,)),
+    ((4, 2, 1), (3, 2), (4,)),
+    ((4, 2, 1), (4, 2), (5,)),
+    ((4, 2), (4, 2), (4,)),
+], ids=["field_count", "row_count", "label_count", "no_slot_axis"])
+def test_split_rejects_shapes_that_disagree(shapes):
+    arrays = [np.zeros(shape, dtype=np.int64) for shape in shapes]
+    with pytest.raises(d.DataError, match="split arrays disagree"):
+        d.Split(*arrays)
+
+
+def test_split_slices_rows():
+    split = _univalent_split(10)
+    for rows in (slice(2, 5), np.array([7, 0, 7]), split.labels == 1):
+        part = split[rows]
+        assert len(part) == len(split.labels[rows])
+        for name in ("indices", "lengths", "labels"):
+            assert np.array_equal(getattr(part, name), getattr(split, name)[rows])
+    assert len(split[10:]) == 0
 
 
 def test_batch_sizes_with_short_tail():
-    batches = d.make_batches(_univalent_instances(10), 4)
+    batches = d.make_batches(_univalent_split(10), 4)
     assert [b.size for b in batches] == [4, 4, 2]
 
 
 def test_no_shuffle_preserves_order():
-    insts = _univalent_instances(7)
-    batches = d.make_batches(insts, 3)
+    split = _univalent_split(7)
+    batches = d.make_batches(split, 3)
     flat = np.concatenate([b.indices[:, :, 0] for b in batches])
-    expected = np.array([[v[0] for v in i.per_field_indices] for i in insts])
-    assert np.array_equal(flat, expected)
+    assert np.array_equal(flat, split.indices[:, :, 0])
 
 
 def test_univalent_schema_mask_and_max_vals():
-    batches = d.make_batches(_univalent_instances(5), 5)
+    batches = d.make_batches(_univalent_split(5), 5)
     b = batches[0]
     assert b.indices.shape[2] == 1
     assert np.all(b.value_mask[:, :, 0] == 1.0)
 
 
 def test_shuffle_is_deterministic():
-    insts = _univalent_instances(20)
-    a = d.make_batches(insts, 6, shuffle_seed=3)
-    b = d.make_batches(insts, 6, shuffle_seed=3)
+    split = _univalent_split(20)
+    a = d.make_batches(split, 6, shuffle_seed=3)
+    b = d.make_batches(split, 6, shuffle_seed=3)
     for x, y in zip(a, b):
         assert np.array_equal(x.indices, y.indices)
         assert np.array_equal(x.labels, y.labels)
@@ -439,13 +502,13 @@ def test_shuffle_is_deterministic():
 
 def test_empty_dataset_rejected():
     with pytest.raises(d.DataError):
-        d.make_batches([], 4)
+        d.make_batches(to_split([], n_f=3), 4)
 
 
 def test_mask_count_matches_value_count():
-    insts = [d.Instance(((1,), (2, 3), (1, 2, 3)), 1),
-             d.Instance(((2,), (1,), (3,)), 0)]
-    batch = d.make_batches(insts, 2)[0]
+    insts = [Instance(((1,), (2, 3), (1, 2, 3)), 1),
+             Instance(((2,), (1,), (3,)), 0)]
+    batch = d.make_batches(to_split(insts), 2)[0]
     for row, inst in enumerate(insts):
         n_values = sum(len(v) for v in inst.per_field_indices)
         assert int(batch.value_mask[row].sum()) == n_values
@@ -453,40 +516,84 @@ def test_mask_count_matches_value_count():
 
 # --- field permutation -----------------------------------------------------------
 
-def _schema_and_instances():
+def _schema_and_split():
     rows = [[("a",), ("x",), ("p",), ("m",)], [("b",), ("y",), ("q",), ("n",)]]
     schema = d.build_vocab(["f0", "f1", "f2", "f3"], rows, min_count=1)
-    insts, _ = d.encode_instances(schema, rows, [1, 0])
-    return schema, insts
+    split, _ = d.encode_instances(schema, rows, [1, 0])
+    return schema, split
 
 
 def test_identity_permutation_is_noop():
-    schema, insts = _schema_and_instances()
-    out, out_schema = d.permute_fields(insts, [0, 1, 2, 3], schema)
-    assert out == insts
+    schema, split = _schema_and_split()
+    out, out_schema = d.permute_fields(split, [0, 1, 2, 3], schema)
+    assert_same_split(out, split)
     assert out_schema.to_text() == schema.to_text()
 
 
 def test_permutation_then_inverse_restores():
-    schema, insts = _schema_and_instances()
+    schema, split = _schema_and_split()
     perm = [2, 0, 3, 1]
-    mid, mid_schema = d.permute_fields(insts, perm, schema)
+    mid, mid_schema = d.permute_fields(split, perm, schema)
     back, back_schema = d.permute_fields(mid, d.inverse_permutation(perm), mid_schema)
-    assert back == insts
+    assert_same_split(back, split)
     assert back_schema.to_text() == schema.to_text()
 
 
 def test_reversal_moves_first_field_last():
-    schema, insts = _schema_and_instances()
-    out, out_schema = d.permute_fields(insts, [3, 2, 1, 0], schema)
+    schema, split = _schema_and_split()
+    out, out_schema = d.permute_fields(split, [3, 2, 1, 0], schema)
     assert out_schema.fields[3].field_name == "f0"
-    assert out[0].per_field_indices[3] == insts[0].per_field_indices[0]
+    assert np.array_equal(out.indices[0, 3], split.indices[0, 0])
 
 
 def test_non_bijective_permutation_rejected():
-    schema, insts = _schema_and_instances()
+    schema, split = _schema_and_split()
     with pytest.raises(d.DataError):
-        d.permute_fields(insts, [0, 0, 1, 2], schema)
+        d.permute_fields(split, [0, 0, 1, 2], schema)
+
+
+# --- oracles: the per-instance loops the array operations replaced ------------------
+
+def negative_sample_oracle(instances, keep_prob_negative, seed):
+    rng = np.random.default_rng(seed)
+    out = []
+    for inst in instances:
+        if inst.label == 1:
+            out.append(inst)
+        elif rng.random() < keep_prob_negative:
+            out.append(inst)
+    return out
+
+
+def permute_fields_oracle(instances, permutation):
+    return [Instance(tuple(inst.per_field_indices[p] for p in permutation), inst.label)
+            for inst in instances]
+
+
+def _schema_of(n_f):
+    return d.DatasetSchema(fields=[d.FieldSchema(f"f{j}", {}) for j in range(n_f)])
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_instance_lists(), st.floats(0.0, 1.0, exclude_min=True), st.integers(0, 2**32 - 1))
+def test_negative_sample_selects_as_the_per_instance_loop(case, keep_prob, seed):
+    n_f, instances = case
+    got = d.negative_sample(to_split(instances, n_f), keep_prob, seed)
+    assert to_instances(got) == negative_sample_oracle(instances, keep_prob, seed)
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_permute_fields_matches_per_instance_loop_and_inverts(data):
+    n_f, instances = data.draw(_instance_lists())
+    perm = data.draw(st.permutations(range(n_f)))
+    split, schema = to_split(instances, n_f), _schema_of(n_f)
+    out, out_schema = d.permute_fields(split, perm, schema)
+    assert to_instances(out) == permute_fields_oracle(instances, perm)
+    assert out_schema.field_names() == [f"f{p}" for p in perm]
+    back, back_schema = d.permute_fields(out, d.inverse_permutation(perm), out_schema)
+    assert_same_split(back, split)
+    assert back_schema.field_names() == schema.field_names()
 
 
 # --- files and sidecar -------------------------------------------------------------
@@ -494,20 +601,20 @@ def test_non_bijective_permutation_rejected():
 def test_dataset_file_roundtrip(tmp_path):
     spec = d.planted_spec(n_f=4, cardinality=3, pair=(0, 2), seed=2)
     schema = d.synthetic_schema(spec)
-    insts, _ = d.generate_synthetic(spec, 25)
+    split, _ = d.generate_synthetic(spec, 25)
     path = tmp_path / "toy.csv"
-    d.write_dataset_file(path, schema, insts)
+    d.write_dataset_file(path, schema, split)
     loaded, stats = d.load_dataset(path, schema)
-    assert loaded == insts
+    assert_same_split(loaded, split)
     assert stats.rows == 25
 
 
 def test_multivalent_cells_roundtrip(tmp_path):
     rows = [[("a",), ("x", "y")], [("b",), ("y",)]]
     schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
-    insts, _ = d.encode_instances(schema, rows, [1, 0])
+    split, _ = d.encode_instances(schema, rows, [1, 0])
     path = tmp_path / "mv.csv"
-    d.write_dataset_file(path, schema, insts)
+    d.write_dataset_file(path, schema, split)
     names, back_rows, labels = d.read_dataset_file(path)
     assert back_rows[0][1] == ("x", "y")
     assert labels == [1, 0]
@@ -550,14 +657,14 @@ def test_write_read_encode_roundtrip_with_multivalent_fields(tmp_path):
     rows = [[("a",), ("x", "y", "z"), ("p",)], [("b",), ("y",), ("q", "p")],
             [("a",), ("w", "x"), ("r",)], [("c",), ("x",), ("p", "q", "r")]]
     schema = d.build_vocab(["f0", "f1", "f2"], rows, min_count=2)
-    insts, _ = d.encode_instances(schema, rows, [1, 0, 1, 0])
+    split, _ = d.encode_instances(schema, rows, [1, 0, 1, 0])
     path = tmp_path / "mv.csv"
-    d.write_dataset_file(path, schema, insts)
+    d.write_dataset_file(path, schema, split)
     names, back_rows, labels = d.read_dataset_file(path)
     assert back_rows[0] == [("a",), ("x", "y", d.DUMMY_TOKEN), ("p",)]
     back, _ = d.encode_instances(schema, back_rows, labels)
     assert names == schema.field_names()
-    assert back == insts
+    assert_same_split(back, split)
     for f in schema.fields:
         order = [d.DUMMY_TOKEN] + f.tokens_in_index_order()
         assert [f.decode(i) for i in range(f.cardinality)] == order
@@ -575,9 +682,9 @@ def test_missing_label_column_rejected(tmp_path):
 def test_truncation_counted_in_stats():
     rows = [[("a", "b", "c", "d")], [("a",)]]
     schema = d.build_vocab(["f0"], rows, min_count=1)
-    insts, stats = d.encode_instances(schema, rows, [1, 0], max_vals=2)
+    split, stats = d.encode_instances(schema, rows, [1, 0], max_vals=2)
     assert stats.truncated_values == 2
-    assert len(insts[0].per_field_indices[0]) == 2
+    assert split.lengths[0, 0] == 2 and split.indices.shape[2] == 2
 
 
 def test_univalent_field_rejects_multiple_values():

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -347,6 +348,24 @@ def test_cli_eval_of_checkpoint_with_bad_tensor_exits_two(toy_cfg, tmp_path, cap
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert all(word in err for word in words), err
+
+
+def test_cli_eval_of_checkpoint_with_unknown_config_key_exits_two(toy_cfg, tmp_path, capsys):
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(toy_cfg), "--out", str(out)]) == 0
+    raw = (out / "model.ckpt").read_bytes()
+    # magic, version, config blob length, config blob, ...
+    (n,) = struct.unpack("<I", raw[8:12])
+    blob = json.loads(raw[12:12 + n])
+    blob["model"]["classifier"]["hiden_sizes"] = blob["model"]["classifier"].pop("hidden_sizes")
+    edited = json.dumps(blob, sort_keys=True).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(edited)) + edited + raw[12 + n:])
+    capsys.readouterr()
+    assert cli_main(["eval", "--config", str(toy_cfg), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "'classifier.hiden_sizes'" in err, err
 
 
 def test_cli_complexity_prints_counts(toy_cfg, capsys):

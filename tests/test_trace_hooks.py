@@ -4,10 +4,12 @@ import importlib.util
 import sys
 from pathlib import Path
 
+from fgcnn import data
 from fgcnn.classifier import ClassifierConfig, loss_and_grad
 from fgcnn.data import generate_synthetic, make_batches, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig
+from fgcnn.training import TrainConfig, evaluate, train
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -54,3 +56,26 @@ def test_hooked_kernels_are_called_through_their_hooks(monkeypatch):
     assert calls["nn.batchnorm_fwd"] == calls["nn.batchnorm_bwd"] == 3
     assert calls["nn.affine"] == calls["nn.affine_backward"] == 3
     assert calls["classifier.fm_fwd"] == calls["classifier.fm_bwd"] == 1
+
+
+def test_ingest_and_batching_spans_fire_through_their_hooks(monkeypatch, tmp_path):
+    spec = planted_spec(n_f=4, cardinality=3, pair=(0, 2), seed=0)
+    split, _ = generate_synthetic(spec, 12)
+    path = tmp_path / "small.csv"
+    data.write_dataset_file(path, synthetic_schema(spec), split)
+    config = ModelConfig(k=2, classifier=ClassifierConfig(kind="fm"))
+    tracer = _spans_module(monkeypatch).Tracer()
+    try:
+        tracer.install()
+        assert tracer.absent == []
+        schema, loaded, _ = data.fit_dataset(path, min_count=1)
+        model = FgcnnModel.build(schema, config, 0)
+        train(model, loaded, TrainConfig(batch_size=5, epochs=2))
+        evaluate(model, loaded)
+    finally:
+        tracer.uninstall()
+    calls = {name: st.calls for name, st in tracer.stats.items()}
+    for span in ("data.read_dataset_file", "data.build_vocab", "data.encode_instances"):
+        assert calls[span] == 1, span
+    # once per epoch through training, once through predict_scores
+    assert calls["data.make_batches"] == 3

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig
-from fgcnn.data import generate_synthetic, planted_spec, synthetic_schema
+from fgcnn.data import DataError, generate_synthetic, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
 from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotACheckpointError,
@@ -105,10 +105,18 @@ def test_logloss_at_uniform_half():
     assert abs(logloss_score(scores, labels) - math.log(2.0)) < 1e-12
 
 
+def test_empty_split_is_rejected_by_train_and_evaluate():
+    _, split, model, _ = _toy_setup()
+    with pytest.raises(DataError, match="empty"):
+        train(model, split[:0], TrainConfig())
+    with pytest.raises(DataError, match="empty"):
+        evaluate(model, split[:0])
+
+
 def test_evaluate_counts_classes():
     schema, instances, model, _ = _toy_setup()
     m = evaluate(model, instances)
-    assert m.n_pos == sum(i.label for i in instances)
+    assert m.n_pos == instances.labels.sum()
     assert m.n_pos + m.n_neg == len(instances)
     assert m.logloss >= 0.0
 
@@ -128,7 +136,7 @@ def test_training_is_deterministic():
         schema, instances, model, _ = _toy_setup()
         hist = train(model, instances,
                      TrainConfig(batch_size=16, learning_rate=1e-2, epochs=3, seed=5),
-                     eval_instances=instances)
+                     eval_split=instances)
         return hist, model
 
     h1, m1 = run()
@@ -244,7 +252,7 @@ def test_convex_submodel_loss_slope():
 
 def test_evaluate_single_class_reports_undefined_auc():
     schema, instances, model, _ = _toy_setup()
-    positives = [i for i in instances if i.label == 1]
+    positives = instances[instances.labels == 1]
     m = evaluate(model, positives)
     assert m.auc is None
     assert m.logloss >= 0.0 and m.n_neg == 0
