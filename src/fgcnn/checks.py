@@ -75,28 +75,34 @@ def check_conv(seed: int) -> float:
     rng = np.random.default_rng(seed)
     worst = 0.0
     for h, rows, in_maps, out_maps in ((3, 5, 2, 2), (4, 3, 3, 2)):
-        x = rng.standard_normal((2, rows, 4, in_maps))
+        x = rng.standard_normal((rows, in_maps, 2, 4))
         w = rng.standard_normal((h, 1, in_maps, out_maps)) * 0.5
-        g = rng.standard_normal((2, rows, 4, out_maps))
+        g = rng.standard_normal((rows, out_maps, 2, 4))
         worst = max(worst, _block_check({"fg.conv1.w": w}, "fg.conv1", x, g,
                                         fg_mod.conv_affine, fg_mod.conv_affine_backward))
     return worst
 
 
 def check_pool(seed: int) -> float:
+    """Worst error over [rows, 2 maps, 2, 3] inputs whose row count the pool
+    height divides (6 by 2) and does not (5 by 2, 7 by 3: partial last
+    windows of one and two rows)."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((2, 5, 3, 2))
-    g = rng.standard_normal((2, 3, 3, 2))
+    worst = 0.0
+    for rows, pool_height in ((6, 2), (5, 2), (7, 3)):
+        x = rng.standard_normal((rows, 2, 2, 3))
+        g = rng.standard_normal((fg_mod.ceil_div(rows, pool_height), 2, 2, 3))
 
-    def forward(p):
-        out, _ = fg_mod.pool_forward(p["x"], 2)
-        return out
+        def forward(p):
+            out, _ = fg_mod.pool_forward(p["x"], pool_height)
+            return out
 
-    def backward(p):
-        _, argmax = fg_mod.pool_forward(p["x"], 2)
-        return {"x": fg_mod.pool_backward(g, argmax, 5, 2)}
+        def backward(p):
+            _, argmax = fg_mod.pool_forward(p["x"], pool_height)
+            return {"x": fg_mod.pool_backward(g, argmax, rows, pool_height)}
 
-    return _inner_product_check(forward, backward, {"x": x}, g)
+        worst = max(worst, _inner_product_check(forward, backward, {"x": x}, g))
+    return worst
 
 
 def check_recombination(seed: int) -> float:
@@ -140,23 +146,30 @@ def check_affine(seed: int) -> float:
 
 
 def check_batchnorm(seed: int) -> float:
+    """Worst error over a dense site's [4, 3] and a conv site's [3, 2, 2, 2]
+    ([rows, maps, b, k]) input; both normalize axis 1."""
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((4, 3))
-    gma = rng.standard_normal(3)
-    beta = rng.standard_normal(3)
-    g = rng.standard_normal((4, 3))
-    state = nn.init_bn_state(3, np.float64)
+    worst = 0.0
+    for shape in ((4, 3), (3, 2, 2, 2)):
+        d = shape[1]
+        x = rng.standard_normal(shape)
+        gma = rng.standard_normal(d)
+        beta = rng.standard_normal(d)
+        g = rng.standard_normal(shape)
+        state = nn.init_bn_state(d, np.float64)
 
-    def forward(p):
-        out, _, _ = nn.batchnorm_forward(p["x"], p["g"], p["b"], state, "train")
-        return out
+        def forward(p):
+            out, _, _ = nn.batchnorm_forward(p["x"], p["g"], p["b"], state, "train")
+            return out
 
-    def backward(p):
-        _, cache, _ = nn.batchnorm_forward(p["x"], p["g"], p["b"], state, "train")
-        dx, dg, db = nn.batchnorm_backward(g, cache)
-        return {"x": dx, "g": dg, "b": db}
+        def backward(p):
+            _, cache, _ = nn.batchnorm_forward(p["x"], p["g"], p["b"], state, "train")
+            dx, dg, db = nn.batchnorm_backward(g, cache)
+            return {"x": dx, "g": dg, "b": db}
 
-    return _inner_product_check(forward, backward, {"x": x, "g": gma, "b": beta}, g)
+        worst = max(worst, _inner_product_check(forward, backward,
+                                                {"x": x, "g": gma, "b": beta}, g))
+    return worst
 
 
 def check_loss(seed: int) -> float:

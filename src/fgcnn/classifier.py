@@ -35,11 +35,13 @@ class ClassifierConfig:
 
     def validate(self) -> None:
         if self.kind not in KINDS:
-            raise ValueError(f"unknown classifier kind {self.kind!r}, expected one of {KINDS}")
+            raise nn.ConfigError(
+                f"unknown classifier kind {self.kind!r}, expected one of {KINDS}")
         if self.kind != "fm" and not self.hidden_sizes:
-            raise ValueError(f"classifier kind {self.kind!r} needs at least one hidden layer")
+            raise nn.ConfigError(
+                f"classifier kind {self.kind!r} needs at least one hidden layer")
         if not (0.0 < self.dropout_keep <= 1.0):
-            raise ValueError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
+            raise nn.ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
 
 
 @dataclass
@@ -98,7 +100,8 @@ def mlp_input_width(kind: str, t: int, k: int) -> int:
 def param_shapes(config: ClassifierConfig, t: int, k: int) -> dict[str, tuple[int, ...]]:
     config.validate()
     if t < 2 and config.kind in ("ipnn", "fm", "deepfm"):
-        raise ValueError(f"classifier kind {config.kind!r} needs T >= 2 fields, got {t}")
+        raise nn.ConfigError(
+            f"classifier kind {config.kind!r} needs T >= 2 raw plus generated fields, got {t}")
     shapes: dict[str, tuple[int, ...]] = {}
     if config.kind in ("fm", "deepfm"):
         shapes["clf.linear.w"] = (t, k)

@@ -19,7 +19,7 @@ from .data import (DataError, DatasetSchema, fit_dataset, generate_synthetic,
                    write_dataset_file, write_probs_file)
 from .experiments import render_table, write_records
 from .model import FgcnnModel
-from .nn import NumericError
+from .nn import ConfigError, NumericError
 from .training import (CheckpointError, complexity_report, evaluate,
                        load_checkpoint, save_checkpoint, train)
 
@@ -292,7 +292,8 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, ConfigFileError, CheckpointError, FileNotFoundError) as exc:
+    except (DataError, ConfigFileError, ConfigError, CheckpointError,
+            FileNotFoundError) as exc:
         print(f"fgcnn: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

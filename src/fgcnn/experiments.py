@@ -41,12 +41,12 @@ def variant_model_config(name: str, base: ModelConfig) -> ModelConfig:
         return base
     if name == "remove_raw":
         if base.featgen is None:
-            raise ValueError("remove_raw needs feature generation enabled")
+            raise ConfigError("remove_raw needs feature generation enabled")
         return replace(base, include_raw=False)
     if name == "remove_new":
         return replace(base, featgen=None)
     if base.featgen is None:
-        raise ValueError(f"variant {name!r} needs feature generation enabled")
+        raise ConfigError(f"variant {name!r} needs feature generation enabled")
     if name == "mlp_featgen":
         return replace(base, featgen=replace(base.featgen, style="mlp"))
     # no_recombination
@@ -174,7 +174,7 @@ def sweep(knob: str, values: Sequence[int], train_set: Split,
     if knob not in SWEEP_KNOBS:
         raise ValueError(f"unknown sweep knob {knob!r}, expected one of {SWEEP_KNOBS}")
     if base.featgen is None:
-        raise ValueError("sweeps need feature generation enabled")
+        raise ConfigError("sweeps need feature generation enabled")
     points = []
     for value in values:
         fg = base.featgen
@@ -190,7 +190,7 @@ def sweep(knob: str, values: Sequence[int], train_set: Split,
         cfg = replace(base, featgen=fg)
         try:
             cfg.validate(schema.n_f)
-        except (ConfigError, ValueError) as exc:
+        except ConfigError as exc:
             points.append({"knob": knob, "value": value, "skipped": str(exc)})
             continue
         model = FgcnnModel.build(schema, cfg, train_cfg.seed, train_cfg.precision)

@@ -5,7 +5,8 @@ concatenated with the raw ones.
 Shapes follow one chain: rows_0 = n_f, rows_i = ceil(rows_{i-1} / pool_height).
 Round i emits rows_i * new_maps[i] generated fields. Convolution slides along
 the field axis only (kernel width 1) with SAME zero padding, stride 1, and no
-bias; each stage ends in tanh, optionally batch-normalized first.
+bias; each stage ends in tanh, optionally batch-normalized first. The conv
+rounds hold their activations field-row first, as [rows, maps, b, k].
 """
 from __future__ import annotations
 
@@ -13,12 +14,10 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import nn
-
-
-class ConfigError(ValueError):
-    """Structurally invalid feature-generation configuration."""
+from .nn import ConfigError
 
 
 @dataclass
@@ -113,103 +112,88 @@ def param_shapes(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, tuple[
 # ---------------------------------------------------------------------------
 # stage kernels
 
-CONV_CHUNK = 1 << 22     # window-matrix elements gathered per batch slice
-
-
-def _windows(x: np.ndarray, h: int):
-    """Yield (lo, hi, cols) over batch slices of x [b, rows, k, in_maps].
-
-    cols [(hi - lo) * rows * k, h * in_maps] holds, for every output
-    position (n, r, c), the h input rows r - pad_top .. r - pad_top + h - 1
-    of column c under SAME zero padding, ordered (tap, map) like
-    w.reshape(h * in_maps, out_maps). One np.take over each padded,
-    flattened example copies runs of in_maps floats; a slice holds at most
-    CONV_CHUNK elements (at least one example).
-    """
-    b, rows, k, in_maps = x.shape
-    pad_top = (h - 1) // 2
-    # (padded row, column) offset of tap j at output position (r, c)
-    idx = ((np.arange(rows)[:, None, None] + np.arange(h)) * k
-           + np.arange(k)[:, None]).reshape(-1)
-    step = max(1, CONV_CHUNK // (idx.size * in_maps))
-    for lo in range(0, b, step):
-        xp = np.pad(x[lo:lo + step], ((0, 0), (pad_top, h - 1 - pad_top), (0, 0), (0, 0)))
-        cols = np.take(xp.reshape(xp.shape[0], -1, in_maps), idx, axis=1)
-        yield lo, lo + xp.shape[0], cols.reshape(-1, h * in_maps)
+def _row_windows(x: np.ndarray, h: int, pad_top: int) -> np.ndarray:
+    """[rows, h * maps, b * k] view over a zero-padded copy of x [rows, maps, b, k]:
+    entry r stacks input rows r - pad_top .. r - pad_top + h - 1 (pad_top
+    zero rows above, h - 1 - pad_top below), ordered (tap, map) like
+    w.reshape(h * maps, -1). Those are the h * maps consecutive runs of
+    b * k floats from padded row r on, so the view keeps the padded array's
+    strides."""
+    rows, maps, b, k = x.shape
+    xp = np.zeros((rows + h - 1, maps, b * k), dtype=x.dtype)
+    xp.reshape(rows + h - 1, maps, b, k)[pad_top:pad_top + rows] = x
+    return as_strided(xp, (rows, h * maps, b * k), xp.strides, writeable=False)
 
 
 def conv_affine(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Field-axis convolution, SAME zero padding, stride 1, no bias.
 
-    x: [b, rows, k, in_maps], w: [h, 1, in_maps, out_maps] -> [b, rows, k, out_maps].
-    Computed as the window matrix of x times w.reshape(h * in_maps, out_maps),
-    written slice by slice into the output.
+    x: [rows, in_maps, b, k], w: [h, 1, in_maps, out_maps] -> [rows, out_maps, b, k].
+    Output row r is w.reshape(h * in_maps, out_maps)ᵀ times the padded
+    input rows it reads, a view; one batched matmul covers every row.
     """
-    b, rows, k, in_maps = x.shape
+    rows, in_maps, b, k = x.shape
     h, out_maps = w.shape[0], w.shape[3]
     if w.shape[2] != in_maps:
         raise ValueError(f"conv shape mismatch: input has {in_maps} maps, kernel {w.shape}")
-    w2 = w.reshape(h * in_maps, out_maps)
-    out = np.empty((b, rows, k, out_maps), dtype=x.dtype)
-    out2 = out.reshape(-1, out_maps)
-    for lo, hi, cols in _windows(x, h):
-        np.matmul(cols, w2, out=out2[lo * rows * k:hi * rows * k])
-    return out
+    out = np.matmul(w.reshape(h * in_maps, out_maps).T, _row_windows(x, h, (h - 1) // 2))
+    return out.reshape(rows, out_maps, b, k)
 
 
 def conv_affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients (dx, dw) of conv_affine: dw = colsᵀ @ grad over the window
-    slices; dx sums one grad @ w[j]ᵀ product per tap, shifted to the input
-    rows that tap reads."""
-    b, rows, k, in_maps = x.shape
+    """Gradients (dx, dw) of conv_affine. dw sums, over output rows, the
+    row's window view times its grad rowᵀ. dx row r sums w[j] @ grad row
+    r + pad_top - j over taps j: the windowed product again, over grad
+    padded the mirrored way, with the taps reversed."""
+    rows, in_maps, b, k = x.shape
     h, out_maps = w.shape[0], w.shape[3]
-    g2 = grad.reshape(-1, out_maps)
-    dw = np.zeros((h * in_maps, out_maps), dtype=w.dtype)
-    for lo, hi, cols in _windows(x, h):
-        dw += cols.T @ g2[lo * rows * k:hi * rows * k]
     pad_top = (h - 1) // 2
-    dx = (g2 @ w[pad_top, 0].T).reshape(x.shape)
-    for j in range(h):
-        s = j - pad_top          # output row r reads input row r + s through tap j
-        if s == 0 or abs(s) >= rows:
-            continue
-        tap = (g2 @ w[j, 0].T).reshape(x.shape)
-        if s > 0:
-            dx[:, s:] += tap[:, :rows - s]
-        else:
-            dx[:, :rows + s] += tap[:, -s:]
-    return dx, dw.reshape(w.shape)
+    g = grad.reshape(rows, out_maps, b * k)
+    dw = np.matmul(_row_windows(x, h, pad_top), g.transpose(0, 2, 1)).sum(axis=0)
+    w_mirror = w[::-1, 0].transpose(1, 0, 2).reshape(in_maps, h * out_maps)
+    dx = np.matmul(w_mirror, _row_windows(grad, h, h - 1 - pad_top))
+    return dx.reshape(x.shape), dw.reshape(w.shape)
 
 
 def pool_forward(x: np.ndarray, pool_height: int):
     """Non-overlapping max over windows of pool_height along the field axis.
 
-    A final partial window (when pool_height does not divide rows) takes the
-    max of its remaining rows. Returns (out, argmax) with argmax kept for the
-    backward pass; ties resolve to the lowest row index.
+    x: [rows, maps, b, k] -> (out, argmax), both [ceil(rows / pool_height),
+    maps, b, k]. A final partial window (when pool_height does not divide
+    rows) takes the max of its remaining rows. argmax, the row within the
+    window in the smallest unsigned type that holds pool_height - 1, is
+    kept for the backward pass; ties resolve to the lowest row index.
     """
-    # Running max over window rows: row j of every window is x[:, j::pool_height]
+    # Running max over window rows: row j of every window is x[j::pool_height]
     # (a partial last window may lack it). Strict > keeps the lowest row on ties
     # and j exceeds every index recorded so far; np.maximum(row, out) returns its
     # second operand on ties, so out keeps that row's bits (signed zeros too).
-    out = x[:, ::pool_height].copy()
-    argmax = np.zeros(out.shape, dtype=np.intp)
+    out = x[::pool_height].copy()
+    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(pool_height - 1))
     for j in range(1, pool_height):
-        row = x[:, j::pool_height]
-        head = out[:, :row.shape[1]]
-        head_arg = argmax[:, :row.shape[1]]
-        np.maximum(head_arg, (row > head) * j, out=head_arg)
+        row = x[j::pool_height]
+        head = out[:len(row)]
+        head_arg = argmax[:len(row)]
+        np.maximum(head_arg, (row > head) * argmax.dtype.type(j), out=head_arg)
         np.maximum(row, head, out=head)
     return out, argmax
 
 
 def pool_backward(grad: np.ndarray, argmax: np.ndarray, rows: int,
                   pool_height: int) -> np.ndarray:
-    """Route gradients to the argmax rows only."""
-    b, n_win, k, maps = grad.shape
-    dwin = np.zeros((b, n_win, pool_height, k, maps), dtype=grad.dtype)
-    np.put_along_axis(dwin, argmax[:, :, None], grad[:, :, None], axis=2)
-    return dwin.reshape(b, n_win * pool_height, k, maps)[:, :rows]
+    """Route gradients to the argmax rows only: row j of every window,
+    dx[j::pool_height], is written once, from the windows whose argmax is j.
+
+    The multiply by that mask runs on the bits as unsigned integers, so a
+    routed gradient keeps its bits (-0.0 included) and every other row is +0.0.
+    """
+    dx = np.empty((rows,) + grad.shape[1:], dtype=grad.dtype)
+    bits = np.dtype(f"u{grad.itemsize}")
+    grad_bits, dx_bits = grad.view(bits), dx.view(bits)
+    for j in range(pool_height):
+        dj = dx_bits[j::pool_height]
+        np.multiply(grad_bits[:len(dj)], argmax[:len(dj)] == j, out=dj)
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +213,8 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
     b, n_f, k = e.shape
     config.validate(n_f)
     bn_states = bn_states or {}
-    x = e if config.style == "mlp" else e[..., None]      # cnn: [b, rows, k, maps]
+    # cnn rounds run field-row first: [rows, maps, b, k]
+    x = e if config.style == "mlp" else e.transpose(1, 0, 2)[:, None]
     rounds, outs, new_states = [], [], {}
     for i in range(1, config.n_c + 1):
         try:
@@ -244,16 +229,17 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
                                             bn_states, mode, linear=conv_affine)
             new_states.update(ns)
             s, argmax = pool_forward(a, config.pool_height)
-            round_i = {"conv": block, "argmax": argmax, "rows_in": a.shape[1],
-                       "s_shape": s.shape}
+            round_i = {"conv": block, "argmax": argmax, "rows_in": a.shape[0]}
             if config.use_recombination:
+                # recombination reads the pooled maps flattened as (rows, k, maps)
                 r, round_i["recomb"], ns = nn.block_forward(
-                    s, params, f"fg.recomb{i}", "tanh", bn_states, mode)
+                    s.transpose(2, 0, 3, 1), params, f"fg.recomb{i}", "tanh",
+                    bn_states, mode)
                 new_states.update(ns)
                 outs.append(r.reshape(b, -1, k))
             else:
-                # pooled maps become fields directly: [b, rows_i, k, m] -> [b, rows_i*m, k]
-                outs.append(s.transpose(0, 1, 3, 2).reshape(b, -1, k))
+                # pooled maps become fields directly: [rows_i, m, b, k] -> [b, rows_i*m, k]
+                outs.append(s.transpose(2, 0, 1, 3).reshape(b, -1, k))
             rounds.append(round_i)
             x = s
         except (KeyError, ValueError) as exc:
@@ -283,15 +269,16 @@ def generate_backward(grad_r: np.ndarray, cache: dict):
         if config.use_recombination:
             ds, g = nn.block_backward(per_round[i - 1], round_i["recomb"])
             grads.update(g)
+            ds = ds.transpose(1, 3, 0, 2)
         else:
-            sb, rows, sk, maps = round_i["s_shape"]
-            ds = per_round[i - 1].reshape(sb, rows, maps, sk).transpose(0, 1, 3, 2)
+            rows, maps = round_i["argmax"].shape[:2]
+            ds = per_round[i - 1].reshape(b, rows, maps, k).transpose(1, 2, 0, 3)
         if d_in is not None:
             ds = ds + d_in
         da = pool_backward(ds, round_i["argmax"], round_i["rows_in"], config.pool_height)
         d_in, g = nn.block_backward(da, round_i["conv"], conv_affine_backward)
         grads.update(g)
-    return d_in.reshape(b, n_f, k), grads
+    return (d_in if config.style == "mlp" else d_in[:, 0].transpose(1, 0, 2)), grads
 
 
 def augment(e_prime: Optional[np.ndarray], r: Optional[np.ndarray]) -> np.ndarray:

@@ -29,9 +29,9 @@ class ModelConfig:
 
     def validate(self, n_f: int) -> None:
         if self.k < 1:
-            raise ValueError(f"embedding size must be >= 1, got {self.k}")
+            raise nn.ConfigError(f"embedding size must be >= 1, got {self.k}")
         if not self.include_raw and self.featgen is None:
-            raise ValueError("a model needs raw features, generated features, or both")
+            raise nn.ConfigError("a model needs raw features, generated features, or both")
         if self.featgen is not None:
             self.featgen.validate(n_f)
         self.classifier.validate()
@@ -68,6 +68,9 @@ def _to_dict(obj) -> dict:
 
 
 def _from_dict(cls, d: dict, prefix: str = ""):
+    if not isinstance(d, dict):
+        where = repr(prefix[:-1]) if prefix else "blob"
+        raise ValueError(f"model config {where} must be a mapping, got {type(d).__name__}")
     types = field_types(cls)
     kwargs = {}
     for name, v in d.items():

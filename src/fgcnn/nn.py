@@ -16,6 +16,10 @@ class NumericError(RuntimeError):
     """A kernel produced or received non-finite values, or training diverged."""
 
 
+class ConfigError(ValueError):
+    """A model config that is invalid, or does not fit the data's field count."""
+
+
 _DTYPES = {"f32": np.float32, "f64": np.float64}
 
 BN_EPS = 1e-5
@@ -88,7 +92,8 @@ def sigmoid_grad_from_output(y: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# batch normalization (2-D inputs; callers reshape)
+# batch normalization: axis 1 over all other axes, so one kernel serves the
+# dense sites' [b, d] and the conv sites' [rows, maps, b, k]
 
 @dataclass
 class BnState:
@@ -102,34 +107,41 @@ def init_bn_state(dim: int, dtype) -> BnState:
     return BnState(mean=np.zeros(dim, dtype=dtype), var=np.ones(dim, dtype=dtype))
 
 
+def _axis1_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over every axis but axis 1, as matmuls with ones: a matrix-vector
+    product over the contiguous trailing runs, then ones @ [n, d]."""
+    if x.ndim > 2:
+        run = x[0, 0].size
+        x = (x.reshape(-1, run) @ np.ones(run, dtype=x.dtype)).reshape(x.shape[:2])
+    return np.ones(x.shape[0], dtype=x.dtype) @ x
+
+
 def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnState,
                       mode: str = "train"):
-    """Normalize columns of x [n, d] to zero mean / unit variance, then scale and shift.
+    """Normalize x [n, d, ...] along axis 1 to zero mean / unit variance over
+    all other axes, then scale and shift.
 
     Train mode uses in-batch statistics and returns an updated running-stat
     state; infer mode normalizes with the running statistics. Returns
-    (out, cache, new_state); cache is None in infer mode.
-
-    Column sums are taken as ones @ x: on tall arrays such as the conv
-    sites' [b*rows*k, maps] that is one BLAS pass, where a strided axis-0
-    reduction walks the rows. The variance is a second pass over x - mean,
-    not E[x^2] - E[x]^2, which cancels catastrophically.
+    (out, cache, new_state); cache is None in infer mode. The variance is
+    a second pass over x - mean, not E[x^2] - E[x]^2, which cancels
+    catastrophically.
     """
-    if x.ndim != 2:
-        raise ValueError(f"batchnorm expects 2-D input, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ValueError(f"batchnorm expects at least 2-D input, got shape {x.shape}")
+    col = (-1,) + (1,) * (x.ndim - 2)      # broadcasts a [d] vector along axis 1
     if mode == "train":
-        n = x.shape[0]
+        n = x.size // x.shape[1]
         if n < 2:
             raise ValueError("batchnorm in train mode needs batch size >= 2")
-        ones = np.ones(n, dtype=x.dtype)
-        mu = (ones @ x) / n
-        xhat = x - mu
+        mu = _axis1_sum(x) / n
+        xhat = x - mu.reshape(col)
         out = np.multiply(xhat, xhat)
-        var = (ones @ out) / n
+        var = _axis1_sum(out) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
-        xhat *= inv_std
-        np.multiply(xhat, g, out=out)
-        out += b
+        xhat *= inv_std.reshape(col)
+        np.multiply(xhat, g.reshape(col), out=out)
+        out += b.reshape(col)
         m = state.momentum
         new_state = BnState(
             mean=(m * state.mean + (1.0 - m) * mu).astype(x.dtype),
@@ -140,8 +152,8 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
     if mode == "infer":
         # (x - mean) / std * g + b folded into one scale and one shift
         scale = g / np.sqrt(state.var + BN_EPS)
-        out = x * scale
-        out += b - state.mean * scale
+        out = x * scale.reshape(col)
+        out += (b - state.mean * scale).reshape(col)
         return out, None, state
     raise ValueError(f"unknown batchnorm mode {mode!r}")
 
@@ -152,18 +164,18 @@ def batchnorm_backward(grad: np.ndarray, cache):
     dx = g*inv_std * (grad - db/n - xhat*dg/n): the textbook
     inv_std/n * (n*dxhat - sum(dxhat) - xhat*sum(dxhat*xhat)) with
     dxhat = grad*g, so sum(dxhat) = g*db and sum(dxhat*xhat) = g*dg, and
-    only two column sums are taken.
+    only two sums (over all axes but 1) are taken.
     """
     xhat, inv_std, g = cache
-    n = grad.shape[0]
-    ones = np.ones(n, dtype=grad.dtype)
-    db = ones @ grad
+    col = (-1,) + (1,) * (grad.ndim - 2)
+    n = grad.size // grad.shape[1]
+    db = _axis1_sum(grad)
     dx = grad * xhat
-    dg = ones @ dx
-    np.multiply(xhat, dg / n, out=dx)
+    dg = _axis1_sum(dx)
+    np.multiply(xhat, (dg / n).reshape(col), out=dx)
     np.subtract(grad, dx, out=dx)
-    dx -= db / n
-    dx *= g * inv_std
+    dx -= (db / n).reshape(col)
+    dx *= (g * inv_std).reshape(col)
     return dx, dg, db
 
 
@@ -196,43 +208,42 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
 
     linear(x, w) is a bias-free map (the field-axis convolution); without
     it, x is flattened to [b, -1] and mapped by affine with params[name + ".b"].
-    Batch norm normalizes the last axis over all others. Returns
+    Batch norm normalizes axis 1 over all others: the units of a dense
+    layer, the maps of a conv one ([rows, maps, b, k]). Returns
     (a, cache, {site: new state} or {}).
     """
     w = params[name + ".w"]
     if linear is None:
-        x2 = x.reshape(x.shape[0], -1)
-        z = affine(x2, w, params[name + ".b"])
+        z = affine(x.reshape(x.shape[0], -1), w, params[name + ".b"])
     else:
-        x2 = x
         z = linear(x, w)
     bncache = None
     new_states = {}
     site = name + ".bn"
     if site + ".g" in params:
-        zn, bncache, new_states[site] = batchnorm_forward(
-            z.reshape(-1, z.shape[-1]), params[site + ".g"], params[site + ".b"],
-            bn_states[site], mode)
-        z = zn.reshape(z.shape)
+        z, bncache, new_states[site] = batchnorm_forward(
+            z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
     a = _ACTIVATIONS[act][0](z)
-    return a, (name, act, x.shape, x2, w, bncache, a), new_states
+    # x itself, not its flattened form: for a transposed view (the pooled
+    # maps a recombination reads) that is a copy, made again in backward
+    # rather than kept alive next to the maps
+    return a, (name, act, x, w, bncache, a), new_states
 
 
 def block_backward(da: np.ndarray, cache, linear_backward=None):
     """Gradients of block_forward: returns (dx, {param name: grad}).
     linear_backward(dz, x, w) -> (dx, dw) pairs with the forward's linear."""
-    name, act, x_shape, x2, w, bncache, a = cache
+    name, act, x, w, bncache, a = cache
     dz = da.reshape(a.shape) * _ACTIVATIONS[act][1](a)
     grads = {}
     if bncache is not None:
-        dzn, grads[name + ".bn.g"], grads[name + ".bn.b"] = batchnorm_backward(
-            dz.reshape(-1, dz.shape[-1]), bncache)
-        dz = dzn.reshape(dz.shape)
+        dz, grads[name + ".bn.g"], grads[name + ".bn.b"] = batchnorm_backward(dz, bncache)
     if linear_backward is None:
-        dx, grads[name + ".w"], grads[name + ".b"] = affine_backward(dz, x2, w)
+        dx, grads[name + ".w"], grads[name + ".b"] = affine_backward(
+            dz, x.reshape(x.shape[0], -1), w)
     else:
-        dx, grads[name + ".w"] = linear_backward(dz, x2, w)
-    return dx.reshape(x_shape), grads
+        dx, grads[name + ".w"] = linear_backward(dz, x, w)
+    return dx.reshape(x.shape), grads
 
 
 # ---------------------------------------------------------------------------

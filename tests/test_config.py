@@ -72,6 +72,16 @@ def test_model_config_from_dict_rejects_unknown_keys(blob, key):
         ModelConfig.from_dict(blob)
 
 
+@pytest.mark.parametrize("blob, where", [
+    ({"k": 3, "classifier": 3}, "'classifier'"),
+    ({"k": 3, "featgen": [2]}, "'featgen'"),
+    (3, "blob"),
+])
+def test_model_config_from_dict_rejects_non_mapping(blob, where):
+    with pytest.raises(ValueError, match=f"{where} must be a mapping"):
+        ModelConfig.from_dict(blob)
+
+
 # --- rejected config files ------------------------------------------------------------
 
 def _load(tmp_path, text):

@@ -350,22 +350,79 @@ def test_cli_eval_of_checkpoint_with_bad_tensor_exits_two(toy_cfg, tmp_path, cap
     assert all(word in err for word in words), err
 
 
-def test_cli_eval_of_checkpoint_with_unknown_config_key_exits_two(toy_cfg, tmp_path, capsys):
+def _checkpoint_with_blob(toy_cfg, tmp_path, edit):
+    """Train the toy model, apply edit to its checkpoint's config blob and
+    write the result as bad.ckpt."""
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(toy_cfg), "--out", str(out)]) == 0
     raw = (out / "model.ckpt").read_bytes()
     # magic, version, config blob length, config blob, ...
     (n,) = struct.unpack("<I", raw[8:12])
     blob = json.loads(raw[12:12 + n])
-    blob["model"]["classifier"]["hiden_sizes"] = blob["model"]["classifier"].pop("hidden_sizes")
+    edit(blob["model"])
     edited = json.dumps(blob, sort_keys=True).encode("utf-8")
     bad = tmp_path / "bad.ckpt"
     bad.write_bytes(raw[:8] + struct.pack("<I", len(edited)) + edited + raw[12 + n:])
+    return bad
+
+
+def _cli_eval_error(toy_cfg, tmp_path, capsys, checkpoint):
     capsys.readouterr()
     assert cli_main(["eval", "--config", str(toy_cfg), "--out", str(tmp_path / "ev"),
-                     "--checkpoint", str(bad)]) == 2
+                     "--checkpoint", str(checkpoint)]) == 2
     err = capsys.readouterr().err
-    assert "Traceback" not in err and "'classifier.hiden_sizes'" in err, err
+    assert "Traceback" not in err
+    return err
+
+
+def test_cli_eval_of_checkpoint_with_unknown_config_key_exits_two(toy_cfg, tmp_path, capsys):
+    def rename(model):
+        model["classifier"]["hiden_sizes"] = model["classifier"].pop("hidden_sizes")
+    bad = _checkpoint_with_blob(toy_cfg, tmp_path, rename)
+    err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
+    assert "'classifier.hiden_sizes'" in err, err
+
+
+def test_cli_eval_of_checkpoint_with_non_mapping_config_exits_two(toy_cfg, tmp_path, capsys):
+    bad = _checkpoint_with_blob(toy_cfg, tmp_path, lambda model: model.update(classifier=3))
+    err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
+    assert "'classifier'" in err and "mapping" in err, err
+
+
+@pytest.mark.parametrize("header, row, config_edit, words", [
+    # two fields cannot hold a height-3 kernel
+    ("a,b,label", "x{i},y{i},{label}",
+     "[feature_generation]\nkernel_heights = 3,3\nfeature_maps = 2,2\nnew_maps = 2,2\n",
+     ["kernel height 3", "field count 2"]),
+    # no fields at all leave the ipnn head nothing to pair
+    ("label", "{label}", "[feature_generation]\nenabled = false\n",
+     ["'ipnn'", "got 0"]),
+])
+def test_cli_train_with_config_that_does_not_fit_the_data_exits_two(
+        tmp_path, capsys, header, row, config_edit, words):
+    lines = [header] + [row.format(i=i % 3, label=i % 2) for i in range(12)]
+    (tmp_path / "train.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = tmp_path / "fit.cfg"
+    cfg.write_text(f"""
+[model]
+k = 4
+
+{config_edit}
+[classifier]
+kind = ipnn
+hidden_sizes = 8
+
+[training]
+batch_size = 4
+epochs = 1
+
+[data]
+train = {tmp_path / 'train.csv'}
+""", encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and all(word in err for word in words), err
 
 
 def test_cli_complexity_prints_counts(toy_cfg, capsys):
