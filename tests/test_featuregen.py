@@ -252,6 +252,7 @@ def test_pool_is_bit_identical_to_argmax_oracle(case):
     assert out.dtype == want_out.dtype and out.shape == want_out.shape
     uint = np.uint32 if x.dtype == np.float32 else np.uint64
     assert np.array_equal(out.view(uint), want_out.view(uint))
+    assert argmax.dtype == np.min_scalar_type(pool_height - 1)
     assert np.array_equal(argmax, want_argmax)
 
 
@@ -268,6 +269,26 @@ def test_pool_backward_is_bit_identical_to_strided_oracle(case, seed):
     assert back.dtype == want.dtype and back.shape == want.shape == x.shape
     uint = np.uint32 if x.dtype == np.float32 else np.uint64
     assert np.array_equal(back.view(uint), want.view(uint))
+
+
+@pytest.mark.parametrize("pool_height", [256, 257])
+def test_pool_tall_windows_match_oracle(pool_height):
+    # argmax is stored in the smallest unsigned type that holds pool_height - 1:
+    # uint8 up to 256 rows per window, uint16 from 257
+    rng = np.random.default_rng(pool_height)
+    rows = 2 * pool_height + 5
+    x = np.round(rng.standard_normal((2, rows, 2, 3)), 1).astype(np.float32)
+    x[:, pool_height - 1] = 9.0         # the window's last row wins somewhere
+    out, argmax = pool(x, pool_height)
+    want_out, want_argmax = pool_oracle(x, pool_height)
+    assert argmax.dtype == np.min_scalar_type(pool_height - 1)
+    assert argmax.max() == pool_height - 1
+    assert np.array_equal(out.view(np.uint32), want_out.view(np.uint32))
+    assert np.array_equal(argmax, want_argmax)
+    grad = rng.standard_normal(want_out.shape).astype(np.float32)
+    back = fg.pool_backward(rows_first(grad), rows_first(argmax), rows, pool_height)
+    want = pool_backward_oracle(grad, want_argmax, rows, pool_height)
+    assert np.array_equal(batch_first(back).view(np.uint32), want.view(np.uint32))
 
 
 def test_pool_propagates_nan():
