@@ -136,13 +136,13 @@ def check_affine(seed: int) -> float:
     g = rng.standard_normal((4, 2))
 
     def forward(p):
-        return nn.affine(p["x"], p["w"], p["b"])
+        return nn.affine(p["x"], p["lin.w"], p["lin.b"])
 
     def backward(p):
-        dx, dw, db = nn.affine_backward(g, p["x"], p["w"])
-        return {"x": dx, "w": dw, "b": db}
+        dx, grads = nn.affine_backward(g, p["x"], p["lin.w"], "lin")
+        return {"x": dx, **grads}
 
-    return _inner_product_check(forward, backward, {"x": x, "w": w, "b": b}, g)
+    return _inner_product_check(forward, backward, {"x": x, "lin.w": w, "lin.b": b}, g)
 
 
 def check_batchnorm(seed: int) -> float:

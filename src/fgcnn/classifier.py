@@ -163,30 +163,30 @@ def classifier_forward(e: np.ndarray, params: dict[str, np.ndarray],
 
 
 def classifier_backward(dlogit: np.ndarray, cache: dict,
-                        params: dict[str, np.ndarray], config: ClassifierConfig):
-    """Returns (d_e, param grads) for the matching forward call."""
+                        params: dict[str, np.ndarray], config: ClassifierConfig,
+                        emit=None):
+    """Returns (d_e, param grads) for the matching forward call, emitting
+    each parameter's gradient (see nn)."""
     e = cache["e"]
     b, t, k = e.shape
-    grads: dict[str, np.ndarray] = {}
+    emit, grads = nn.gradient_sink(emit)
     d_e = np.zeros_like(e)
 
     if config.kind in ("fm", "deepfm"):
         w = params["clf.linear.w"]
         d_e += _pair_sum_backward(dlogit, e)
         d_e += dlogit[:, None, None] * w[None]
-        grads["clf.linear.w"] = np.einsum("b,btk->tk", dlogit, e)
-        grads["clf.linear.b"] = np.array([dlogit.sum()], dtype=e.dtype)
+        emit("clf.linear.w", lambda: np.einsum("b,btk->tk", dlogit, e))
+        emit("clf.linear.b", lambda: np.array([dlogit.sum()], dtype=e.dtype))
     if config.kind == "fm":
         return d_e, grads
 
-    dh, dw, db = nn.affine_backward(dlogit[:, None], cache["h_last"], params["clf.out.w"])
-    grads["clf.out.w"] = dw
-    grads["clf.out.b"] = db
+    dh, _ = nn.affine_backward(dlogit[:, None], cache["h_last"], params["clf.out.w"],
+                               "clf.out", emit)
     for block, mask in reversed(cache["layers"]):
         if mask is not None:
             dh = dh * mask
-        dh, layer_grads = nn.block_backward(dh, block)
-        grads.update(layer_grads)
+        dh, _ = nn.block_backward(dh, block, emit=emit)
 
     if config.kind == "ipnn":
         p = cache["fm_width"]

@@ -55,16 +55,6 @@ class FieldSchema:
         toks = sorted(self.token_to_index.items(), key=lambda kv: kv[1])
         return [t for t, _ in toks]
 
-    def decode(self, index: int) -> str:
-        """Token of one index, by a linear scan; to decode many indices, index
-        [DUMMY_TOKEN] + tokens_in_index_order() instead."""
-        if index == 0:
-            return DUMMY_TOKEN
-        for tok, i in self.token_to_index.items():
-            if i == index:
-                return tok
-        raise IndexError(f"field {self.field_name!r} has no index {index}")
-
 
 @dataclass
 class DatasetSchema:
@@ -360,10 +350,6 @@ def permute_fields(split: Split, permutation: Sequence[int],
                                min_count=schema.min_count)
     return (Split(split.indices[:, permutation], split.lengths[:, permutation], split.labels),
             new_schema)
-
-
-def inverse_permutation(permutation: Sequence[int]) -> list[int]:
-    return np.argsort(permutation).tolist()
 
 
 # ---------------------------------------------------------------------------

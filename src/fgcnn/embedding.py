@@ -56,9 +56,10 @@ def assemble_embedding_matrix(batch: Batch, table: EmbeddingTable) -> np.ndarray
 
 
 def backward_embedding(grad_output: np.ndarray, batch: Batch,
-                       table: EmbeddingTable) -> np.ndarray:
+                       table: EmbeddingTable, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of assemble: accumulate each output-row gradient into the rows
-    that were looked up; untouched rows stay zero."""
+    that were looked up; untouched rows stay zero. out, when given, is a
+    zeroed array shaped like the table that receives (and is) the result."""
     b, n_f, max_vals = batch.indices.shape
     if grad_output.shape != (b, n_f, table.k):
         raise ValueError(
@@ -67,6 +68,6 @@ def backward_embedding(grad_output: np.ndarray, batch: Batch,
     global_idx = batch.indices + table.offsets[None, :, None]
     mask = batch.value_mask.astype(grad_output.dtype)
     contrib = grad_output[:, :, None, :] * mask[..., None]  # [b, n_f, v, k]
-    grad = np.zeros_like(table.weights, dtype=grad_output.dtype)
+    grad = np.zeros_like(table.weights, dtype=grad_output.dtype) if out is None else out
     np.add.at(grad, global_idx.ravel(), contrib.reshape(-1, table.k))
     return grad

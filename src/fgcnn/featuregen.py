@@ -249,11 +249,12 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
     return r_all, cache, new_states
 
 
-def generate_backward(grad_r: np.ndarray, cache: dict):
-    """Reverse-mode gradients of generate: returns (d_e, param_grads)."""
+def generate_backward(grad_r: np.ndarray, cache: dict, emit=None):
+    """Reverse-mode gradients of generate: returns (d_e, param_grads),
+    emitting each parameter's gradient (see nn)."""
     config: FeatureGenConfig = cache["config"]
     b, n_f, k = cache["shape"]
-    grads: dict[str, np.ndarray] = {}
+    emit, grads = nn.gradient_sink(emit)
     # split the concatenated gradient back into rounds
     per_round = np.split(grad_r, np.cumsum(round_field_counts(n_f, config))[:-1], axis=1)
     d_in: Optional[np.ndarray] = None     # gradient flowing into round i+1's input
@@ -263,12 +264,10 @@ def generate_backward(grad_r: np.ndarray, cache: dict):
             da = per_round[i - 1].reshape(b, -1)
             if d_in is not None:
                 da = da + d_in
-            d_in, g = nn.block_backward(da, round_i["mlp"])
-            grads.update(g)
+            d_in, _ = nn.block_backward(da, round_i["mlp"], emit=emit)
             continue
         if config.use_recombination:
-            ds, g = nn.block_backward(per_round[i - 1], round_i["recomb"])
-            grads.update(g)
+            ds, _ = nn.block_backward(per_round[i - 1], round_i["recomb"], emit=emit)
             ds = ds.transpose(1, 3, 0, 2)
         else:
             rows, maps = round_i["argmax"].shape[:2]
@@ -276,8 +275,7 @@ def generate_backward(grad_r: np.ndarray, cache: dict):
         if d_in is not None:
             ds = ds + d_in
         da = pool_backward(ds, round_i["argmax"], round_i["rows_in"], config.pool_height)
-        d_in, g = nn.block_backward(da, round_i["conv"], conv_affine_backward)
-        grads.update(g)
+        d_in, _ = nn.block_backward(da, round_i["conv"], conv_affine_backward, emit)
     return (d_in if config.style == "mlp" else d_in[:, 0].transpose(1, 0, 2)), grads
 
 

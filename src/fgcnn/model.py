@@ -159,24 +159,32 @@ class FgcnnModel:
         cache["yhat"] = yhat
         return yhat, cache
 
-    def backward_batch(self, cache: dict, dlogit: np.ndarray) -> dict[str, np.ndarray]:
-        """Gradients for every trainable tensor, keyed like self.params."""
+    def backward_batch(self, cache: dict, dlogit: np.ndarray,
+                       emit=None) -> dict[str, np.ndarray]:
+        """Gradients for every trainable tensor, keyed like self.params. With
+        emit, each is handed to emit(name, make) once backward has made its
+        last read of that tensor (see nn) and the returned dict is empty."""
         cfg = self.config
         batch: Batch = cache["batch"]
-        d_aug, grads = clf_mod.classifier_backward(
-            dlogit.astype(self.dtype), cache["clf"], self.params, cfg.classifier)
+        emit, grads = nn.gradient_sink(emit)
+        d_aug, _ = clf_mod.classifier_backward(
+            dlogit.astype(self.dtype), cache["clf"], self.params, cfg.classifier, emit)
         pos = 0
         if cfg.include_raw:
-            n_raw = cache["n_raw"]
-            d_raw = d_aug[:, :n_raw]
-            grads["emb.clf"] = backward_embedding(d_raw, batch, self._table("emb.clf"))
-            pos = n_raw
+            pos = cache["n_raw"]
+            self._emit_embedding("emb.clf", d_aug[:, :pos], batch, emit)
         if cfg.featgen is not None:
-            d_r = d_aug[:, pos:]
-            d_e, fg_grads = fg_mod.generate_backward(d_r, cache["fg"])
-            grads.update(fg_grads)
-            grads["emb.gen"] = backward_embedding(d_e, batch, self._table("emb.gen"))
+            d_e, _ = fg_mod.generate_backward(d_aug[:, pos:], cache["fg"], emit)
+            self._emit_embedding("emb.gen", d_e, batch, emit)
         return grads
+
+    def _emit_embedding(self, name: str, grad_output: np.ndarray, batch: Batch,
+                        emit) -> None:
+        """Emit the scatter of grad_output into table name; its zeroed
+        buffer is allocated here, by the calling thread."""
+        table = self._table(name)
+        out = np.zeros_like(table.weights, dtype=grad_output.dtype)
+        emit(name, lambda: backward_embedding(grad_output, batch, table, out))
 
     def commit_bn(self, cache: dict) -> None:
         self.bn_states.update(cache["bn_updates"])
@@ -191,9 +199,6 @@ class FgcnnModel:
         return np.concatenate(scores)
 
     # -- utilities --------------------------------------------------------
-
-    def param_names(self) -> list[str]:
-        return sorted(self.params)
 
     def n_params(self) -> int:
         return sum(p.size for p in self.params.values())

@@ -3,10 +3,17 @@ finite-difference gradient checking.
 
 Plain numpy arrays are the only numeric carrier. Training runs float32 by
 default; gradient checks run the same code at float64.
+
+Backward passes hand their parameter gradients to an emit callable:
+emit(name, make), where make() computes the gradient of params[name]. A
+pass emits a tensor's gradient once it has made its last read of that
+tensor, so the receiver may update the tensor in place as soon as it has
+the gradient. Without an emit (see gradient_sink) every gradient is
+computed at once and returned in a dict.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -49,12 +56,27 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Gradients (dx, dw, db) for y = x @ w + b."""
+def gradient_sink(emit=None):
+    """(emit, grads): a given emit and an empty dict, or, without one, an
+    emit that computes each gradient at once into grads."""
+    grads: dict[str, np.ndarray] = {}
+    if emit is None:
+        def emit(name, make):
+            grads[name] = make()
+    return emit, grads
+
+
+def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, name: str,
+                    emit=None):
+    """Gradients for y = x @ w + b at layer name: returns (dx, grads) and
+    emits name + ".w" and name + ".b" after dx, the last product that reads
+    w. dw is written into a buffer allocated here, by the calling thread."""
+    emit, grads = gradient_sink(emit)
     dx = grad @ w.T
-    dw = x.T @ grad
-    db = grad.sum(axis=0)
-    return dx, dw, db
+    dw = np.empty(w.shape, dtype=np.result_type(x, grad))
+    emit(name + ".w", lambda: np.matmul(x.T, grad, out=dw))
+    emit(name + ".b", lambda: grad.sum(axis=0))
+    return dx, grads
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +87,10 @@ def tanh(x: np.ndarray) -> np.ndarray:
 
 
 def tanh_grad_from_output(y: np.ndarray) -> np.ndarray:
-    return 1.0 - y * y
+    """1 - y*y in one fresh buffer."""
+    d = np.multiply(y, y, out=np.empty_like(y))
+    np.subtract(1.0, d, out=d)
+    return d
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -85,10 +110,6 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid_grad_from_output(y: np.ndarray) -> np.ndarray:
-    return y * (1.0 - y)
 
 
 # ---------------------------------------------------------------------------
@@ -182,8 +203,9 @@ def batchnorm_backward(grad: np.ndarray, cache):
 # ---------------------------------------------------------------------------
 # layer block: linear map -> optional batch norm -> activation
 
-# (activation, derivative read off its output): relu's output is > 0 exactly
-# where its input is, so the block keeps only the output for backward.
+# (activation, derivative read off its output, in a fresh buffer): relu's
+# output is > 0 exactly where its input is, so the block keeps only the
+# output for backward.
 _ACTIVATIONS = {"tanh": (tanh, tanh_grad_from_output), "relu": (relu, relu_grad)}
 
 
@@ -211,10 +233,18 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     Batch norm normalizes axis 1 over all others: the units of a dense
     layer, the maps of a conv one ([rows, maps, b, k]). Returns
     (a, cache, {site: new state} or {}).
+
+    In train mode the cache keeps the flattened input the affine read: for
+    a transposed view (the pooled maps a recombination reads) that is a
+    copy, which backward's weight gradient reads again. Infer mode keeps x.
     """
     w = params[name + ".w"]
+    shape = x.shape
     if linear is None:
-        z = affine(x.reshape(x.shape[0], -1), w, params[name + ".b"])
+        flat = x.reshape(shape[0], -1)
+        z = affine(flat, w, params[name + ".b"])
+        if mode == "train":
+            x = flat
     else:
         z = linear(x, w)
     bncache = None
@@ -224,26 +254,29 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
         z, bncache, new_states[site] = batchnorm_forward(
             z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
     a = _ACTIVATIONS[act][0](z)
-    # x itself, not its flattened form: for a transposed view (the pooled
-    # maps a recombination reads) that is a copy, made again in backward
-    # rather than kept alive next to the maps
-    return a, (name, act, x, w, bncache, a), new_states
+    return a, (name, act, x, shape, w, bncache, a), new_states
 
 
-def block_backward(da: np.ndarray, cache, linear_backward=None):
-    """Gradients of block_forward: returns (dx, {param name: grad}).
-    linear_backward(dz, x, w) -> (dx, dw) pairs with the forward's linear."""
-    name, act, x, w, bncache, a = cache
-    dz = da.reshape(a.shape) * _ACTIVATIONS[act][1](a)
-    grads = {}
+def block_backward(da: np.ndarray, cache, linear_backward=None, emit=None):
+    """Gradients of block_forward: returns (dx, grads), emitting each
+    parameter's gradient (see the module docstring). linear_backward(dz, x, w)
+    -> (dx, dw) pairs with the forward's linear. Neither da nor the cached
+    output is written: the output is the next block's cached input, which
+    an emitted gradient may still read."""
+    emit, grads = gradient_sink(emit)
+    name, act, x, shape, w, bncache, a = cache
+    dz = _ACTIVATIONS[act][1](a)
+    dz *= da.reshape(a.shape)
     if bncache is not None:
-        dz, grads[name + ".bn.g"], grads[name + ".bn.b"] = batchnorm_backward(dz, bncache)
+        dz, dg, db = batchnorm_backward(dz, bncache)
+        emit(name + ".bn.g", lambda: dg)
+        emit(name + ".bn.b", lambda: db)
     if linear_backward is None:
-        dx, grads[name + ".w"], grads[name + ".b"] = affine_backward(
-            dz, x.reshape(x.shape[0], -1), w)
+        dx, _ = affine_backward(dz, x.reshape(x.shape[0], -1), w, name, emit)
     else:
-        dx, grads[name + ".w"] = linear_backward(dz, x, w)
-    return dx.reshape(x.shape), grads
+        dx, dw = linear_backward(dz, x, w)
+        emit(name + ".w", lambda: dw)
+    return dx.reshape(shape), grads
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +302,17 @@ def adam_init(param: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0
                      t=0, beta1=beta1, beta2=beta2, eps=eps, lr=lr)
 
 
+def _check_adam_operands(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
+    if param.shape != grad.shape:
+        raise ValueError(f"adam shape mismatch: param{param.shape} grad{grad.shape}")
+    for name, arr in (("param", param), ("m", state.m), ("v", state.v)):
+        if arr.shape != param.shape:
+            raise ValueError(f"adam shape mismatch: param{param.shape} {name}{arr.shape}")
+        # reshape(-1) of such an array is a copy, and the update would be lost
+        if not (arr.flags.c_contiguous and arr.flags.writeable):
+            raise ValueError(f"adam {name} must be a C-contiguous writeable array")
+
+
 def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     """One bias-corrected Adam update, in place: overwrites param, state.m and
     state.v and increments state.t.
@@ -280,14 +324,7 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
     param -= (lr*(m/c1)) / (sqrt(v/c2)+eps), so the result is bit-identical
     to computing it with whole-tensor temporaries.
     """
-    if param.shape != grad.shape:
-        raise ValueError(f"adam shape mismatch: param{param.shape} grad{grad.shape}")
-    for name, arr in (("param", param), ("m", state.m), ("v", state.v)):
-        if arr.shape != param.shape:
-            raise ValueError(f"adam shape mismatch: param{param.shape} {name}{arr.shape}")
-        # reshape(-1) of such an array is a copy, and the update would be lost
-        if not (arr.flags.c_contiguous and arr.flags.writeable):
-            raise ValueError(f"adam {name} must be a C-contiguous writeable array")
+    _check_adam_operands(param, grad, state)
     state.t += 1
     b1, b2, lr, eps = state.beta1, state.beta2, state.lr, state.eps
     c1 = 1.0 - b1 ** state.t
@@ -312,6 +349,22 @@ def adam_step(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:
         u += eps
         s /= u
         p[lo:hi] -= s
+
+
+def adam_parts(param: np.ndarray, grad: np.ndarray, state: AdamState,
+               size: int) -> list[tuple[np.ndarray, np.ndarray, AdamState]]:
+    """One Adam step split into adam_step arguments over consecutive flat
+    ranges of size elements. Advances state.t now; each part's state views
+    its range of m and v and carries the old t. The update is elementwise,
+    so adam_step over every part, in any order and on any thread, leaves
+    param, m and v with the bits of adam_step(param, grad, state)."""
+    _check_adam_operands(param, grad, state)
+    p, g, m, v = (a.reshape(-1) for a in (param, grad, state.m, state.v))
+    parts = [(p[lo:lo + size], g[lo:lo + size],
+              replace(state, m=m[lo:lo + size], v=v[lo:lo + size]))
+             for lo in range(0, p.size, size)]
+    state.t += 1
+    return parts
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,12 @@ and the parameter/multiply bookkeeping report.
 """
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
+import threading
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -107,60 +110,202 @@ def evaluate(model: FgcnnModel, split: Split, batch_size: int = 1024) -> Metrics
 # ---------------------------------------------------------------------------
 # training loop
 
+# Tensors of at least HELPER_MIN elements get their gradient product and Adam
+# update on the helper thread; smaller ones update inline on the main thread,
+# where a queue round trip costs more than the work (every tensor of
+# configs/toy.cfg is smaller). A helper-side update is split into ranges of
+# ADAM_RANGE elements that either thread may take.
+HELPER_MIN = 1 << 16
+ADAM_RANGE = 1 << 18
+
+
+class _Helper:
+    """One helper thread that runs queued jobs for train.
+
+    submit() queues a job, at the front when first is set; the first job
+    starts the thread, so a run whose tensors all update inline never has
+    one. join() runs queued jobs on the calling thread too, until none is
+    queued or running, and then raises the first exception a job raised;
+    once one has, the queue is dropped and further jobs are ignored until
+    that join. close() drops the queue and joins the thread.
+    """
+
+    def __init__(self):
+        self._jobs: deque = deque()
+        self._cond = threading.Condition()
+        self._running = 0
+        self._error: Optional[BaseException] = None
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    def __enter__(self) -> "_Helper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def submit(self, job, first: bool = False) -> None:
+        with self._cond:
+            if self._error is None:
+                (self._jobs.appendleft if first else self._jobs.append)(job)
+                self._cond.notify_all()
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._serve, name="fgcnn-helper",
+                                                daemon=True)
+                self._thread.start()
+
+    def _run(self, job) -> None:
+        try:
+            job()
+        except BaseException as exc:
+            with self._cond:
+                self._error = self._error or exc
+                self._jobs.clear()
+        finally:
+            with self._cond:
+                self._running -= 1
+                self._cond.notify_all()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not (self._jobs or self._closed):
+                    self._cond.wait()
+                if self._closed:
+                    return
+                job = self._jobs.popleft()
+                self._running += 1
+            self._run(job)
+            job = None          # drop the job's gradient before waiting
+
+    def join(self) -> None:
+        while True:
+            with self._cond:
+                if self._jobs:
+                    job = self._jobs.popleft()
+                    self._running += 1
+                elif self._running:
+                    self._cond.wait()
+                    continue
+                else:
+                    error, self._error = self._error, None
+                    break
+            self._run(job)
+            job = None
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._jobs.clear()
+            self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join()
+
+
+def _start_tensor(param: np.ndarray, state: nn.AdamState, snapshot: np.ndarray) -> None:
+    """Zero a tensor's Adam moments and copy it into its divergence snapshot."""
+    state.m.fill(0)
+    state.v.fill(0)
+    np.copyto(snapshot, param)
+
+
 def train(model: FgcnnModel, split: Split, config: TrainConfig,
           eval_split: Optional[Split] = None) -> list[dict]:
     """Run Adam over mini-batches for the configured number of epochs.
 
-    Deterministic under (config.seed, single thread). History rows carry the
-    epoch's mean training loss and, every eval_every epochs, eval metrics.
-    The arrays in model.params are updated in place; a caller that needs
-    the old values takes model.clone_params() first. On divergence
-    (non-finite loss) the parameters and batch-norm running statistics are
-    restored to the last epoch that completed cleanly and NumericError is
-    raised.
+    Deterministic under config.seed. History rows carry the epoch's mean
+    training loss and, every eval_every epochs, eval metrics. The arrays in
+    model.params are updated in place; a caller that needs the old values
+    takes model.clone_params() first. On divergence (non-finite loss) the
+    parameters and batch-norm running statistics are restored to the last
+    epoch that completed cleanly and NumericError is raised.
+
+    The parameter side runs beside the backward pass on one helper thread
+    that this call owns: for each tensor of at least HELPER_MIN elements,
+    its gradient product, the L2 term and its Adam update (in ranges either
+    thread may take); smaller tensors update inline. The input-gradient
+    chain stays on the calling thread. Ordering:
+    - no update starts before the last backward read of its tensor:
+      backward_batch emits a gradient only after that read;
+    - the Adam state and the divergence snapshot are allocated here, filled
+      by the helper during the first forward pass, and joined before the
+      first backward pass, so they exist before the first update;
+    - each batch ends with a join, so no forward pass starts before the
+      previous batch's updates finish;
+    - the helper is joined on every exit path, and an exception raised in
+      one of its jobs leaves this call with its type and message.
+    Every tensor sees the operations of a serial run in the same order, so
+    the results are bit-identical to one.
     """
     uses_bn = model.config.classifier.use_bn or (
         model.config.featgen is not None and model.config.featgen.use_bn)
     config.validate(uses_bn=uses_bn)
-    opt = {name: nn.adam_init(p, lr=config.learning_rate)
-           for name, p in model.params.items()}
     clamp_stats = ClampStats()
     history: list[dict] = []
-    last_good = model.clone_params()
-    last_good_bn = dict(model.bn_states)
-    for epoch in range(1, config.epochs + 1):
-        shuffle_seed = config.seed * 1_000_003 + epoch
-        dropout_rng = np.random.default_rng(shuffle_seed + 500_009)
-        losses = []
-        for batch in make_batches(split, config.batch_size, shuffle_seed=shuffle_seed):
-            yhat, cache = model.forward_batch(batch, mode="train", dropout_rng=dropout_rng)
-            loss_vec, dlogit = loss_and_grad(yhat, batch.labels, clamp_stats)
-            loss = float(loss_vec.mean())
-            if not np.isfinite(loss):
-                model.params = last_good
-                model.bn_states = last_good_bn
-                raise nn.NumericError(
-                    f"training diverged at epoch {epoch}; restored epoch {epoch - 1} state")
-            losses.append(loss)
-            grads = model.backward_batch(cache, dlogit / batch.size)
-            if config.l2_embedding > 0.0:
-                for name in ("emb.gen", "emb.clf"):
-                    if name in grads:
-                        grads[name] = grads[name] + 2.0 * config.l2_embedding * model.params[name]
-            for name, g in grads.items():
-                nn.adam_step(model.params[name], g, opt[name])
-            model.commit_bn(cache)
-        row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
-               "n_clamped": clamp_stats.n_clamped}
-        if eval_split is not None and epoch % config.eval_every == 0:
-            m = evaluate(model, eval_split)
-            row["eval_auc"] = m.auc
-            row["eval_logloss"] = m.logloss
-        history.append(row)
-        if epoch < config.epochs:
-            for name, snapshot in last_good.items():
-                np.copyto(snapshot, model.params[name])
-            last_good_bn = dict(model.bn_states)
+    with _Helper() as helper:
+        def dispatch(size: int, job) -> None:
+            if size >= HELPER_MIN:
+                helper.submit(job)
+            else:
+                job()
+
+        opt: dict[str, nn.AdamState] = {}
+        last_good: dict[str, np.ndarray] = {}
+        for name, p in model.params.items():
+            opt[name] = nn.AdamState(m=np.empty_like(p), v=np.empty_like(p),
+                                     lr=config.learning_rate)
+            last_good[name] = np.empty_like(p)
+            dispatch(p.size, functools.partial(_start_tensor, p, opt[name], last_good[name]))
+        last_good_bn = dict(model.bn_states)
+
+        def update(name: str, make_grad) -> None:
+            param, state = model.params[name], opt[name]
+
+            def job():
+                grad = make_grad()
+                if config.l2_embedding > 0.0 and name in ("emb.gen", "emb.clf"):
+                    grad += 2.0 * config.l2_embedding * param
+                if param.size < HELPER_MIN:
+                    nn.adam_step(param, grad, state)
+                    return
+                first, *rest = nn.adam_parts(param, grad, state, ADAM_RANGE)
+                for part in rest:
+                    helper.submit(functools.partial(nn.adam_step, *part), first=True)
+                nn.adam_step(*first)
+            dispatch(param.size, job)
+
+        for epoch in range(1, config.epochs + 1):
+            shuffle_seed = config.seed * 1_000_003 + epoch
+            dropout_rng = np.random.default_rng(shuffle_seed + 500_009)
+            losses = []
+            for batch in make_batches(split, config.batch_size, shuffle_seed=shuffle_seed):
+                yhat, cache = model.forward_batch(batch, mode="train", dropout_rng=dropout_rng)
+                loss_vec, dlogit = loss_and_grad(yhat, batch.labels, clamp_stats)
+                loss = float(loss_vec.mean())
+                helper.join()       # the Adam state and the snapshot are complete
+                if not np.isfinite(loss):
+                    model.params = last_good
+                    model.bn_states = last_good_bn
+                    raise nn.NumericError(
+                        f"training diverged at epoch {epoch}; restored epoch {epoch - 1} state")
+                losses.append(loss)
+                model.backward_batch(cache, dlogit / batch.size, update)
+                helper.join()       # the next forward pass reads finished updates
+                model.commit_bn(cache)
+            row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
+                   "n_clamped": clamp_stats.n_clamped}
+            if eval_split is not None and epoch % config.eval_every == 0:
+                m = evaluate(model, eval_split)
+                row["eval_auc"] = m.auc
+                row["eval_logloss"] = m.logloss
+            history.append(row)
+            if epoch < config.epochs:
+                for name, snapshot in last_good.items():
+                    dispatch(snapshot.size,
+                             functools.partial(np.copyto, snapshot, model.params[name]))
+                last_good_bn = dict(model.bn_states)
     return history
 
 

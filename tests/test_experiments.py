@@ -37,19 +37,19 @@ def test_remove_new_parameter_set_is_plain_classifier():
     base = _base_config()
     full = FgcnnModel.build(schema, base, seed=0)
     removed = ex.build_variant("remove_new", base, schema, seed=0)
-    assert not any(n.startswith("fg.") for n in removed.param_names())
-    assert "emb.gen" not in removed.param_names()
-    assert "emb.clf" in removed.param_names()
-    expected_gone = {n for n in full.param_names()
+    assert not any(n.startswith("fg.") for n in removed.params)
+    assert "emb.gen" not in removed.params
+    assert "emb.clf" in removed.params
+    expected_gone = {n for n in full.params
                      if n.startswith("fg.") or n == "emb.gen"}
-    assert set(full.param_names()) - set(removed.param_names()) == expected_gone
+    assert set(full.params) - set(removed.params) == expected_gone
 
 
 def test_remove_raw_drops_classifier_table():
     schema, _ = _toy_data()
     removed = ex.build_variant("remove_raw", _base_config(), schema, seed=0)
-    assert "emb.clf" not in removed.param_names()
-    assert "emb.gen" in removed.param_names()
+    assert "emb.clf" not in removed.params
+    assert "emb.gen" in removed.params
     assert removed.config.augmented_fields(schema.n_f) == generated_count(
         schema.n_f, removed.config.featgen)
 
@@ -57,7 +57,7 @@ def test_remove_raw_drops_classifier_table():
 def test_mlp_variant_swaps_tensor_families():
     schema, _ = _toy_data()
     model = ex.build_variant("mlp_featgen", _base_config(), schema, seed=0)
-    names = model.param_names()
+    names = list(model.params)
     assert any(n.startswith("fg.mlp") for n in names)
     assert not any(".conv" in n or ".recomb" in n for n in names)
 
@@ -67,8 +67,8 @@ def test_no_recombination_keeps_generated_count():
     base = _base_config(featgen=FeatureGenConfig(
         kernel_heights=(2, 2), feature_maps=(5, 5), new_maps=(3, 3)))
     variant_cfg = ex.variant_model_config("no_recombination", base)
-    assert not any(".recomb" in n for n in
-                   ex.build_variant("no_recombination", base, schema, 0).param_names())
+    assert not any(".recomb" in n
+                   for n in ex.build_variant("no_recombination", base, schema, 0).params)
     assert (generated_count(schema.n_f, variant_cfg.featgen)
             == generated_count(schema.n_f, base.featgen))
 

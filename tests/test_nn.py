@@ -77,7 +77,7 @@ def test_activation_derivatives_match_central_differences():
         assert abs(num - ana) / max(abs(num), abs(ana)) < 1e-8
         s = nn.sigmoid(np.array(x))
         num = (nn.sigmoid(np.array(x + eps)) - nn.sigmoid(np.array(x - eps))) / (2 * eps)
-        assert abs(num - nn.sigmoid_grad_from_output(s)) / max(abs(num), 1e-8) < 1e-8
+        assert abs(num - s * (1.0 - s)) / max(abs(num), 1e-8) < 1e-8
         if abs(x) > 1e-4:  # stay off the relu kink
             num = (nn.relu(np.array(x + eps)) - nn.relu(np.array(x - eps))) / (2 * eps)
             assert abs(num - nn.relu_grad(np.array(x))) < 1e-8
@@ -253,6 +253,48 @@ def test_batchnorm_f32_matches_f64_oracle(n, d, shift, trail, seed):
            1e-4)
 
 
+# --- layer block ---------------------------------------------------------------
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_block_backward_writes_neither_its_gradient_nor_the_cached_output(act, use_bn):
+    """The output is the next block's cached input, which an emitted weight
+    gradient may still read; the incoming gradient is a view of the caller's."""
+    rng = np.random.default_rng(4)
+    params = {"l.w": rng.standard_normal((12, 5)), "l.b": rng.standard_normal(5)}
+    states = {}
+    if use_bn:
+        params.update({"l.bn.g": rng.standard_normal(5), "l.bn.b": rng.standard_normal(5)})
+        states["l.bn"] = nn.init_bn_state(5, np.float64)
+    x = rng.standard_normal((6, 3, 4))
+    a, cache, _ = nn.block_forward(x, params, "l", act, states, "train")
+    da = rng.standard_normal((6, 5))
+    a_before, da_before = a.copy(), da.copy()
+    dx, grads = nn.block_backward(da, cache)
+    assert np.array_equal(a, a_before) and np.array_equal(da, da_before)
+    assert dx.shape == x.shape and sorted(grads) == sorted(params)
+    emitted = []
+    nn.block_backward(da, cache, emit=lambda name, make: emitted.append((name, make())))
+    assert [n for n, _ in emitted] == list(grads)
+    assert all(np.array_equal(g, grads[n]) for n, g in emitted)
+
+
+def test_block_keeps_the_flattened_input_in_train_mode_only():
+    rng = np.random.default_rng(5)
+    params = {"l.w": rng.standard_normal((36, 2)), "l.b": np.zeros(2)}
+    x = rng.standard_normal((3, 4, 2, 3)).transpose(2, 0, 3, 1)    # [2, 3, 3, 4] view
+    _, train_cache, _ = nn.block_forward(x, params, "l", "tanh", {}, "train")
+    _, infer_cache, _ = nn.block_forward(x, params, "l", "tanh", {}, "infer")
+    assert train_cache[2].shape == (2, 36) and train_cache[2].flags.c_contiguous
+    assert infer_cache[2] is x
+    g = rng.standard_normal((2, 2))
+    dx_train, grads_train = nn.block_backward(g, train_cache)
+    dx_infer, grads_infer = nn.block_backward(g, infer_cache)
+    assert dx_train.shape == dx_infer.shape == x.shape
+    assert np.array_equal(dx_train, dx_infer)
+    assert all(np.array_equal(grads_train[n], grads_infer[n]) for n in grads_infer)
+
+
 # --- Adam --------------------------------------------------------------------
 
 def adam_step_pure(param, grad, state):
@@ -334,6 +376,43 @@ def test_adam_rejects_arrays_it_cannot_update_in_place(which, make):
     assert state.t == 0
     for k, arr in arrays.items():
         assert np.array_equal(arr, before[k]), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(size_part=st.sampled_from([(1, 1), (7, 1), (7, 5), (64, 5), (64, 64), (1000, 64),
+                                  (nn.ADAM_CHUNK + 3, nn.ADAM_CHUNK // 3),
+                                  (2 * nn.ADAM_CHUNK + 5, nn.ADAM_CHUNK)]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       steps=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+def test_adam_parts_in_any_order_match_one_step(size_part, dtype, steps, seed):
+    size, part = size_part
+    rng = np.random.default_rng(seed)
+    shape = (size,) if size % 2 else (2, size // 2)
+    param = rng.standard_normal(shape).astype(dtype)
+    ref_param, ref_state = param.copy(), nn.adam_init(param, lr=0.01)
+    state = nn.adam_init(param, lr=0.01)
+    for _ in range(steps):
+        grad = rng.standard_normal(shape).astype(dtype)
+        nn.adam_step(ref_param, grad, ref_state)
+        parts = nn.adam_parts(param, grad, state, part)
+        assert state.t == ref_state.t
+        assert sum(p.size for p, _, _ in parts) == size
+        for i in rng.permutation(len(parts)):
+            nn.adam_step(*parts[i])
+    assert _bits(param) == _bits(ref_param)
+    assert _bits(state.m) == _bits(ref_state.m)
+    assert _bits(state.v) == _bits(ref_state.v)
+    assert state.t == steps
+
+
+@pytest.mark.parametrize("which", ["param", "m", "v"])
+def test_adam_parts_reject_arrays_they_cannot_update_in_place(which):
+    arrays = {"param": np.ones(8), "m": np.zeros(8), "v": np.zeros(8)}
+    arrays[which] = _strided()
+    state = nn.AdamState(m=arrays["m"], v=arrays["v"], lr=0.1)
+    with pytest.raises(ValueError, match="C-contiguous writeable"):
+        nn.adam_parts(arrays["param"], np.ones(8), state, 3)
+    assert state.t == 0
 
 
 def test_adam_zero_grad_never_moves_param():
