@@ -54,16 +54,15 @@ def check_embedding_gather(seed: int) -> float:
 
 def _block_check(params: dict[str, np.ndarray], name: str, x: np.ndarray,
                  g: np.ndarray, linear=None, linear_backward=None) -> float:
-    """Check nn.block_forward/block_backward (inference mode, no batch norm)
-    with respect to x and the layer's parameters."""
+    """Check nn.block_forward/block_backward (no batch norm) with respect to
+    x and the layer's parameters."""
     def forward(p):
-        a, _, _ = nn.block_forward(p["x"], p, name, "tanh", {}, "infer", linear)
-        return a
+        return nn.block_forward(p["x"], p, name, "tanh", {}, "train", linear)[0]
 
     def backward(p):
-        _, cache, _ = nn.block_forward(p["x"], p, name, "tanh", {}, "infer", linear)
-        dx, grads = nn.block_backward(g, cache, linear_backward)
-        return {"x": dx, **grads}
+        _, cache = nn.block_forward(p["x"], p, name, "tanh", {}, "train", linear)
+        emit, grads = nn.gradient_sink()
+        return {"x": nn.block_backward(g, cache, emit, linear_backward), **grads}
 
     return _inner_product_check(forward, backward, {"x": x, **params}, g)
 
@@ -139,8 +138,8 @@ def check_affine(seed: int) -> float:
         return nn.affine(p["x"], p["lin.w"], p["lin.b"])
 
     def backward(p):
-        dx, grads = nn.affine_backward(g, p["x"], p["lin.w"], "lin")
-        return {"x": dx, **grads}
+        emit, grads = nn.gradient_sink()
+        return {"x": nn.affine_backward(g, p["x"], p["lin.w"], "lin", emit), **grads}
 
     return _inner_product_check(forward, backward, {"x": x, "lin.w": w, "lin.b": b}, g)
 
@@ -204,10 +203,12 @@ def _tiny_model(seed: int, use_bn: bool, style: str = "cnn",
     return model, batch
 
 
-def model_loss_fn(model: FgcnnModel, batch, mode: str):
+def model_loss_fn(model: FgcnnModel, batch):
+    """Loss and gradients of a train-mode pass: without batch norm or dropout
+    that is the arithmetic of infer mode."""
     def f(params):
         model.params = params
-        yhat, cache = model.forward_batch(batch, mode=mode)
+        yhat, cache = model.forward_batch(batch, mode="train")
         loss_vec, dlogit = loss_and_grad(yhat, batch.labels)
         grads = model.backward_batch(cache, dlogit / batch.size)
         for name in params:
@@ -222,8 +223,7 @@ def check_full_model(seed: int, use_bn: bool = False, style: str = "cnn",
                      max_coords: Optional[int] = 40) -> float:
     model, batch = _tiny_model(seed, use_bn, style, kind, include_raw,
                                use_recombination)
-    mode = "train" if use_bn else "infer"
-    f = model_loss_fn(model, batch, mode)
+    f = model_loss_fn(model, batch)
     rng = np.random.default_rng(seed + 1)
     skip = None
     if use_bn:

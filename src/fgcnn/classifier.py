@@ -124,52 +124,40 @@ def classifier_forward(e: np.ndarray, params: dict[str, np.ndarray],
                        config: ClassifierConfig, bn_states: Optional[dict] = None,
                        mode: str = "infer",
                        dropout_rng: Optional[np.random.Generator] = None):
-    """Score the augmented matrix e [b, T, k]: returns (logit, cache, new_bn_states)."""
+    """Score the augmented matrix e [b, T, k]: returns (logit, cache) under
+    the forward contract of nn."""
     config.validate()
-    bn_states = bn_states or {}
     b, t, k = e.shape
-    cache: dict = {"e": e, "kind": config.kind}
-    new_states: dict = {}
     logit = np.zeros(b, dtype=e.dtype)
-
     if config.kind in ("fm", "deepfm"):
         w = params["clf.linear.w"]
         logit = logit + _pair_sum(e) + np.einsum("btk,tk->b", e, w) + params["clf.linear.b"][0]
-    if config.kind == "fm":
-        return logit, cache, new_states
-
-    if config.kind == "ipnn":
-        rfm = fm_layer(e)
-        h = np.concatenate([rfm, e.reshape(b, t * k)], axis=1)
-        cache["fm_width"] = rfm.shape[1]
-    else:
+    layers, h = [], None
+    if config.kind != "fm":
         h = e.reshape(b, t * k)
-    layers = []
-    for i in range(1, config.n_h + 1):
-        h, block, ns = nn.block_forward(h, params, f"clf.fc{i}", "relu", bn_states, mode)
-        new_states.update(ns)
-        mask = None
-        if mode == "train" and config.dropout_keep < 1.0:
-            if dropout_rng is None:
-                raise ValueError("dropout in train mode needs an rng")
-            keep = config.dropout_keep
-            mask = (dropout_rng.random(h.shape) < keep).astype(h.dtype) / keep
-            h = h * mask
-        layers.append((block, mask))
-    cache["layers"] = layers
-    cache["h_last"] = h
-    logit = logit + nn.affine(h, params["clf.out.w"], params["clf.out.b"])[:, 0]
-    return logit, cache, new_states
+        if config.kind == "ipnn":
+            h = np.concatenate([fm_layer(e), h], axis=1)
+        for i in range(1, config.n_h + 1):
+            h, block = nn.block_forward(h, params, f"clf.fc{i}", "relu", bn_states, mode)
+            mask = None
+            if mode == "train" and config.dropout_keep < 1.0:
+                if dropout_rng is None:
+                    raise ValueError("dropout in train mode needs an rng")
+                keep = config.dropout_keep
+                mask = (dropout_rng.random(h.shape) < keep).astype(h.dtype) / keep
+                h = h * mask
+            layers.append((block, mask))
+        logit = logit + nn.affine(h, params["clf.out.w"], params["clf.out.b"])[:, 0]
+    return logit, {"e": e, "layers": layers, "h_last": h} if mode == "train" else None
 
 
 def classifier_backward(dlogit: np.ndarray, cache: dict,
                         params: dict[str, np.ndarray], config: ClassifierConfig,
-                        emit=None):
-    """Returns (d_e, param grads) for the matching forward call, emitting
-    each parameter's gradient (see nn)."""
+                        emit) -> np.ndarray:
+    """Returns d_e for the matching forward call, emitting each parameter's
+    gradient (see nn)."""
     e = cache["e"]
     b, t, k = e.shape
-    emit, grads = nn.gradient_sink(emit)
     d_e = np.zeros_like(e)
 
     if config.kind in ("fm", "deepfm"):
@@ -179,22 +167,22 @@ def classifier_backward(dlogit: np.ndarray, cache: dict,
         emit("clf.linear.w", lambda: np.einsum("b,btk->tk", dlogit, e))
         emit("clf.linear.b", lambda: np.array([dlogit.sum()], dtype=e.dtype))
     if config.kind == "fm":
-        return d_e, grads
+        return d_e
 
-    dh, _ = nn.affine_backward(dlogit[:, None], cache["h_last"], params["clf.out.w"],
-                               "clf.out", emit)
+    dh = nn.affine_backward(dlogit[:, None], cache["h_last"], params["clf.out.w"],
+                            "clf.out", emit)
     for block, mask in reversed(cache["layers"]):
         if mask is not None:
             dh = dh * mask
-        dh, _ = nn.block_backward(dh, block, emit=emit)
+        dh = nn.block_backward(dh, block, emit)
 
     if config.kind == "ipnn":
-        p = cache["fm_width"]
+        p = t * (t - 1) // 2
         d_e += fm_layer_backward(dh[:, :p], e)
         d_e += dh[:, p:].reshape(e.shape)
     else:
         d_e += dh.reshape(e.shape)
-    return d_e, grads
+    return d_e
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _int_list(text: str) -> list[int]:
+    """'2,3,4' -> [2, 3, 4]; empty items are skipped."""
+    try:
+        return [int(v) for v in text.split(",") if v.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of integers: {text!r}") from None
+
+
+def _at_least_two(text: str) -> int:
+    if not (text.strip().isdigit() and int(text) >= 2):
+        raise argparse.ArgumentTypeError(f"need an integer of at least 2, got {text!r}")
+    return int(text)
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="fgcnn", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -56,10 +71,10 @@ def _build_parser() -> _Parser:
     p_compat = add("compat", "train each classifier kind with and without generation")
     p_compat.add_argument("--kinds", default="fm,dnn,deepfm,ipnn")
     p_shuffle = add("shuffle", "field-order robustness study")
-    p_shuffle.add_argument("--permutations", type=int, default=10)
+    p_shuffle.add_argument("--permutations", type=_at_least_two, default=10)
     p_sweep = add("sweep", "metric curve over one structural knob")
     p_sweep.add_argument("--knob", required=True, choices=experiments.SWEEP_KNOBS)
-    p_sweep.add_argument("--values", required=True,
+    p_sweep.add_argument("--values", required=True, type=_int_list,
                          help="comma-separated integers, e.g. 2,3,4")
     add("complexity", "parameter and multiply counts for the configured model")
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -99,10 +114,15 @@ def _ingest_lines(ingest) -> list[str]:
             f"truncated_values {s.truncated_values}" for split, s in ingest.items()]
 
 
+def _synthetic_spec(cfg: ExperimentConfig):
+    s = cfg.synthetic
+    return planted_spec(n_f=s.n_fields, cardinality=s.cardinality, pair=s.pair,
+                        strength=s.strength, bias=s.bias, seed=s.seed)
+
+
 def _synthetic_split(cfg: ExperimentConfig):
     s = cfg.synthetic
-    spec = planted_spec(n_f=s.n_fields, cardinality=s.cardinality, pair=s.pair,
-                        strength=s.strength, bias=s.bias, seed=s.seed)
+    spec = _synthetic_spec(cfg)
     schema = synthetic_schema(spec)
     split, probs = generate_synthetic(spec, s.n_train + s.n_test)
     train_set = split[:s.n_train]
@@ -223,9 +243,8 @@ def _cmd_shuffle(args) -> int:
 def _cmd_sweep(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    values = [int(v) for v in args.values.split(",") if v.strip()]
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    points = experiments.sweep(args.knob, values, train_set, test_set or train_set,
+    points = experiments.sweep(args.knob, args.values, train_set, test_set or train_set,
                                schema, cfg.model, cfg.train)
     write_records(out / f"sweep_{args.knob}.jsonl", points, cfg.train.seed, cfg.digest())
     print(render_table(points))
@@ -240,10 +259,7 @@ def _cmd_complexity(args) -> int:
         schema = DatasetSchema.load(cfg.data.schema_path)
         n_f, t_f = schema.n_f, schema.t_f
     elif cfg.synthetic is not None:
-        schema = synthetic_schema(planted_spec(
-            n_f=cfg.synthetic.n_fields, cardinality=cfg.synthetic.cardinality,
-            pair=cfg.synthetic.pair, strength=cfg.synthetic.strength,
-            bias=cfg.synthetic.bias, seed=cfg.synthetic.seed))
+        schema = synthetic_schema(_synthetic_spec(cfg))
         n_f, t_f = schema.n_f, schema.t_f
     else:
         raise DataError("complexity needs a schema, synthetic spec, or [complexity] dims")

@@ -18,15 +18,6 @@ from .training import TrainConfig, evaluate, train
 VARIANT_NAMES = ("full", "remove_raw", "remove_new", "mlp_featgen", "no_recombination")
 
 
-@dataclass
-class VariantSpec:
-    name: str
-
-    def validate(self) -> None:
-        if self.name not in VARIANT_NAMES:
-            raise ValueError(f"unknown variant {self.name!r}, expected one of {VARIANT_NAMES}")
-
-
 def variant_model_config(name: str, base: ModelConfig) -> ModelConfig:
     """Derive a variant's model configuration from the full model's.
 
@@ -36,7 +27,8 @@ def variant_model_config(name: str, base: ModelConfig) -> ModelConfig:
     uses pooled conv maps as features directly, with the conv map counts set
     to the new-feature map counts so the generated counts stay equal.
     """
-    VariantSpec(name).validate()
+    if name not in VARIANT_NAMES:
+        raise ValueError(f"unknown variant {name!r}, expected one of {VARIANT_NAMES}")
     if name == "full":
         return base
     if name == "remove_raw":

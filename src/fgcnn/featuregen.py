@@ -206,77 +206,71 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
     A round is one dense layer block over the previous round's output
     (style "mlp"), or a conv block, max-pooling and a recombination block
     over the pooled maps (style "cnn"; without recombination the pooled
-    maps become fields directly). Returns (r, cache, new_bn_states) where
-    r is [b, N, k] with the rounds' outputs concatenated in order. The
-    cache feeds generate_backward.
+    maps become fields directly). Returns (r, cache) under the forward
+    contract of nn, where r is [b, N, k] with the rounds' outputs
+    concatenated in order; in infer mode each round's activation is
+    dropped once it is pooled.
     """
     b, n_f, k = e.shape
     config.validate(n_f)
-    bn_states = bn_states or {}
     # cnn rounds run field-row first: [rows, maps, b, k]
     x = e if config.style == "mlp" else e.transpose(1, 0, 2)[:, None]
-    rounds, outs, new_states = [], [], {}
+    rounds, outs = [], []
     for i in range(1, config.n_c + 1):
         try:
             if config.style == "mlp":
-                x, block, ns = nn.block_forward(x, params, f"fg.mlp{i}", "tanh",
-                                                bn_states, mode)
-                new_states.update(ns)
-                rounds.append({"mlp": block})
+                x, block = nn.block_forward(x, params, f"fg.mlp{i}", "tanh", bn_states, mode)
+                rounds.append(block)
                 outs.append(x.reshape(b, -1, k))
                 continue
-            a, block, ns = nn.block_forward(x, params, f"fg.conv{i}", "tanh",
-                                            bn_states, mode, linear=conv_affine)
-            new_states.update(ns)
-            s, argmax = pool_forward(a, config.pool_height)
-            round_i = {"conv": block, "argmax": argmax, "rows_in": a.shape[0]}
+            a, conv = nn.block_forward(x, params, f"fg.conv{i}", "tanh",
+                                       bn_states, mode, linear=conv_affine)
+            x, argmax = pool_forward(a, config.pool_height)
+            del a
+            recomb = None
             if config.use_recombination:
                 # recombination reads the pooled maps flattened as (rows, k, maps)
-                r, round_i["recomb"], ns = nn.block_forward(
-                    s.transpose(2, 0, 3, 1), params, f"fg.recomb{i}", "tanh",
-                    bn_states, mode)
-                new_states.update(ns)
+                r, recomb = nn.block_forward(x.transpose(2, 0, 3, 1), params,
+                                             f"fg.recomb{i}", "tanh", bn_states, mode)
                 outs.append(r.reshape(b, -1, k))
             else:
                 # pooled maps become fields directly: [rows_i, m, b, k] -> [b, rows_i*m, k]
-                outs.append(s.transpose(2, 0, 1, 3).reshape(b, -1, k))
-            rounds.append(round_i)
-            x = s
+                outs.append(x.transpose(2, 0, 1, 3).reshape(b, -1, k))
+            rounds.append((conv, argmax, recomb) if mode == "train" else None)
         except (KeyError, ValueError) as exc:
             raise type(exc)(f"feature generation round {i}: {exc}") from exc
     r_all = np.concatenate(outs, axis=1)
-    cache = {"rounds": rounds, "config": config, "shape": (b, n_f, k)}
-    return r_all, cache, new_states
+    return r_all, ({"rounds": rounds, "config": config, "n_f": n_f}
+                   if mode == "train" else None)
 
 
-def generate_backward(grad_r: np.ndarray, cache: dict, emit=None):
-    """Reverse-mode gradients of generate: returns (d_e, param_grads),
-    emitting each parameter's gradient (see nn)."""
+def generate_backward(grad_r: np.ndarray, cache: dict, emit) -> np.ndarray:
+    """Reverse-mode gradients of generate: returns d_e, emitting each
+    parameter's gradient (see nn)."""
     config: FeatureGenConfig = cache["config"]
-    b, n_f, k = cache["shape"]
-    emit, grads = nn.gradient_sink(emit)
+    n_f = cache["n_f"]
+    b, _, k = grad_r.shape
+    rows = rows_chain(n_f, config)
     # split the concatenated gradient back into rounds
     per_round = np.split(grad_r, np.cumsum(round_field_counts(n_f, config))[:-1], axis=1)
     d_in: Optional[np.ndarray] = None     # gradient flowing into round i+1's input
     for i in range(config.n_c, 0, -1):
-        round_i = cache["rounds"][i - 1]
         if config.style == "mlp":
             da = per_round[i - 1].reshape(b, -1)
             if d_in is not None:
                 da = da + d_in
-            d_in, _ = nn.block_backward(da, round_i["mlp"], emit=emit)
+            d_in = nn.block_backward(da, cache["rounds"][i - 1], emit)
             continue
-        if config.use_recombination:
-            ds, _ = nn.block_backward(per_round[i - 1], round_i["recomb"], emit=emit)
-            ds = ds.transpose(1, 3, 0, 2)
+        conv, argmax, recomb = cache["rounds"][i - 1]
+        if recomb is not None:
+            ds = nn.block_backward(per_round[i - 1], recomb, emit).transpose(1, 3, 0, 2)
         else:
-            rows, maps = round_i["argmax"].shape[:2]
-            ds = per_round[i - 1].reshape(b, rows, maps, k).transpose(1, 2, 0, 3)
+            ds = per_round[i - 1].reshape(b, *argmax.shape[:2], k).transpose(1, 2, 0, 3)
         if d_in is not None:
             ds = ds + d_in
-        da = pool_backward(ds, round_i["argmax"], round_i["rows_in"], config.pool_height)
-        d_in, _ = nn.block_backward(da, round_i["conv"], conv_affine_backward, emit)
-    return (d_in if config.style == "mlp" else d_in[:, 0].transpose(1, 0, 2)), grads
+        da = pool_backward(ds, argmax, rows[i - 1], config.pool_height)
+        d_in = nn.block_backward(da, conv, emit, conv_affine_backward)
+    return d_in if config.style == "mlp" else d_in[:, 0].transpose(1, 0, 2)
 
 
 def augment(e_prime: Optional[np.ndarray], r: Optional[np.ndarray]) -> np.ndarray:

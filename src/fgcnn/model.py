@@ -51,7 +51,8 @@ class ModelConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         """Inverse of to_dict, also for its JSON form (lists for tuples);
-        missing keys take the field defaults, unknown ones raise ValueError."""
+        missing keys take the field defaults, and unknown keys or values of
+        the wrong type raise ValueError naming the dotted key."""
         return _from_dict(cls, d)
 
 
@@ -72,14 +73,29 @@ def _from_dict(cls, d: dict, prefix: str = ""):
         where = repr(prefix[:-1]) if prefix else "blob"
         raise ValueError(f"model config {where} must be a mapping, got {type(d).__name__}")
     types = field_types(cls)
+    optional = {f.name for f in fields(cls) if f.default is None}
     kwargs = {}
     for name, v in d.items():
         if name not in types:
             raise ValueError(f"unknown model config key {prefix + name!r}")
-        if v is not None and is_dataclass(types[name]):
-            v = _from_dict(types[name], v, f"{prefix}{name}.")
+        tp = types[name]
+        if is_dataclass(tp) and v is not None:
+            v = _from_dict(tp, v, f"{prefix}{name}.")
+        elif not (_is_a(v, tp) or v is None and name in optional):
+            want = str(tp) if get_origin(tp) else tp.__name__
+            raise ValueError(f"model config key {prefix + name!r} must be {want}, got {v!r}")
         kwargs[name] = tuple(v) if isinstance(v, list) else v
     return cls(**kwargs)
+
+
+def _is_a(v, tp) -> bool:
+    """v fits field type tp as JSON holds it: no bool for a number, an int
+    for a float, and a list for a tuple."""
+    if get_origin(tp) is tuple:
+        return isinstance(v, (list, tuple)) and all(_is_a(x, int) for x in v)
+    if tp is float:
+        tp = (int, float)
+    return isinstance(v, tp) and (tp is bool or not isinstance(v, bool))
 
 
 class FgcnnModel:
@@ -135,29 +151,20 @@ class FgcnnModel:
 
     def forward_batch(self, batch: Batch, mode: str = "infer",
                       dropout_rng: Optional[np.random.Generator] = None):
-        """Returns (yhat, cache); cache carries everything backward_batch needs
-        plus the updated batch-norm states under "bn_updates"."""
+        """Returns (yhat, cache) under the forward contract of nn: the cache
+        feeds backward_batch, and a train-mode call advances self.bn_states."""
         cfg = self.config
-        cache: dict = {"batch": batch, "mode": mode, "bn_updates": {}}
-        r = None
+        r = fg_cache = e_raw = None
         if cfg.featgen is not None:
             e_gen = assemble_embedding_matrix(batch, self._table("emb.gen"))
-            r, fg_cache, fg_states = fg_mod.generate(
-                e_gen, self.params, cfg.featgen, self.bn_states, mode)
-            cache["fg"] = fg_cache
-            cache["bn_updates"].update(fg_states)
-        e_raw = None
+            r, fg_cache = fg_mod.generate(e_gen, self.params, cfg.featgen, self.bn_states, mode)
         if cfg.include_raw:
             e_raw = assemble_embedding_matrix(batch, self._table("emb.clf"))
-            cache["n_raw"] = e_raw.shape[1]
-        e_aug = fg_mod.augment(e_raw, r)
-        logit, clf_cache, clf_states = clf_mod.classifier_forward(
-            e_aug, self.params, cfg.classifier, self.bn_states, mode, dropout_rng)
-        cache["clf"] = clf_cache
-        cache["bn_updates"].update(clf_states)
-        yhat = nn.sigmoid(logit)
-        cache["yhat"] = yhat
-        return yhat, cache
+        logit, clf_cache = clf_mod.classifier_forward(
+            fg_mod.augment(e_raw, r), self.params, cfg.classifier, self.bn_states, mode,
+            dropout_rng)
+        cache = {"batch": batch, "fg": fg_cache, "clf": clf_cache} if mode == "train" else None
+        return nn.sigmoid(logit), cache
 
     def backward_batch(self, cache: dict, dlogit: np.ndarray,
                        emit=None) -> dict[str, np.ndarray]:
@@ -166,15 +173,16 @@ class FgcnnModel:
         last read of that tensor (see nn) and the returned dict is empty."""
         cfg = self.config
         batch: Batch = cache["batch"]
-        emit, grads = nn.gradient_sink(emit)
-        d_aug, _ = clf_mod.classifier_backward(
+        sink, grads = nn.gradient_sink()
+        emit = emit or sink
+        d_aug = clf_mod.classifier_backward(
             dlogit.astype(self.dtype), cache["clf"], self.params, cfg.classifier, emit)
         pos = 0
         if cfg.include_raw:
-            pos = cache["n_raw"]
+            pos = self.schema.n_f
             self._emit_embedding("emb.clf", d_aug[:, :pos], batch, emit)
         if cfg.featgen is not None:
-            d_e, _ = fg_mod.generate_backward(d_aug[:, pos:], cache["fg"], emit)
+            d_e = fg_mod.generate_backward(d_aug[:, pos:], cache["fg"], emit)
             self._emit_embedding("emb.gen", d_e, batch, emit)
         return grads
 
@@ -185,9 +193,6 @@ class FgcnnModel:
         table = self._table(name)
         out = np.zeros_like(table.weights, dtype=grad_output.dtype)
         emit(name, lambda: backward_embedding(grad_output, batch, table, out))
-
-    def commit_bn(self, cache: dict) -> None:
-        self.bn_states.update(cache["bn_updates"])
 
     # -- inference -------------------------------------------------------
 

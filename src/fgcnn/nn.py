@@ -4,12 +4,17 @@ finite-difference gradient checking.
 Plain numpy arrays are the only numeric carrier. Training runs float32 by
 default; gradient checks run the same code at float64.
 
-Backward passes hand their parameter gradients to an emit callable:
-emit(name, make), where make() computes the gradient of params[name]. A
-pass emits a tensor's gradient once it has made its last read of that
-tensor, so the receiver may update the tensor in place as soon as it has
-the gradient. Without an emit (see gradient_sink) every gradient is
-computed at once and returned in a dict.
+Layer forwards (block_forward and those built on it) return (y, cache):
+the cache feeds the backward pass and is None in infer mode. A train-mode
+forward replaces each batch-norm site's entry of the bn_states dict it is
+given with a new BnState.
+
+Backward passes return the input gradient and hand each parameter's
+gradient to a required emit callable: emit(name, make), where make()
+computes the gradient of params[name]. A pass emits a tensor's gradient once
+it has made its last read of that tensor, so the receiver may update the
+tensor in place as soon as it has the gradient. gradient_sink() gives an
+emit that collects every gradient into a dict.
 """
 from __future__ import annotations
 
@@ -56,27 +61,25 @@ def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def gradient_sink(emit=None):
-    """(emit, grads): a given emit and an empty dict, or, without one, an
-    emit that computes each gradient at once into grads."""
+def gradient_sink():
+    """(emit, grads): an emit that computes each gradient at once into grads."""
     grads: dict[str, np.ndarray] = {}
-    if emit is None:
-        def emit(name, make):
-            grads[name] = make()
+
+    def emit(name, make):
+        grads[name] = make()
     return emit, grads
 
 
 def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, name: str,
-                    emit=None):
-    """Gradients for y = x @ w + b at layer name: returns (dx, grads) and
-    emits name + ".w" and name + ".b" after dx, the last product that reads
-    w. dw is written into a buffer allocated here, by the calling thread."""
-    emit, grads = gradient_sink(emit)
+                    emit) -> np.ndarray:
+    """Gradients for y = x @ w + b at layer name: returns dx and emits
+    name + ".w" and name + ".b" after dx, the last product that reads w.
+    dw is written into a buffer allocated here, by the calling thread."""
     dx = grad @ w.T
     dw = np.empty(w.shape, dtype=np.result_type(x, grad))
     emit(name + ".w", lambda: np.matmul(x.T, grad, out=dw))
     emit(name + ".b", lambda: grad.sum(axis=0))
-    return dx, grads
+    return dx
 
 
 # ---------------------------------------------------------------------------
@@ -231,39 +234,32 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     linear(x, w) is a bias-free map (the field-axis convolution); without
     it, x is flattened to [b, -1] and mapped by affine with params[name + ".b"].
     Batch norm normalizes axis 1 over all others: the units of a dense
-    layer, the maps of a conv one ([rows, maps, b, k]). Returns
-    (a, cache, {site: new state} or {}).
-
-    In train mode the cache keeps the flattened input the affine read: for
-    a transposed view (the pooled maps a recombination reads) that is a
-    copy, which backward's weight gradient reads again. Infer mode keeps x.
+    layer, the maps of a conv one ([rows, maps, b, k]). Returns (a, cache)
+    (see the module docstring). The cache keeps the input the linear map
+    read: the flattened x for the affine, a copy when x is a transposed view.
     """
     w = params[name + ".w"]
     shape = x.shape
     if linear is None:
-        flat = x.reshape(shape[0], -1)
-        z = affine(flat, w, params[name + ".b"])
-        if mode == "train":
-            x = flat
+        x = x.reshape(shape[0], -1)
+        z = affine(x, w, params[name + ".b"])
     else:
         z = linear(x, w)
     bncache = None
-    new_states = {}
     site = name + ".bn"
     if site + ".g" in params:
-        z, bncache, new_states[site] = batchnorm_forward(
+        z, bncache, bn_states[site] = batchnorm_forward(
             z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
     a = _ACTIVATIONS[act][0](z)
-    return a, (name, act, x, shape, w, bncache, a), new_states
+    return a, (name, act, x, shape, w, bncache, a) if mode == "train" else None
 
 
-def block_backward(da: np.ndarray, cache, linear_backward=None, emit=None):
-    """Gradients of block_forward: returns (dx, grads), emitting each
-    parameter's gradient (see the module docstring). linear_backward(dz, x, w)
-    -> (dx, dw) pairs with the forward's linear. Neither da nor the cached
-    output is written: the output is the next block's cached input, which
-    an emitted gradient may still read."""
-    emit, grads = gradient_sink(emit)
+def block_backward(da: np.ndarray, cache, emit, linear_backward=None) -> np.ndarray:
+    """Gradients of block_forward: returns dx, emitting each parameter's
+    gradient (see the module docstring). linear_backward(dz, x, w) -> (dx, dw)
+    pairs with the forward's linear. Neither da nor the cached output is
+    written: the output is the next block's cached input, which an emitted
+    gradient may still read."""
     name, act, x, shape, w, bncache, a = cache
     dz = _ACTIVATIONS[act][1](a)
     dz *= da.reshape(a.shape)
@@ -272,11 +268,11 @@ def block_backward(da: np.ndarray, cache, linear_backward=None, emit=None):
         emit(name + ".bn.g", lambda: dg)
         emit(name + ".bn.b", lambda: db)
     if linear_backward is None:
-        dx, _ = affine_backward(dz, x.reshape(x.shape[0], -1), w, name, emit)
+        dx = affine_backward(dz, x, w, name, emit)
     else:
         dx, dw = linear_backward(dz, x, w)
         emit(name + ".w", lambda: dw)
-    return dx.reshape(shape), grads
+    return dx.reshape(shape)
 
 
 # ---------------------------------------------------------------------------
@@ -294,12 +290,6 @@ class AdamState:
     beta2: float = 0.999
     eps: float = 1e-8
     lr: float = 1e-3
-
-
-def adam_init(param: np.ndarray, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8) -> AdamState:
-    return AdamState(m=np.zeros_like(param), v=np.zeros_like(param),
-                     t=0, beta1=beta1, beta2=beta2, eps=eps, lr=lr)
 
 
 def _check_adam_operands(param: np.ndarray, grad: np.ndarray, state: AdamState) -> None:

@@ -258,6 +258,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                                      lr=config.learning_rate)
             last_good[name] = np.empty_like(p)
             dispatch(p.size, functools.partial(_start_tensor, p, opt[name], last_good[name]))
+        # a train forward replaces bn_states entries, so a shallow copy is a snapshot
         last_good_bn = dict(model.bn_states)
 
         def update(name: str, make_grad) -> None:
@@ -293,7 +294,6 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                 losses.append(loss)
                 model.backward_batch(cache, dlogit / batch.size, update)
                 helper.join()       # the next forward pass reads finished updates
-                model.commit_bn(cache)
             row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
                    "n_clamped": clamp_stats.n_clamped}
             if eval_split is not None and epoch % config.eval_every == 0:
@@ -401,8 +401,9 @@ def _read_exact(fh, n: int) -> bytes:
 def load_checkpoint(path, schema: DatasetSchema):
     """Rebuild a model (and optimizer state, when present) from a checkpoint.
 
-    Refuses to load if the file is not a checkpoint, its format version or
-    a model config key is unknown, or the schema digest does not match.
+    Refuses to load if the file is not a checkpoint, its format version is
+    unknown, its config blob holds no valid model config and precision, or
+    the schema digest does not match.
     Returns (model, optimizer_or_None).
     """
     with open(path, "rb") as fh:
@@ -415,12 +416,12 @@ def load_checkpoint(path, schema: DatasetSchema):
                 f"checkpoint format version {version} unsupported "
                 f"(expected {CHECKPOINT_VERSION})")
         (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        blob = json.loads(_read_exact(fh, blob_len).decode("utf-8"))
+        config, precision = _read_config_blob(path, _read_exact(fh, blob_len))
         (dig_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        digest = _read_exact(fh, dig_len).decode("ascii")
+        digest = _read_exact(fh, dig_len).decode("ascii", "replace")
         if digest != schema.digest():
             raise SchemaDigestError(
-                "checkpoint was written against a different vocabulary: stored "
+                f"{path} was written against a different vocabulary: stored "
                 f"schema digest {digest[:12]}.. does not match {schema.digest()[:12]}..")
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}
@@ -435,12 +436,8 @@ def load_checkpoint(path, schema: DatasetSchema):
                 raise TruncatedCheckpointError(
                     f"checkpoint truncated: wanted {arr.nbytes} bytes, got {got}")
             tensors[name] = arr
-    try:
-        config = ModelConfig.from_dict(blob["model"])
-    except ValueError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
     _check_tensor_shapes(tensors, schema, config)
-    dtype = nn.as_dtype(blob["precision"])
+    dtype = nn.as_dtype(precision)
     params: dict[str, np.ndarray] = {}
     bn_means: dict[str, np.ndarray] = {}
     bn_vars: dict[str, np.ndarray] = {}
@@ -458,7 +455,7 @@ def load_checkpoint(path, schema: DatasetSchema):
             params[name] = arr
     bn_states = {site: nn.BnState(mean=bn_means[site], var=bn_vars[site])
                  for site in bn_means}
-    model = FgcnnModel(schema, config, params, bn_states, blob["precision"])
+    model = FgcnnModel(schema, config, params, bn_states, precision)
     optimizer = None
     if opt_raw:
         optimizer = {
@@ -466,6 +463,20 @@ def load_checkpoint(path, schema: DatasetSchema):
             for base, st in opt_raw.items()
         }
     return model, optimizer
+
+
+def _read_config_blob(path, raw: bytes) -> tuple[ModelConfig, str]:
+    """The model config and precision a checkpoint's config blob holds;
+    CheckpointError naming path when it holds no valid pair."""
+    try:
+        blob = json.loads(raw.decode("utf-8"))
+        if not (isinstance(blob, dict) and "model" in blob
+                and isinstance(blob.get("precision"), str)):
+            raise ValueError("not a JSON object with 'model' and a 'precision' string")
+        nn.as_dtype(blob["precision"])
+        return ModelConfig.from_dict(blob["model"]), blob["precision"]
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad config blob: {exc}") from exc
 
 
 def _check_tensor_shapes(tensors: dict[str, np.ndarray], schema: DatasetSchema,

@@ -122,7 +122,7 @@ def test_criterion_2_shape_law():
         model = FgcnnModel.build(schema, ModelConfig(k=k, classifier=head, featgen=cfg),
                                  0, "f64")
         e = rng.standard_normal((1, n_f, k))
-        r, _, _ = generate(e, model.params, cfg)
+        r, _ = generate(e, model.params, cfg)
         chain = rows_chain(n_f, cfg)
         expected = sum(chain[i + 1] * cfg.new_maps[i] for i in range(n_c))
         assert r.shape[1] == expected, (n_f, cfg)

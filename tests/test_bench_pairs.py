@@ -1,5 +1,7 @@
 import importlib.util
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -128,3 +130,34 @@ def test_run_bench_rejects_a_failing_exit_even_with_output(tmp_path, code):
     else:
         final, env = bench_pairs.run_bench(tmp_path, seed=1)
         assert final["correct"] is True and env == {"nproc": 2}
+
+
+def _checkout(path, src_files):
+    """A checkout whose benchmark prints one canned final line."""
+    (path / "perfbench").mkdir(parents=True)
+    (path / "perfbench" / "run.py").write_text(f"print({_line(100, 500)!r})\n")
+    (path / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    for name, text in src_files.items():
+        (path / "src" / name).parent.mkdir(parents=True, exist_ok=True)
+        (path / "src" / name).write_text(text)
+    return path
+
+
+def test_src_lines_is_the_wc_total_of_the_python_sources(tmp_path):
+    root = _checkout(tmp_path, {"pkg/a.py": "a\nb\nc\n", "pkg/sub/b.py": "d\ne",
+                                "pkg/notes.txt": "x\ny\n", "top.py": ""})
+    assert bench_pairs.src_lines(root) == 3 + 1
+    if shutil.which("wc"):
+        files = sorted(str(p) for p in (root / "src").rglob("*.py"))
+        out = subprocess.run(["wc", "-l", *files], capture_output=True, text=True).stdout
+        assert int(out.splitlines()[-1].split()[0]) == 4
+
+
+def test_record_carries_src_lines_of_each_side(tmp_path, monkeypatch):
+    parent = _checkout(tmp_path / "parent", {"m.py": "1\n2\n3\n"})
+    change = _checkout(tmp_path / "change", {"m.py": "1\n"})
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: {})
+    out = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--seeds", "1", "--pr", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}

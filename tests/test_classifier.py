@@ -47,7 +47,7 @@ def _mlp_params(config, t, k, seed=0):
 
 
 def _predict(e, params, config, mode="infer"):
-    logit, _, _ = clf.classifier_forward(e, params, config, mode=mode)
+    logit, _ = clf.classifier_forward(e, params, config, mode=mode)
     return nn.sigmoid(logit)
 
 
@@ -132,7 +132,7 @@ def test_ipnn_matches_dense_math_oracle():
     t, k = 4, 2
     params = _mlp_params(config, t, k, seed=5)
     e = np.random.default_rng(6).standard_normal((2, t, k))
-    logit, _, _ = clf.classifier_forward(e, params, config)
+    logit, _ = clf.classifier_forward(e, params, config)
     yhat = nn.sigmoid(logit)
     # straight-line evaluation with independent matrix math
     x = np.concatenate([fm_oracle(e), e.reshape(2, -1)], axis=1)
@@ -276,15 +276,26 @@ def test_dropout_scales_at_train_time():
     t, k = 3, 2
     params = _mlp_params(config, t, k, seed=17)
     e = np.random.default_rng(18).standard_normal((2, t, k))
-    logit_infer, _, _ = clf.classifier_forward(e, params, config, mode="infer")
+    logit_infer, _ = clf.classifier_forward(e, params, config, mode="infer")
     rng = np.random.default_rng(19)
     samples = []
     for _ in range(300):
-        logit, _, _ = clf.classifier_forward(e, params, config, mode="train",
+        logit, _ = clf.classifier_forward(e, params, config, mode="train",
                                              dropout_rng=rng)
         samples.append(logit)
     # inverted scaling: the train-time expectation matches inference
     assert np.allclose(np.mean(samples, axis=0), logit_infer, atol=0.05)
+
+
+@pytest.mark.parametrize("kind", clf.KINDS)
+def test_classifier_forward_keeps_no_cache_in_infer_mode(kind):
+    config = clf.ClassifierConfig(kind=kind, hidden_sizes=() if kind == "fm" else (6,))
+    params = _mlp_params(config, 4, 3, seed=22)
+    e = np.random.default_rng(23).standard_normal((3, 4, 3))
+    logit_infer, infer_cache = clf.classifier_forward(e, params, config, mode="infer")
+    logit_train, train_cache = clf.classifier_forward(e, params, config, mode="train")
+    assert infer_cache is None and train_cache is not None
+    assert np.array_equal(logit_infer, logit_train)
 
 
 def test_forward_deterministic_without_bn_and_dropout():

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 
 import numpy as np
@@ -350,20 +351,30 @@ def test_cli_eval_of_checkpoint_with_bad_tensor_exits_two(toy_cfg, tmp_path, cap
     assert all(word in err for word in words), err
 
 
-def _checkpoint_with_blob(toy_cfg, tmp_path, edit):
-    """Train the toy model, apply edit to its checkpoint's config blob and
-    write the result as bad.ckpt."""
+def _checkpoint_with_header(toy_cfg, tmp_path, edit):
+    """Train the toy model, replace its checkpoint's config blob and schema
+    digest bytes by edit(blob, digest) and write the result as bad.ckpt."""
     out = tmp_path / "run"
     assert cli_main(["train", "--config", str(toy_cfg), "--out", str(out)]) == 0
     raw = (out / "model.ckpt").read_bytes()
-    # magic, version, config blob length, config blob, ...
+    # magic, version, config blob length, config blob, digest length, digest, ...
     (n,) = struct.unpack("<I", raw[8:12])
-    blob = json.loads(raw[12:12 + n])
-    edit(blob["model"])
-    edited = json.dumps(blob, sort_keys=True).encode("utf-8")
+    (d,) = struct.unpack("<I", raw[12 + n:16 + n])
+    blob, digest = edit(raw[12:12 + n], raw[16 + n:16 + n + d])
     bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(raw[:8] + struct.pack("<I", len(edited)) + edited + raw[12 + n:])
+    bad.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob
+                    + struct.pack("<I", len(digest)) + digest + raw[16 + n + d:])
     return bad
+
+
+def _checkpoint_with_blob(toy_cfg, tmp_path, edit):
+    """Train the toy model, apply edit to its checkpoint's model config dict
+    and write the result as bad.ckpt."""
+    def edit_blob(raw, digest):
+        blob = json.loads(raw)
+        edit(blob["model"])
+        return json.dumps(blob, sort_keys=True).encode("utf-8"), digest
+    return _checkpoint_with_header(toy_cfg, tmp_path, edit_blob)
 
 
 def _cli_eval_error(toy_cfg, tmp_path, capsys, checkpoint):
@@ -387,6 +398,25 @@ def test_cli_eval_of_checkpoint_with_non_mapping_config_exits_two(toy_cfg, tmp_p
     bad = _checkpoint_with_blob(toy_cfg, tmp_path, lambda model: model.update(classifier=3))
     err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
     assert "'classifier'" in err and "mapping" in err, err
+
+
+@pytest.mark.parametrize("edit, words", [
+    (lambda blob, digest: (b"{not json", digest), ["Expecting"]),
+    (lambda blob, digest: (b'{"model": "\xff"}', digest), ["utf-8"]),
+    (lambda blob, digest: (b"[1, 2]", digest), ["not a JSON object"]),
+    (lambda blob, digest: (b'{"precision": "f32"}', digest), ["not a JSON object"]),
+    (lambda blob, digest: (blob.replace(b'"f32"', b'"f16"'), digest), ["'f16'"]),
+    (lambda blob, digest: (re.sub(rb'"k": \d+', b'"k": "abc"', blob), digest),
+     ["'k' must be int", "'abc'"]),
+    (lambda blob, digest: (blob, "\u00e9".encode("utf-8") * (len(digest) // 2)),
+     ["different vocabulary"]),
+], ids=["invalid_json", "invalid_utf8", "json_list", "no_model_key", "unknown_precision",
+        "wrong_typed_k", "non_ascii_digest"])
+def test_cli_eval_of_checkpoint_with_malformed_header_exits_two(toy_cfg, tmp_path, capsys,
+                                                                edit, words):
+    bad = _checkpoint_with_header(toy_cfg, tmp_path, edit)
+    err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
+    assert "bad.ckpt" in err and all(word in err for word in words), err
 
 
 @pytest.mark.parametrize("header, row, config_edit, words", [
@@ -449,6 +479,19 @@ def test_cli_shuffle_runs(toy_cfg, tmp_path, capsys):
                      "--permutations", "2"]) == 0
     blob = json.loads((out / "shuffle.json").read_text())
     assert len(blob["auc_with_recombination"]) == 2
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["sweep", "--knob", "new_maps", "--values", "2,x"], ["--values", "'2,x'"]),
+    (["shuffle", "--permutations", "1"], ["--permutations", "at least 2", "'1'"]),
+    (["shuffle", "--permutations", "0"], ["--permutations", "at least 2", "'0'"]),
+], ids=["sweep_values", "one_permutation", "no_permutations"])
+def test_cli_bad_argument_value_is_a_usage_error(toy_cfg, tmp_path, capsys, argv, words):
+    assert cli_main([argv[0], "--config", str(toy_cfg), "--out", str(tmp_path),
+                     *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "usage" in err, err
+    assert all(word in err for word in words), err
 
 
 def test_cli_gradcheck_exits_zero(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fgcnn import featuregen as fg
+from fgcnn import nn
 from fgcnn.checks import (check_conv, check_pool, check_recombination,
                           check_full_model)
 from fgcnn.classifier import ClassifierConfig
@@ -306,7 +309,7 @@ def _recombined(cfg, n_f, k, w, b, seed):
     params["fg.recomb1.w"], params["fg.recomb1.b"] = w, b
     e = np.random.default_rng(seed).standard_normal((3, n_f, k))
     s, _ = pool(np.tanh(conv(e[..., None], params["fg.conv1.w"])), cfg.pool_height)
-    r, _, _ = fg.generate(e, params, cfg)
+    r, _ = fg.generate(e, params, cfg)
     return r, s
 
 
@@ -370,7 +373,7 @@ def test_avazu_reference_shape_builds_and_runs():
     n_f, k = 24, 2
     params = _params(n_f, k, cfg, seed=5, precision="f32")
     e = np.random.default_rng(15).standard_normal((3, n_f, k)).astype(np.float32)
-    r, _, _ = fg.generate(e, params, cfg)
+    r, _ = fg.generate(e, params, cfg)
     assert r.shape == (3, 69, 2)
 
 
@@ -384,7 +387,7 @@ def test_generate_output_shape_and_range():
     n_f, k = 6, 4
     params = _params(n_f, k, cfg)
     e = np.random.default_rng(7).standard_normal((5, n_f, k))
-    r, _, _ = fg.generate(e, params, cfg)
+    r, _ = fg.generate(e, params, cfg)
     assert r.shape == (5, fg.generated_count(n_f, cfg), k)
     assert np.all(np.abs(r) < 1.0)
 
@@ -394,9 +397,9 @@ def test_generate_batch_row_independence():
     n_f, k = 4, 3
     params = _params(n_f, k, cfg, seed=1)
     e = np.random.default_rng(8).standard_normal((6, n_f, k))
-    r, _, _ = fg.generate(e, params, cfg)
+    r, _ = fg.generate(e, params, cfg)
     perm = np.array([3, 1, 5, 0, 2, 4])
-    r_perm, _, _ = fg.generate(e[perm], params, cfg)
+    r_perm, _ = fg.generate(e[perm], params, cfg)
     assert np.allclose(r[perm], r_perm, atol=1e-13)
 
 
@@ -416,13 +419,46 @@ def test_generate_column_equivariance():
     assert np.allclose(s[:, :, col_perm], s2, atol=1e-13)
 
 
+@pytest.mark.parametrize("style", ["cnn", "mlp"])
+def test_generate_keeps_no_cache_in_infer_mode(style):
+    cfg = _cfg(kernel_heights=(2, 2), feature_maps=(3, 2), new_maps=(2, 2), style=style)
+    params = _params(6, 4, cfg, seed=6)
+    e = np.random.default_rng(14).standard_normal((3, 6, 4))
+    r_infer, infer_cache = fg.generate(e, params, cfg, mode="infer")
+    r_train, train_cache = fg.generate(e, params, cfg, mode="train")
+    assert infer_cache is None and train_cache is not None
+    assert np.array_equal(r_infer, r_train)
+
+
+def test_infer_generate_peak_stays_below_train_by_round_one_activation():
+    """Without batch norm the two modes compute the same values, but a train
+    pass caches every round's activation, while an infer pass drops each one
+    once it is pooled."""
+    cfg = _cfg(kernel_heights=(2, 2), feature_maps=(4, 4), new_maps=(2, 2))
+    n_f, k, b = 8, 8, 2048
+    params = _params(n_f, k, cfg, precision="f32")
+    e = np.random.default_rng(17).standard_normal((b, n_f, k)).astype(np.float32)
+
+    def peak(mode):
+        tracemalloc.start()
+        try:
+            fg.generate(e, params, cfg, mode=mode)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    round1_activation = n_f * cfg.feature_maps[0] * b * k * 4
+    assert peak("train") - peak("infer") >= round1_activation
+
+
 def test_generate_backward_zero_grad_gives_zero():
     cfg = _cfg()
     n_f, k = 4, 3
     params = _params(n_f, k, cfg, seed=3)
     e = np.random.default_rng(10).standard_normal((2, n_f, k))
-    r, cache, _ = fg.generate(e, params, cfg)
-    d_e, grads = fg.generate_backward(np.zeros_like(r), cache)
+    r, cache = fg.generate(e, params, cfg, mode="train")
+    emit, grads = nn.gradient_sink()
+    d_e = fg.generate_backward(np.zeros_like(r), cache, emit)
     assert np.all(d_e == 0.0)
     assert all(np.all(g == 0.0) for g in grads.values())
 
@@ -514,7 +550,7 @@ def test_mlp_style_generates_same_counts_as_cnn():
     n_f, k = 8, 3
     params = _params(n_f, k, mlp, seed=4)
     e = np.random.default_rng(13).standard_normal((2, n_f, k))
-    r, _, _ = fg.generate(e, params, mlp)
+    r, _ = fg.generate(e, params, mlp)
     assert r.shape[1] == fg.generated_count(n_f, cnn)
 
 

@@ -34,7 +34,8 @@ def _setup(kind="ipnn", use_bn=False, style="cnn", precision="f32", dropout_keep
 def serial_train(model, split, config):
     """Oracle: the loop without a helper. Every gradient of a batch first,
     then the L2 terms and every Adam step. Returns (losses, Adam states)."""
-    opt = {n: nn.adam_init(p, lr=config.learning_rate) for n, p in model.params.items()}
+    opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=config.learning_rate)
+           for n, p in model.params.items()}
     losses = []
     for epoch in range(1, config.epochs + 1):
         shuffle_seed = config.seed * 1_000_003 + epoch
@@ -50,7 +51,6 @@ def serial_train(model, split, config):
                     grads[name] = grads[name] + 2.0 * config.l2_embedding * model.params[name]
             for name, g in grads.items():
                 nn.adam_step(model.params[name], g, opt[name])
-            model.commit_bn(cache)
         losses.append(float(np.mean(epoch_losses)))
     return losses, opt
 

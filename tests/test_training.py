@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig
-from fgcnn.data import DataError, generate_synthetic, planted_spec, synthetic_schema
+from fgcnn.data import (DataError, generate_synthetic, make_batches, planted_spec,
+                         synthetic_schema)
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
 from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotACheckpointError,
@@ -237,7 +238,8 @@ def test_convex_submodel_loss_slope():
         featgen=None,
     )
     batch = make_batches(instances, len(instances))[0]
-    opt = {n: nn.adam_init(model.params[n], lr=1e-3)
+    opt = {n: nn.AdamState(m=np.zeros_like(model.params[n]),
+                           v=np.zeros_like(model.params[n]), lr=1e-3)
            for n in ("clf.linear.w", "clf.linear.b")}
     losses = []
     for _ in range(8):
@@ -248,6 +250,35 @@ def test_convex_submodel_loss_slope():
         for n in opt:
             nn.adam_step(model.params[n], grads[n], opt[n])
     assert all(b <= a + 1e-9 for a, b in zip(losses, losses[1:]))
+
+
+def test_forward_batch_keeps_no_cache_in_infer_mode():
+    _, instances, model, _ = _toy_setup()
+    batch = make_batches(instances, 16)[0]
+    yhat_infer, infer_cache = model.forward_batch(batch, mode="infer")
+    yhat_train, train_cache = model.forward_batch(batch, mode="train")
+    assert infer_cache is None and train_cache is not None
+    assert np.array_equal(yhat_infer, yhat_train)
+
+
+def test_train_forward_replaces_every_bn_state_and_infer_forward_keeps_them():
+    _, instances, model, _ = _toy_setup(
+        classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True),
+        featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,), new_maps=(2,),
+                                 use_bn=True))
+    batch = make_batches(instances, 16)[0]
+    before = dict(model.bn_states)
+    arrays = {site: (s.mean.copy(), s.var.copy()) for site, s in before.items()}
+    assert sorted(before) == ["clf.fc1.bn", "fg.conv1.bn", "fg.recomb1.bn"]
+    model.forward_batch(batch, mode="infer")
+    assert all(model.bn_states[site] is state for site, state in before.items())
+    model.forward_batch(batch, mode="train")
+    for site, state in before.items():
+        assert model.bn_states[site] is not state, site
+        assert not np.array_equal(model.bn_states[site].mean, arrays[site][0]), site
+        # the replaced state keeps its arrays: snapshots of the dict stay valid
+        assert np.array_equal(state.mean, arrays[site][0]), site
+        assert np.array_equal(state.var, arrays[site][1]), site
 
 
 def test_evaluate_single_class_reports_undefined_auc():
@@ -387,7 +418,8 @@ def test_checkpoint_file_matches_bytesio_writer(tmp_path, precision):
     model = model.astype(precision)
     train(model, instances, TrainConfig(batch_size=16, epochs=1, seed=8,
                                         precision=precision))
-    opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
+    opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=0.01)
+           for n, p in model.params.items()}
     for n, p in model.params.items():
         nn.adam_step(p, np.full_like(p, 0.5), opt[n])
     for optimizer in (None, opt):
@@ -412,7 +444,8 @@ def test_loaded_checkpoint_trains_on(tmp_path):
 
 def test_checkpoint_roundtrips_optimizer(tmp_path):
     schema, instances, model, _ = _toy_setup()
-    opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
+    opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=0.01)
+           for n, p in model.params.items()}
     g = {n: np.ones_like(p) for n, p in model.params.items()}
     for n in model.params:
         nn.adam_step(model.params[n], g[n], opt[n])
@@ -457,15 +490,18 @@ def _shrink_first_bn_mean(model, opt):
     (lambda m, o: m.params.update({"emb.gen": m.params["emb.gen"].T.copy()}),
      ["'emb.gen'", "has shape (4, 20)", "needs (20, 4)"]),
     (_shrink_first_bn_mean, ["'clf.fc1.bn.running_mean'", "has shape (0,)", "needs (8,)"]),
-    (lambda m, o: o.update({"emb.gen": nn.adam_init(np.ones(3, np.float32), 0.1)}),
+    (lambda m, o: o.update({"emb.gen": nn.AdamState(m=np.zeros(3, np.float32),
+                                                      v=np.zeros(3, np.float32), lr=0.1)}),
      ["'opt.emb.gen.m'", "has shape (3,)"]),
-    (lambda m, o: o.update({"clf.nope": nn.adam_init(np.ones(3, np.float32), 0.1)}),
+    (lambda m, o: o.update({"clf.nope": nn.AdamState(m=np.zeros(3, np.float32),
+                                                      v=np.zeros(3, np.float32), lr=0.1)}),
      ["'opt.clf.nope.m'", "does not use"]),
 ])
 def test_checkpoint_tensors_checked_against_config(tmp_path, edit, words):
     schema, _, model, _ = _toy_setup(
         classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True))
-    opt = {n: nn.adam_init(p, lr=0.01) for n, p in model.params.items()}
+    opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=0.01)
+           for n, p in model.params.items()}
     path = tmp_path / "good.ckpt"
     save_checkpoint(model, path, optimizer=opt)
     load_checkpoint(path, schema)

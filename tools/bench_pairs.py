@@ -18,7 +18,9 @@ run reads better than every parent run). It also totals
 each side's attempted and failed operations; a change run that is not
 correct, or a larger share of failed operations than the parent's, is
 flagged and fails the claim. Last, the Tier-1 test command runs once in
-each checkout and its pass counts and wall time are recorded.
+each checkout and its pass counts and wall time are recorded. The record
+also carries each checkout's src_lines, the total `wc -l src/**/*.py`
+prints, so the net line change of the change comes from the same command.
 """
 from __future__ import annotations
 
@@ -176,6 +178,11 @@ def run_tier1(checkout: Path) -> dict:
             "wall_s": round(wall, 2)}
 
 
+def src_lines(checkout: Path) -> int:
+    """Newlines in the checkout's src/**/*.py files: the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
+
+
 def _head(checkout: Path) -> str:
     proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
                           capture_output=True, text=True)
@@ -209,6 +216,7 @@ def main(argv=None) -> int:
         "what": args.what,
         "parent_commit": _head(args.parent),
         "change_commit": _head(args.change),
+        "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "command": "python3 perfbench/run.py --workload all --seed <seed>",
         "host": {"cpu": _cpu()},
         "seeds": seeds,
