@@ -61,7 +61,7 @@ def fm_layer(e: np.ndarray) -> np.ndarray:
     b, t, k = e.shape
     if t < 2:
         raise ValueError(f"fm_layer needs at least 2 fields, got {t}")
-    gram = e @ e.transpose(0, 2, 1)
+    gram = nn.matmul(e, e.transpose(0, 2, 1))
     iu, ju = np.triu_indices(t, k=1)
     return gram[:, iu, ju]
 

@@ -136,7 +136,7 @@ def conv_affine(x: np.ndarray, w: np.ndarray) -> np.ndarray:
     h, out_maps = w.shape[0], w.shape[3]
     if w.shape[2] != in_maps:
         raise ValueError(f"conv shape mismatch: input has {in_maps} maps, kernel {w.shape}")
-    out = np.matmul(w.reshape(h * in_maps, out_maps).T, _row_windows(x, h, (h - 1) // 2))
+    out = nn.matmul(w.reshape(h * in_maps, out_maps).T, _row_windows(x, h, (h - 1) // 2))
     return out.reshape(rows, out_maps, b, k)
 
 

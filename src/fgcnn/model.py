@@ -197,10 +197,13 @@ class FgcnnModel:
     # -- inference -------------------------------------------------------
 
     def predict_scores(self, split: Split, batch_size: int = 1024) -> np.ndarray:
+        """Scores in split order. Large products split onto the active
+        helper (nn.matmul), or onto one this call owns."""
         scores = []
-        for batch in make_batches(split, batch_size):
-            yhat, _ = self.forward_batch(batch, mode="infer")
-            scores.append(yhat)
+        with nn.active_helper():
+            for batch in make_batches(split, batch_size):
+                yhat, _ = self.forward_batch(batch, mode="infer")
+                scores.append(yhat)
         return np.concatenate(scores)
 
     # -- utilities --------------------------------------------------------

@@ -15,9 +15,17 @@ computes the gradient of params[name]. A pass emits a tensor's gradient once
 it has made its last read of that tensor, so the receiver may update the
 tensor in place as soon as it has the gradient. gradient_sink() gives an
 emit that collects every gradient into a dict.
+
+Large float32 products (matmul: the affine maps, the emitted weight
+gradients, the convolution and the FM gram) split across two threads when a
+helper is active (active_helper), with the bits of the unsplit product.
 """
 from __future__ import annotations
 
+import math
+import threading
+from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -53,12 +61,232 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 
 
 # ---------------------------------------------------------------------------
+# helper thread and split products
+
+# A float32 product of at least SPLIT_MIN multiply-adds splits across two
+# threads when a helper is active. The cut keeps toy-sized products (35M
+# multiply-adds at most) on one thread, where a fork's overhead would be a
+# large share, and every half far above the sizes at which OpenBLAS's
+# small-matrix kernels (under about 10^6) may give a half other bits than
+# the whole product.
+SPLIT_MIN = 1 << 26
+
+
+class Helper:
+    """One helper thread that runs queued jobs.
+
+    submit() queues a job, at the front when first is set; fork() queues one
+    at the front and returns a handle whose wait() runs the job on the
+    waiting thread if no thread has started it yet. The first queued job
+    starts the thread, so an owner that queues nothing never has one. join()
+    runs queued jobs on the calling thread too, until none is queued or
+    running, and then raises the first exception a submitted job raised;
+    once one has, the queue is dropped and further submitted jobs are ignored
+    until that join. A forked job's exception goes to its wait() instead.
+    close() drops the queue and joins the thread.
+    """
+
+    def __init__(self):
+        self._jobs: deque = deque()
+        self._cond = threading.Condition()
+        self._running = 0
+        self._error: Optional[BaseException] = None
+        self._closed = False
+        self._thread: Optional[threading.Thread] = None
+
+    def __enter__(self) -> "Helper":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def _queue(self, job, first: bool) -> None:
+        """Queue job and start the thread if it has none; holds the lock."""
+        (self._jobs.appendleft if first else self._jobs.append)(job)
+        self._cond.notify_all()
+        if self._thread is None:
+            self._thread = threading.Thread(target=self._serve, name="fgcnn-helper",
+                                            daemon=True)
+            self._thread.start()
+
+    def submit(self, job, first: bool = False) -> None:
+        with self._cond:
+            if self._error is None:
+                self._queue(job, first)
+
+    def fork(self, job) -> "Fork":
+        handle = Fork(job, self._cond)
+        with self._cond:
+            self._queue(handle, first=True)
+        return handle
+
+    def _run(self, job) -> None:
+        try:
+            job()
+        except BaseException as exc:
+            with self._cond:
+                self._error = self._error or exc
+                self._jobs.clear()
+        finally:
+            with self._cond:
+                self._running -= 1
+                self._cond.notify_all()
+
+    def _serve(self) -> None:
+        while True:
+            with self._cond:
+                while not (self._jobs or self._closed):
+                    self._cond.wait()
+                if self._closed:
+                    return
+                job = self._jobs.popleft()
+                self._running += 1
+            self._run(job)
+            job = None          # drop the job's arrays before waiting
+
+    def join(self) -> None:
+        while True:
+            with self._cond:
+                if self._jobs:
+                    job = self._jobs.popleft()
+                    self._running += 1
+                elif self._running:
+                    self._cond.wait()
+                    continue
+                else:
+                    error, self._error = self._error, None
+                    break
+            self._run(job)
+            job = None
+        if error is not None:
+            raise error
+
+    def close(self) -> None:
+        with self._cond:
+            self._closed = True
+            self._jobs.clear()
+            self._cond.notify_all()
+        if self._thread is not None:
+            self._thread.join()
+
+
+class Fork:
+    """A forked job: the first thread to call it runs it (a later call, or
+    one after the queue was dropped, finds it taken); wait() calls it, then
+    blocks until it is done and re-raises its exception."""
+
+    def __init__(self, job, cond: threading.Condition):
+        self._job, self._cond = job, cond
+        self._done = False
+        self._error: Optional[BaseException] = None
+
+    def __call__(self) -> None:
+        with self._cond:
+            job, self._job = self._job, None
+        if job is None:
+            return
+        try:
+            job()
+        except BaseException as exc:
+            self._error = exc
+        with self._cond:
+            self._done = True
+            self._cond.notify_all()
+
+    def wait(self) -> None:
+        self()
+        with self._cond:
+            while not self._done:
+                self._cond.wait()
+        if self._error is not None:
+            raise self._error
+
+
+# Process-wide rather than passed down: every layer's products reach it, and
+# so must the helper thread, whose weight-gradient products split too.
+_active: Optional[Helper] = None
+
+
+@contextmanager
+def active_helper():
+    """Yield the process's active helper, the one matmul forks to. Without
+    one, a new helper is active for the block and closed when it ends; its
+    thread starts only if a product splits."""
+    global _active
+    if _active is not None:
+        yield _active
+        return
+    with Helper() as helper:
+        _active = helper
+        try:
+            yield helper
+        finally:
+            _active = None
+
+
+def _halves(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]):
+    """Two (a, b, output index) parts of a product with output shape, or None.
+
+    A 2-D product splits its columns at a multiple of 16, so the part that
+    ends the row keeps the whole product's column tail (a single row is
+    numpy's gemv path, whose columns do not split bit-exactly). A batched
+    product splits its leading axis, whose items numpy already multiplies
+    one BLAS call each (a gram product e @ eᵀ stays syrk per item; its
+    columns would not)."""
+    if len(shape) == 2:
+        if shape[0] < 2 or shape[1] < 32:
+            return None
+        mid = shape[1] // 32 * 16
+        return [(a, b[:, s], (slice(None), s)) for s in (slice(None, mid), slice(mid, None))]
+    if shape[0] < 2:
+        return None
+
+    def lead(x, s):
+        return x[s] if x.ndim == len(shape) and x.shape[0] > 1 else x
+    mid = shape[0] // 2
+    return [(lead(a, s), lead(b, s), s) for s in (slice(None, mid), slice(mid, None))]
+
+
+def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """np.matmul(a, b, out=out), in two halves on two threads when a helper
+    is active, both operands are float32 and the product has at least
+    SPLIT_MIN multiply-adds (see _halves for the split). Every output
+    element is the BLAS reduction the whole product computes, so the bits
+    are unchanged. (OpenBLAS's float64 kernels change some elements' bits
+    with the column count, so float64 products never split.) The output is
+    allocated here, on the calling thread; the other half runs on the
+    helper, or here too if the helper has not started it when this half is
+    done."""
+    helper = _active
+    # a.size * b.size / depth bounds the multiply-adds from above: a cheap
+    # first test, since most products of a small model pass through here
+    if (helper is None or a.dtype != np.float32 or b.dtype != np.float32
+            or a.ndim < 2 or b.ndim < 2 or a.size * b.size < SPLIT_MIN * a.shape[-1]):
+        return np.matmul(a, b, out=out)
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
+    halves = _halves(a, b, shape) if math.prod(shape) * a.shape[-1] >= SPLIT_MIN else None
+    if halves is None:
+        return np.matmul(a, b, out=out)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    (a0, b0, i0), (a1, b1, i1) = halves
+    other = helper.fork(lambda: np.matmul(a1, b1, out=out[i1]))
+    try:
+        np.matmul(a0, b0, out=out[i0])
+    finally:
+        other.wait()
+    return out
+
+
+# ---------------------------------------------------------------------------
 # affine
 
 def affine(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:
     if x.shape[-1] != w.shape[0] or w.shape[1] != b.shape[0]:
         raise ValueError(f"affine shape mismatch: x{x.shape} w{w.shape} b{b.shape}")
-    return x @ w + b
+    y = matmul(x, w)
+    y += b
+    return y
 
 
 def gradient_sink():
@@ -77,7 +305,7 @@ def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, name: str,
     dw is written into a buffer allocated here, by the calling thread."""
     dx = grad @ w.T
     dw = np.empty(w.shape, dtype=np.result_type(x, grad))
-    emit(name + ".w", lambda: np.matmul(x.T, grad, out=dw))
+    emit(name + ".w", lambda: matmul(x.T, grad, out=dw))
     emit(name + ".b", lambda: grad.sum(axis=0))
     return dx
 
@@ -85,8 +313,8 @@ def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, name: str,
 # ---------------------------------------------------------------------------
 # activations
 
-def tanh(x: np.ndarray) -> np.ndarray:
-    return np.tanh(x)
+def tanh(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.tanh(x, out=out)
 
 
 def tanh_grad_from_output(y: np.ndarray) -> np.ndarray:
@@ -96,8 +324,8 @@ def tanh_grad_from_output(y: np.ndarray) -> np.ndarray:
     return d
 
 
-def relu(x: np.ndarray) -> np.ndarray:
-    return np.maximum(x, 0.0)
+def relu(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    return np.maximum(x, 0.0, out=out)
 
 
 def relu_grad(x: np.ndarray) -> np.ndarray:
@@ -237,6 +465,7 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     layer, the maps of a conv one ([rows, maps, b, k]). Returns (a, cache)
     (see the module docstring). The cache keeps the input the linear map
     read: the flattened x for the affine, a copy when x is a transposed view.
+    The activation is written over the pre-activation, which no cache keeps.
     """
     w = params[name + ".w"]
     shape = x.shape
@@ -250,7 +479,7 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     if site + ".g" in params:
         z, bncache, bn_states[site] = batchnorm_forward(
             z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
-    a = _ACTIVATIONS[act][0](z)
+    a = _ACTIVATIONS[act][0](z, out=z)
     return a, (name, act, x, shape, w, bncache, a) if mode == "train" else None
 
 

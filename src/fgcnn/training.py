@@ -7,8 +7,6 @@ import functools
 import json
 import os
 import struct
-import threading
-from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -119,91 +117,6 @@ HELPER_MIN = 1 << 16
 ADAM_RANGE = 1 << 18
 
 
-class _Helper:
-    """One helper thread that runs queued jobs for train.
-
-    submit() queues a job, at the front when first is set; the first job
-    starts the thread, so a run whose tensors all update inline never has
-    one. join() runs queued jobs on the calling thread too, until none is
-    queued or running, and then raises the first exception a job raised;
-    once one has, the queue is dropped and further jobs are ignored until
-    that join. close() drops the queue and joins the thread.
-    """
-
-    def __init__(self):
-        self._jobs: deque = deque()
-        self._cond = threading.Condition()
-        self._running = 0
-        self._error: Optional[BaseException] = None
-        self._closed = False
-        self._thread: Optional[threading.Thread] = None
-
-    def __enter__(self) -> "_Helper":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def submit(self, job, first: bool = False) -> None:
-        with self._cond:
-            if self._error is None:
-                (self._jobs.appendleft if first else self._jobs.append)(job)
-                self._cond.notify_all()
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._serve, name="fgcnn-helper",
-                                                daemon=True)
-                self._thread.start()
-
-    def _run(self, job) -> None:
-        try:
-            job()
-        except BaseException as exc:
-            with self._cond:
-                self._error = self._error or exc
-                self._jobs.clear()
-        finally:
-            with self._cond:
-                self._running -= 1
-                self._cond.notify_all()
-
-    def _serve(self) -> None:
-        while True:
-            with self._cond:
-                while not (self._jobs or self._closed):
-                    self._cond.wait()
-                if self._closed:
-                    return
-                job = self._jobs.popleft()
-                self._running += 1
-            self._run(job)
-            job = None          # drop the job's gradient before waiting
-
-    def join(self) -> None:
-        while True:
-            with self._cond:
-                if self._jobs:
-                    job = self._jobs.popleft()
-                    self._running += 1
-                elif self._running:
-                    self._cond.wait()
-                    continue
-                else:
-                    error, self._error = self._error, None
-                    break
-            self._run(job)
-            job = None
-        if error is not None:
-            raise error
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._jobs.clear()
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
-
-
 def _start_tensor(param: np.ndarray, state: nn.AdamState, snapshot: np.ndarray) -> None:
     """Zero a tensor's Adam moments and copy it into its divergence snapshot."""
     state.m.fill(0)
@@ -223,10 +136,12 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     epoch that completed cleanly and NumericError is raised.
 
     The parameter side runs beside the backward pass on one helper thread
-    that this call owns: for each tensor of at least HELPER_MIN elements,
-    its gradient product, the L2 term and its Adam update (in ranges either
-    thread may take); smaller tensors update inline. The input-gradient
-    chain stays on the calling thread. Ordering:
+    (nn.active_helper, which this call owns unless one is already active;
+    the evaluation's and other large products split onto it too): for each
+    tensor of at least HELPER_MIN elements, its gradient product, the L2
+    term and its Adam update (in ranges either thread may take); smaller
+    tensors update inline. The input-gradient chain stays on the calling
+    thread. Ordering:
     - no update starts before the last backward read of its tensor:
       backward_batch emits a gradient only after that read;
     - the Adam state and the divergence snapshot are allocated here, filled
@@ -244,7 +159,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     config.validate(uses_bn=uses_bn)
     clamp_stats = ClampStats()
     history: list[dict] = []
-    with _Helper() as helper:
+    with nn.active_helper() as helper:
         def dispatch(size: int, job) -> None:
             if size >= HELPER_MIN:
                 helper.submit(job)

@@ -451,6 +451,38 @@ def test_infer_generate_peak_stays_below_train_by_round_one_activation():
     assert peak("train") - peak("infer") >= round1_activation
 
 
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_infer_conv_block_holds_one_activation(use_bn):
+    """tanh is written over the pre-activation: without batch norm, round
+    1's infer conv block peaks at its activation plus the zero-padded input
+    the convolution reads (1.28x here; 2.00x when tanh returned a fresh
+    array). With or without it, the bits are those of tanh applied out of
+    place."""
+    cfg = _cfg(kernel_heights=(2, 2), feature_maps=(4, 4), new_maps=(2, 2), use_bn=use_bn)
+    n_f, k, b = 8, 8, 2048
+    params = _params(n_f, k, cfg, precision="f32")
+    bn_states = {"fg.conv1.bn": nn.BnState(mean=np.full(4, 0.1, np.float32),
+                                            var=np.full(4, 2.0, np.float32))}
+    x = np.random.default_rng(18).standard_normal((b, n_f, k)).astype(np.float32)
+    x = x.transpose(1, 0, 2)[:, None]
+    tracemalloc.start()
+    try:
+        a, cache = nn.block_forward(x, params, "fg.conv1", "tanh", bn_states, "infer",
+                                    linear=fg.conv_affine)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    padded = (n_f + 1) * b * k * 4
+    assert cache is None
+    if not use_bn:      # infer batch norm writes a fresh array beside its input
+        assert peak / a.nbytes < (a.nbytes + padded) / a.nbytes + 0.01
+    z = fg.conv_affine(x, params["fg.conv1.w"])
+    if use_bn:
+        z, _, _ = nn.batchnorm_forward(z, params["fg.conv1.bn.g"], params["fg.conv1.bn.b"],
+                                       bn_states["fg.conv1.bn"], "infer")
+    assert a.tobytes() == np.tanh(z).tobytes()
+
+
 def test_generate_backward_zero_grad_gives_zero():
     cfg = _cfg()
     n_f, k = 4, 3
