@@ -2,8 +2,8 @@
 
 from .classifier import ClassifierConfig, fm_layer, loss_and_grad
 from .data import (Batch, DatasetSchema, FieldSchema, Split, SyntheticSpec,
-                   build_vocab, bucketize_numeric, generate_synthetic,
-                   make_batches, negative_sample, permute_fields, planted_spec)
+                   build_vocab, generate_synthetic, make_batches, negative_sample,
+                   permute_fields, planted_spec)
 from .embedding import EmbeddingTable, assemble_embedding_matrix, backward_embedding
 from .featuregen import FeatureGenConfig, augment, generate, generated_count
 from .model import FgcnnModel, ModelConfig
@@ -14,11 +14,10 @@ __all__ = [
     "Batch", "ClassifierConfig", "DatasetSchema", "EmbeddingTable",
     "FeatureGenConfig", "FgcnnModel", "FieldSchema", "Metrics",
     "ModelConfig", "Split", "SyntheticSpec", "TrainConfig", "assemble_embedding_matrix",
-    "augment", "backward_embedding", "build_vocab", "bucketize_numeric",
-    "complexity_report", "evaluate", "fm_layer", "generate", "generate_synthetic",
-    "generated_count", "load_checkpoint", "loss_and_grad", "make_batches",
-    "negative_sample", "permute_fields", "planted_spec", "save_checkpoint",
-    "train",
+    "augment", "backward_embedding", "build_vocab", "complexity_report", "evaluate",
+    "fm_layer", "generate", "generate_synthetic", "generated_count", "load_checkpoint",
+    "loss_and_grad", "make_batches", "negative_sample", "permute_fields", "planted_spec",
+    "save_checkpoint", "train",
 ]
 
 __version__ = "0.1.0"

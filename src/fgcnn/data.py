@@ -13,7 +13,7 @@ import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -24,6 +24,7 @@ VALUE_SEP = "|"
 LABEL_COLUMN = "label"
 SCHEMA_MAGIC = "fgcnn-schema"
 SCHEMA_VERSION = 1
+EMPTY_CORPUS = "cannot build a vocabulary from an empty corpus"
 
 
 class DataError(ValueError):
@@ -47,9 +48,6 @@ class FieldSchema:
     @property
     def cardinality(self) -> int:
         return len(self.token_to_index) + 1
-
-    def encode(self, token: str) -> int:
-        return self.token_to_index.get(token, 0)
 
     def tokens_in_index_order(self) -> list[str]:
         toks = sorted(self.token_to_index.items(), key=lambda kv: kv[1])
@@ -173,104 +171,107 @@ class IngestStats:
 
 # ---------------------------------------------------------------------------
 # vocabulary fitting and encoding
+#
+# A table is one column per field, all of the same length. A column's cells
+# are either all strings, one token each (the reader keeps a column without
+# VALUE_SEP this way), or all tuples of tokens.
 
-TokenRow = Sequence[Sequence[str]]
+class RowError(DataError):
+    """A fault in row `row` (0-based) of a table, named as line row + 1 between
+    before and after; fit_dataset and load_dataset restate it at the file line.
+    Of a table's faults the least (row, key) is raised, key -1 for the label
+    and j for field j: the fault a row-by-row scan meets first."""
 
-
-def _columns(rows: Sequence[TokenRow], n_f: int, faults: list) -> list[tuple]:
-    """Transpose rows into n_f columns of cells.
-
-    Only the rows before the first ragged one are transposed; that row is
-    recorded in faults as (row, -2, message), and any fault a caller finds in
-    the columns lies before it in row order.
-    """
-    widths = list(map(len, rows))
-    good = len(rows)
-    if widths.count(n_f) != good:
-        good = next(r for r, w in enumerate(widths) if w != n_f)
-        faults.append((good, -2, f"ragged row at line {good + 1}: expected {n_f} "
-                                 f"fields, got {widths[good]}"))
-    return list(zip(*rows[:good])) or [()] * n_f
+    def __init__(self, row: int, key: int, before: str, after: str):
+        super().__init__(f"{before}{row + 1}{after}")
+        self.row, self.before, self.after = row, before, after
 
 
-def _raise_first(faults: list) -> None:
-    """Raise the fault a row-by-row scan would meet first: the lowest row, then
-    the row-level checks (negative keys) before the fields in order."""
-    if faults:
-        raise DataError(min(faults)[2])
+def _table_rows(columns: Sequence[Sequence], n_f: int, n: int) -> int:
+    """n, once the table is checked to have n_f columns of n cells."""
+    if list(map(len, columns)) != [n] * n_f:
+        raise DataError(f"expected {n_f} columns of {n} cells, got columns of "
+                        f"{list(map(len, columns))}")
+    return n
 
 
-def build_vocab(field_names: Sequence[str], rows: Sequence[TokenRow],
+def build_vocab(field_names: Sequence[str], columns: Sequence[Sequence],
                 min_count: int) -> DatasetSchema:
-    """Fit per-field vocabularies over a token table.
+    """Fit per-field vocabularies over a table (one column per field name).
 
     Tokens seen fewer than min_count times map to the dummy index 0; all other
-    tokens get unique indices in first-seen order.
+    tokens get unique indices in first-seen order. A field is multivalent when
+    one of its cells holds more than one value.
     """
     if min_count < 1:
         raise DataError(f"min_count must be >= 1, got {min_count}")
-    if not rows:
-        raise DataError("cannot build a vocabulary from an empty corpus")
+    n = _table_rows(columns, len(field_names), len(columns[0]) if columns else 0)
+    if field_names and not n:
+        raise DataError(EMPTY_CORPUS)
     faults: list = []
     fields = []
-    columns = _columns(rows, len(field_names), faults)
     for j, (name, column) in enumerate(zip(field_names, columns)):
-        lengths = list(map(len, column))
-        if 0 in lengths:
-            r = lengths.index(0)
-            faults.append((r, j, f"empty value list in field {name!r} at line {r + 1}"))
+        multivalent = False
+        if not isinstance(column[0], str):
+            lengths = list(map(len, column))
+            if 0 in lengths:
+                faults.append((lengths.index(0), j,
+                               f"empty value list in field {name!r} at line ", ""))
+            multivalent = max(lengths) > 1
+            column = chain.from_iterable(column)
         # Counter keeps first-seen order, so retained tokens are numbered in it.
-        counts = Counter(chain.from_iterable(column))
-        kept = [tok for tok, c in counts.items() if c >= min_count]
+        counts = Counter(column)
+        kept = list(compress(counts, map(min_count.__le__, counts.values())))
         fields.append(FieldSchema(name, dict(zip(kept, range(1, len(kept) + 1))),
-                                  multivalent=max(lengths, default=0) > 1))
-    _raise_first(faults)
+                                  multivalent=multivalent))
+    if faults:
+        raise RowError(*min(faults))
     return DatasetSchema(fields=fields, min_count=min_count)
 
 
-def encode_instances(schema: DatasetSchema, rows: Sequence[TokenRow],
+def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
                      labels: Sequence[int], max_vals: Optional[int] = None
                      ) -> tuple[Split, IngestStats]:
-    """Map token rows to a Split under a fitted schema.
+    """Map a table (one column per schema field, one row per label) to a Split.
 
-    Unknown tokens encode to the dummy index 0. Multivalent cells longer than
-    max_vals are truncated; truncations are counted in the returned stats.
+    Unknown tokens encode to the dummy index 0. Cells longer than max_vals
+    (>= 1) are truncated; truncations are counted in the returned stats.
     The split is padded to its longest cell (at least 1 slot).
     """
-    n = min(len(rows), len(labels))
-    rows, labels = rows[:n], list(labels)[:n]
-    stats = IngestStats(rows=n)
+    if max_vals is not None and max_vals < 1:
+        raise DataError(f"max_vals must be >= 1, got {max_vals}")
+    labels = list(labels)
+    n = _table_rows(columns, schema.n_f, len(labels))
     faults: list = []
     if labels.count(0) + labels.count(1) != n:
         r = next(r for r, label in enumerate(labels) if label not in (0, 1))
-        faults.append((r, -1, f"label at line {r + 1} must be 0 or 1, got {labels[r]!r}"))
-    values, cell_lengths = [np.zeros(0, dtype=np.int64)], []     # concatenate needs one array
-    for j, (f, column) in enumerate(zip(schema.fields, _columns(rows, schema.n_f, faults))):
-        lengths = list(map(len, column))
-        longest = max(lengths, default=0)
-        if longest > 1 and not f.multivalent:
-            r = next(r for r, m in enumerate(lengths) if m > 1)
-            faults.append((r, j, f"field {f.field_name!r} is univalent but line {r + 1} "
-                                 f"carries {lengths[r]} values"))
-        if max_vals is not None and longest > max_vals:
-            stats.truncated_values += sum(m - max_vals for m in lengths if m > max_vals)
-            column = [cell[:max_vals] for cell in column]
-            lengths = list(map(len, column))
+        faults.append((r, -1, "label at line ", f" must be 0 or 1, got {labels[r]!r}"))
+    tuples = [n > 0 and not isinstance(column[0], str) for column in columns]
+    lengths = np.ones((n, schema.n_f), dtype=np.int64)
+    for j in np.flatnonzero(tuples):
+        lengths[:, j] = np.fromiter(map(len, columns[j]), dtype=np.int64, count=n)
+    kept = lengths if max_vals is None else np.minimum(lengths, max_vals)
+    stats = IngestStats(rows=n, truncated_values=int(lengths.sum() - kept.sum()))
+    indices = np.zeros((n, schema.n_f, int(kept.max(initial=1))), dtype=np.int64)
+    for j, (f, column, m) in enumerate(zip(schema.fields, columns, lengths.T)):
         # Indices start at 1, so a 0 marks exactly the unknown tokens.
-        enc = np.fromiter(map(f.token_to_index.get, chain.from_iterable(column), repeat(0)),
-                          dtype=np.int64, count=sum(lengths))
+        enc = np.fromiter(map(f.token_to_index.get, chain.from_iterable(column) if tuples[j]
+                              else column, repeat(0)), dtype=np.int64, count=int(m.sum()))
+        if not tuples[j]:
+            indices[:, j, 0] = enc
+        else:
+            if m.max() > 1 and not f.multivalent:
+                r = int(np.argmax(m > 1))
+                faults.append((r, j, f"field {f.field_name!r} is univalent but line ",
+                               f" carries {m[r]} values"))
+            if m.max() > kept[:, j].max():      # keep positions < max_vals in each cell
+                enc = enc[np.arange(enc.size) - np.repeat(np.cumsum(m) - m, m) < max_vals]
+            # the boolean mask fills the cells in (row, position) order
+            indices[:, j][np.arange(indices.shape[2]) < kept[:, j, None]] = enc
         stats.unknown_tokens += int(np.count_nonzero(enc == 0))
-        values.append(enc)
-        cell_lengths.append(lengths)
-    _raise_first(faults)
-    # Field-major [n_f, n, W], so the boolean scatter fills the cells in
-    # (field, row, position) order, the order the columns were flattened in.
-    lengths = np.array(cell_lengths, dtype=np.int64).reshape(schema.n_f, n)
-    slots = np.arange(max(1, int(lengths.max(initial=0)))) < lengths[..., None]
-    indices = np.zeros(slots.shape, dtype=np.int64)
-    indices[slots] = np.concatenate(values)
-    return Split(indices.transpose(1, 0, 2).copy(), lengths.T.copy(),
-                 np.array(labels, dtype=np.int64)), stats
+    if faults:
+        raise RowError(*min(faults))
+    return Split(indices, kept, np.array(labels, dtype=np.int64)), stats
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +460,20 @@ def read_probs_file(path) -> np.ndarray:
         return np.array([float(line) for line in fh if line.strip()], dtype=float)
 
 
-def read_dataset_file(path) -> tuple[list[str], list[list[tuple[str, ...]]], list[int]]:
-    """Parse a dataset file into (field_names, token rows, labels)."""
+def _records(path) -> list:
+    """(line, cells) of each non-blank record after the header; line is the
+    file line the record ends on, as a quoted cell may span lines."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader, None)
+        return [(reader.line_num, cells) for cells in reader if cells]
+
+
+def read_dataset_file(path) -> tuple[list[str], list[list], list[int]]:
+    """Parse a dataset file into (field_names, columns, labels): one column per
+    field in header order. A column whose text holds no VALUE_SEP keeps its
+    cells as strings; the cells of any other column are tuples of values.
+    A ragged row or a bad label raises DataError naming the file line."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -469,45 +482,59 @@ def read_dataset_file(path) -> tuple[list[str], list[list[tuple[str, ...]]], lis
             raise DataError(f"{path}: empty dataset file") from None
         if LABEL_COLUMN not in header:
             raise DataError(f"{path}: no {LABEL_COLUMN!r} column in header {header}")
-        label_pos = header.index(LABEL_COLUMN)
-        field_names = [h for i, h in enumerate(header) if i != label_pos]
-        rows: list[list[tuple[str, ...]]] = []
-        labels: list[int] = []
-        for cells in reader:
-            if not cells:
-                continue
-            lineno = reader.line_num     # the record's last file line; quoted cells span lines
-            if len(cells) != len(header):
-                raise DataError(
-                    f"{path}: ragged row at line {lineno}: expected {len(header)} "
-                    f"columns, got {len(cells)}")
-            text = cells.pop(label_pos)
+        records = list(filter(None, reader))     # a blank line reads as []
+    label_pos, n, width = header.index(LABEL_COLUMN), len(records), len(header)
+    columns = list(zip(*records)) or [()] * width
+    text = columns.pop(label_pos) if len(columns) == width else ()
+    if list(map(len, records)).count(width) == n == text.count("0") + text.count("1"):
+        labels = list(map(int, text))
+    else:   # a fault, raised at its file line by reading record by record, or
+            # labels int() reads as 0 or 1 (" 1", "+0")
+        labels = []
+        for line, cells in _records(path):
+            if len(cells) != width:
+                raise DataError(f"{path}: ragged row at line {line}: expected {width} "
+                                f"columns, got {len(cells)}")
+            cell = cells[label_pos]
             try:
-                label = int(text)
+                labels.append(int(cell))
             except ValueError:
-                raise DataError(f"{path}: bad label {text!r} at line {lineno}") from None
-            if label not in (0, 1):
-                raise DataError(f"{path}: label at line {lineno} must be 0 or 1, got {label}")
-            labels.append(label)
-            rows.append(list(map(tuple, map(str.split, cells, repeat(VALUE_SEP)))))
-    return field_names, rows, labels
+                raise DataError(f"{path}: bad label {cell!r} at line {line}") from None
+            if labels[-1] not in (0, 1):
+                raise DataError(f"{path}: label at line {line} must be 0 or 1, "
+                                f"got {labels[-1]}")
+    columns = [list(map(tuple, map(str.split, c, repeat(VALUE_SEP))))
+               if VALUE_SEP in "".join(c) else list(c) for c in columns]
+    return header[:label_pos] + header[label_pos + 1:], columns, labels
+
+
+def _at_file_line(path, fn, *args, **kwargs):
+    """fn(*args, **kwargs), a RowError restated at path and its row's file line."""
+    try:
+        return fn(*args, **kwargs)
+    except RowError as exc:
+        line = _records(path)[exc.row][0]
+        raise DataError(f"{path}: {exc.before}{line}{exc.after}") from None
 
 
 def load_dataset(path, schema: DatasetSchema,
                  max_vals: Optional[int] = None) -> tuple[Split, IngestStats]:
     """Read a dataset file and encode it under an existing schema."""
-    field_names, rows, labels = read_dataset_file(path)
+    field_names, columns, labels = read_dataset_file(path)
     if field_names != schema.field_names():
         raise DataError(
             f"{path}: field order {field_names} does not match schema "
             f"{schema.field_names()}")
-    return encode_instances(schema, rows, labels, max_vals=max_vals)
+    return _at_file_line(path, encode_instances, schema, columns, labels, max_vals=max_vals)
 
 
 def fit_dataset(path, min_count: int,
                 max_vals: Optional[int] = None) -> tuple[DatasetSchema, Split, IngestStats]:
-    """Read a dataset file, fit the vocabulary, and encode the same rows."""
-    field_names, rows, labels = read_dataset_file(path)
-    schema = build_vocab(field_names, rows, min_count)
-    split, stats = encode_instances(schema, rows, labels, max_vals=max_vals)
+    """Read a dataset file once, fit the vocabulary on its columns and encode them."""
+    field_names, columns, labels = read_dataset_file(path)
+    schema = _at_file_line(path, build_vocab, field_names, columns, min_count)
+    if not labels:      # a table of no fields has no column to show build_vocab its rows
+        raise DataError(EMPTY_CORPUS)
+    split, stats = _at_file_line(path, encode_instances, schema, columns, labels,
+                                 max_vals=max_vals)
     return schema, split, stats

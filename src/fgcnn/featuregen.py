@@ -237,6 +237,7 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
                 # pooled maps become fields directly: [rows_i, m, b, k] -> [b, rows_i*m, k]
                 outs.append(x.transpose(2, 0, 1, 3).reshape(b, -1, k))
             rounds.append((conv, argmax, recomb) if mode == "train" else None)
+            del argmax      # dead in infer mode; round i+1 would pool beside it
         except (KeyError, ValueError) as exc:
             raise type(exc)(f"feature generation round {i}: {exc}") from exc
     r_all = np.concatenate(outs, axis=1)

@@ -369,7 +369,7 @@ def _axis1_sum(x: np.ndarray) -> np.ndarray:
 
 
 def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnState,
-                      mode: str = "train"):
+                      mode: str = "train", out: Optional[np.ndarray] = None):
     """Normalize x [n, d, ...] along axis 1 to zero mean / unit variance over
     all other axes, then scale and shift.
 
@@ -377,7 +377,7 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
     state; infer mode normalizes with the running statistics. Returns
     (out, cache, new_state); cache is None in infer mode. The variance is
     a second pass over x - mean, not E[x^2] - E[x]^2, which cancels
-    catastrophically.
+    catastrophically. out may be x itself: the result is written there.
     """
     if x.ndim < 2:
         raise ValueError(f"batchnorm expects at least 2-D input, got shape {x.shape}")
@@ -388,7 +388,7 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
             raise ValueError("batchnorm in train mode needs batch size >= 2")
         mu = _axis1_sum(x) / n
         xhat = x - mu.reshape(col)
-        out = np.multiply(xhat, xhat)
+        out = np.multiply(xhat, xhat, out=out)
         var = _axis1_sum(out) / n
         inv_std = 1.0 / np.sqrt(var + BN_EPS)
         xhat *= inv_std.reshape(col)
@@ -404,7 +404,7 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
     if mode == "infer":
         # (x - mean) / std * g + b folded into one scale and one shift
         scale = g / np.sqrt(state.var + BN_EPS)
-        out = x * scale.reshape(col)
+        out = np.multiply(x, scale.reshape(col), out=out)
         out += (b - state.mean * scale).reshape(col)
         return out, None, state
     raise ValueError(f"unknown batchnorm mode {mode!r}")
@@ -465,7 +465,8 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     layer, the maps of a conv one ([rows, maps, b, k]). Returns (a, cache)
     (see the module docstring). The cache keeps the input the linear map
     read: the flattened x for the affine, a copy when x is a transposed view.
-    The activation is written over the pre-activation, which no cache keeps.
+    Batch norm and the activation are written over the pre-activation, which
+    no cache keeps.
     """
     w = params[name + ".w"]
     shape = x.shape
@@ -478,7 +479,7 @@ def block_forward(x: np.ndarray, params: dict, name: str, act: str,
     site = name + ".bn"
     if site + ".g" in params:
         z, bncache, bn_states[site] = batchnorm_forward(
-            z, params[site + ".g"], params[site + ".b"], bn_states[site], mode)
+            z, params[site + ".g"], params[site + ".b"], bn_states[site], mode, out=z)
     a = _ACTIVATIONS[act][0](z, out=z)
     return a, (name, act, x, shape, w, bncache, a) if mode == "train" else None
 

@@ -1,4 +1,9 @@
+import csv
+import io
+import tempfile
 from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -43,19 +48,31 @@ def assert_same_split(a, b):
         assert np.array_equal(x, y), name
 
 
-def encode_as_instances(schema, rows, labels, max_vals=None):
-    """encode_instances with its split as Instances, to compare with the oracle."""
-    split, stats = d.encode_instances(schema, rows, labels, max_vals=max_vals)
+def columns_of(rows, n_f, strings=True):
+    """The columns of a table of token rows; with strings, a column whose
+    cells all hold one value keeps them as strings, as the file reader does."""
+    columns = [list(c) for c in zip(*rows)] or [[] for _ in range(n_f)]
+    if strings:
+        columns = [[cell[0] for cell in c] if c and all(len(cell) == 1 for cell in c) else c
+                   for c in columns]
+    return columns
+
+
+def encode_as_instances(schema, rows, labels, max_vals=None, strings=True):
+    """encode_instances over the columns of token rows, with its split as
+    Instances, to compare with the row oracle."""
+    split, stats = d.encode_instances(schema, columns_of(rows, schema.n_f, strings), labels,
+                                      max_vals=max_vals)
     return to_instances(split), stats
-
-
-def rows_from_tokens(*columns):
-    """Build a token table from per-field token lists (univalent cells)."""
-    return [[(tok,) for tok in row] for row in zip(*columns)]
 
 
 def inverse_permutation(permutation):
     return np.argsort(permutation).tolist()
+
+
+def encode(field, token):
+    """Index of one token, 0 for a token the vocabulary dropped or never saw."""
+    return field.token_to_index.get(token, 0)
 
 
 def decode(field, index):
@@ -72,60 +89,116 @@ def decode(field, index):
 # --- build_vocab -------------------------------------------------------------
 
 def test_rare_token_maps_to_dummy_below_min_count():
-    rows = rows_from_tokens(["X"] * 19 + ["Y"] * 25)
-    schema = d.build_vocab(["f0"], rows, min_count=20)
-    assert schema.fields[0].encode("X") == 0
-    assert schema.fields[0].encode("Y") == 1
+    schema = d.build_vocab(["f0"], [["X"] * 19 + ["Y"] * 25], min_count=20)
+    assert encode(schema.fields[0], "X") == 0
+    assert encode(schema.fields[0], "Y") == 1
 
 
 def test_min_count_one_keeps_everything():
-    rows = rows_from_tokens(["a", "b", "c", "a"])
-    schema = d.build_vocab(["f0"], rows, min_count=1)
+    schema = d.build_vocab(["f0"], [["a", "b", "c", "a"]], min_count=1)
     f = schema.fields[0]
-    assert all(f.encode(t) != 0 for t in "abc")
+    assert all(encode(f, t) != 0 for t in "abc")
 
 
 def test_toy_corpus_cardinality():
     # {A:3, B:2, C:1}, min_count=2 -> dummy + A + B
-    rows = rows_from_tokens(["A", "A", "A", "B", "B", "C"])
-    schema = d.build_vocab(["f0"], rows, min_count=2)
+    schema = d.build_vocab(["f0"], [["A", "A", "A", "B", "B", "C"]], min_count=2)
     assert schema.fields[0].cardinality == 3
-    assert schema.fields[0].encode("C") == 0
+    assert encode(schema.fields[0], "C") == 0
 
 
 def test_first_seen_order_assigns_indices():
-    rows = rows_from_tokens(["b", "a", "c", "a", "b", "c"])
-    schema = d.build_vocab(["f0"], rows, min_count=1)
+    schema = d.build_vocab(["f0"], [["b", "a", "c", "a", "b", "c"]], min_count=1)
     f = schema.fields[0]
-    assert (f.encode("b"), f.encode("a"), f.encode("c")) == (1, 2, 3)
+    assert (encode(f, "b"), encode(f, "a"), encode(f, "c")) == (1, 2, 3)
 
 
 def test_empty_corpus_rejected():
-    with pytest.raises(d.DataError):
-        d.build_vocab(["f0"], [], min_count=1)
+    with pytest.raises(d.DataError, match="empty corpus"):
+        d.build_vocab(["f0"], [[]], min_count=1)
 
 
-def test_ragged_rows_rejected_with_line_number():
-    rows = [[("a",), ("x",)], [("b",)]]
-    with pytest.raises(d.DataError, match="line 2"):
-        d.build_vocab(["f0", "f1"], rows, min_count=1)
+def test_ragged_rows_rejected_with_line_number(tmp_path):
+    # a table of columns cannot be ragged: the reader rejects the file's row,
+    # here record 3 on file line 6 after a blank line and a two-line cell
+    path = tmp_path / "ragged.csv"
+    path.write_text('f0,f1,label\na,x,1\n\n"b\nc",y,0\nd,1\n', encoding="utf-8")
+    with pytest.raises(d.DataError, match=r"ragged\.csv: ragged row at line 6: "
+                                          r"expected 3 columns, got 2"):
+        d.fit_dataset(path, min_count=1)
+
+
+@pytest.mark.parametrize("columns, labels", [
+    ([["a", "b"], ["x"]], [1, 0]),            # a short column
+    ([["a", "b"]], [1, 0]),                   # a column missing
+    ([["a", "b"], ["x", "y"], ["p", "q"]], [1, 0]),   # a column too many
+    ([["a", "b"], ["x", "y"]], [1]),          # fewer labels than rows
+    ([["a", "b"], ["x", "y"]], [1, 0, 1]),    # more labels than rows
+])
+def test_table_columns_must_agree(columns, labels):
+    if len(labels) == 2:        # build_vocab takes no labels
+        with pytest.raises(d.DataError, match="expected 2 columns of"):
+            d.build_vocab(["f0", "f1"], columns, min_count=1)
+    schema = d.build_vocab(["f0", "f1"], [["a", "b"], ["x", "y"]], min_count=1)
+    with pytest.raises(d.DataError, match="expected 2 columns of"):
+        d.encode_instances(schema, columns, labels)
+
+
+def test_max_vals_below_one_rejected():
+    schema = d.build_vocab(["f0"], [["a"]], min_count=1)
+    with pytest.raises(d.DataError, match="max_vals must be >= 1, got 0"):
+        d.encode_instances(schema, [["a"]], [1], max_vals=0)
 
 
 def test_unseen_token_encodes_to_dummy_in_every_field():
-    rows = [[("a",), ("x",)], [("b",), ("y",)]]
-    schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
+    schema = d.build_vocab(["f0", "f1"], [["a", "b"], ["x", "y"]], min_count=1)
     for f in schema.fields:
-        assert f.encode("never-fitted") == 0
+        assert encode(f, "never-fitted") == 0
 
 
 def test_vocab_injective():
-    rows = rows_from_tokens(["a", "b", "c", "d"])
-    schema = d.build_vocab(["f0"], rows, min_count=1)
+    schema = d.build_vocab(["f0"], [["a", "b", "c", "d"]], min_count=1)
     indices = list(schema.fields[0].token_to_index.values())
     assert len(indices) == len(set(indices))
 
 
-# --- oracles: the per-token loops the column-wise ingest replaced --------------
+# --- oracles: the row-by-row reader and the per-token loops the columnar ------
+# --- ingest replaced --------------------------------------------------------------
+
+def read_dataset_file_oracle(path):
+    """(field_names, token rows, labels, file line of each row), one record at
+    a time."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise d.DataError(f"{path}: empty dataset file") from None
+        if d.LABEL_COLUMN not in header:
+            raise d.DataError(f"{path}: no {d.LABEL_COLUMN!r} column in header {header}")
+        label_pos = header.index(d.LABEL_COLUMN)
+        field_names = [h for i, h in enumerate(header) if i != label_pos]
+        rows, labels, lines = [], [], []
+        for cells in reader:
+            if not cells:
+                continue
+            lineno = reader.line_num     # the record's last file line; quoted cells span lines
+            if len(cells) != len(header):
+                raise d.DataError(
+                    f"{path}: ragged row at line {lineno}: expected {len(header)} "
+                    f"columns, got {len(cells)}")
+            text = cells.pop(label_pos)
+            try:
+                label = int(text)
+            except ValueError:
+                raise d.DataError(f"{path}: bad label {text!r} at line {lineno}") from None
+            if label not in (0, 1):
+                raise d.DataError(f"{path}: label at line {lineno} must be 0 or 1, got {label}")
+            labels.append(label)
+            lines.append(lineno)
+            rows.append(list(map(tuple, map(str.split, cells, repeat(d.VALUE_SEP)))))
+    return field_names, rows, labels, lines
+
 
 def build_vocab_oracle(field_names, rows, min_count):
     if min_count < 1:
@@ -158,7 +231,8 @@ def build_vocab_oracle(field_names, rows, min_count):
     return d.DatasetSchema(fields=fields, min_count=min_count)
 
 
-def encode_instances_oracle(schema, rows, labels, max_vals=None):
+def encode_instances_oracle(schema, rows, labels, max_vals=None, lines=None):
+    """lines[r], when given, is the line a fault in row r names (else r + 1)."""
     stats = d.IngestStats()
     out = []
     n_f = schema.n_f
@@ -171,13 +245,13 @@ def encode_instances_oracle(schema, rows, labels, max_vals=None):
         for f, cell in zip(schema.fields, row):
             if not f.multivalent and len(cell) > 1:
                 raise d.DataError(
-                    f"field {f.field_name!r} is univalent but line {r + 1} carries "
-                    f"{len(cell)} values")
+                    f"field {f.field_name!r} is univalent but line "
+                    f"{lines[r] if lines else r + 1} carries {len(cell)} values")
             toks = list(cell)
             if max_vals is not None and len(toks) > max_vals:
                 stats.truncated_values += len(toks) - max_vals
                 toks = toks[:max_vals]
-            encoded.append(tuple(f.encode(t) for t in toks))
+            encoded.append(tuple(encode(f, t) for t in toks))
             stats.unknown_tokens += sum(1 for t in toks if t not in f.token_to_index)
         out.append(Instance(tuple(encoded), int(label)))
         stats.rows += 1
@@ -213,12 +287,14 @@ def _ingest_cases(draw):
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(_ingest_cases())
-def test_ingest_matches_per_token_oracle(case):
-    schema = d.build_vocab(case["names"], case["train"], case["min_count"])
+@given(_ingest_cases(), st.booleans())
+def test_ingest_matches_per_token_oracle(case, strings):
+    n_f = len(case["names"])
+    columns = columns_of(case["train"], n_f, strings)
+    schema = d.build_vocab(case["names"], columns, case["min_count"])
     want = build_vocab_oracle(case["names"], case["train"], case["min_count"])
     assert schema.to_text() == want.to_text()
-    split, stats = d.encode_instances(schema, case["train"], [1] * len(case["train"]),
+    split, stats = d.encode_instances(schema, columns, [1] * len(case["train"]),
                                       max_vals=case["max_vals"])
     insts, want_stats = encode_instances_oracle(want, case["train"], [1] * len(split),
                                                 max_vals=case["max_vals"])
@@ -227,12 +303,13 @@ def test_ingest_matches_per_token_oracle(case):
     # a field drawn as multivalent may have fitted univalent, so a test row
     # can be rejected; both must then raise the same message
     assert _outcome(encode_as_instances, schema, case["test"], case["labels"],
-                    max_vals=case["max_vals"]) == \
+                    max_vals=case["max_vals"], strings=strings) == \
         _outcome(encode_instances_oracle, want, case["test"], case["labels"],
                  max_vals=case["max_vals"])
 
 
-FAULTS = ("ragged_short", "ragged_long", "label", "multi", "empty")
+# a ragged row has no columns; the file-level property below injects it
+FAULTS = ("label", "multi", "empty")
 
 
 def _inject(rows, labels, faults):
@@ -241,14 +318,10 @@ def _inject(rows, labels, faults):
     labels = list(labels)
     for kind, r, j, bad in faults:
         r %= len(rows)
-        j %= len(rows[r]) or 1
-        if kind == "ragged_short":
-            rows[r] = rows[r][:-1]
-        elif kind == "ragged_long":
-            rows[r] = rows[r] + [("a",)]
-        elif kind == "label":
+        j %= len(rows[r])
+        if kind == "label":
             labels[r] = bad
-        elif rows[r]:
+        else:
             rows[r][j] = ("a", "b") if kind == "multi" else ()
     return rows, labels
 
@@ -258,16 +331,19 @@ _FAULT = st.tuples(st.sampled_from(FAULTS), st.integers(0, 50), st.integers(0, 5
 
 
 @settings(max_examples=200, deadline=None, database=None)
-@given(_ingest_cases(), st.lists(_FAULT, min_size=1, max_size=2))
-def test_ingest_faults_raise_the_oracles_first_message(case, faults):
+@given(_ingest_cases(), st.lists(_FAULT, min_size=1, max_size=2), st.booleans())
+def test_ingest_faults_raise_the_oracles_first_message(case, faults, strings):
+    n_f = len(case["names"])
     labels = [1] * len(case["train"])
     rows, labels = _inject(case["train"], labels, faults)
-    got = _outcome(d.build_vocab, case["names"], rows, case["min_count"])
+    got = _outcome(d.build_vocab, case["names"], columns_of(rows, n_f, strings),
+                   case["min_count"])
     want = _outcome(build_vocab_oracle, case["names"], rows, case["min_count"])
     assert (got if isinstance(got, str) else got.to_text()) == \
         (want if isinstance(want, str) else want.to_text())
-    schema = d.build_vocab(case["names"], case["train"], case["min_count"])
-    got = _outcome(encode_as_instances, schema, rows, labels, max_vals=case["max_vals"])
+    schema = d.build_vocab(case["names"], columns_of(case["train"], n_f), case["min_count"])
+    got = _outcome(encode_as_instances, schema, rows, labels, max_vals=case["max_vals"],
+                   strings=strings)
     want = _outcome(encode_instances_oracle, schema, rows, labels, max_vals=case["max_vals"])
     assert got == want
 
@@ -276,20 +352,16 @@ def test_ingest_faults_raise_the_oracles_first_message(case, faults):
                                             ([], 0)])
 def test_vocab_argument_errors_match_oracle(rows, min_count):
     with pytest.raises(d.DataError) as got:
-        d.build_vocab(["f0"], rows, min_count)
+        d.build_vocab(["f0"], columns_of(rows, 1), min_count)
     with pytest.raises(d.DataError) as want:
         build_vocab_oracle(["f0"], rows, min_count)
     assert str(got.value) == str(want.value)
 
 
-def test_encode_empty_table_and_short_labels_match_oracle():
-    rows = [[("a",), ("x", "y")], [("b",), ("y",)], [("c",), ("z",)]]
-    schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
-    for labels in ([], [1], [0, 1]):
-        assert encode_as_instances(schema, rows, labels) == \
-            encode_instances_oracle(schema, rows, labels)
-    split, stats = d.encode_instances(schema, [], [])
-    assert stats == d.IngestStats()
+def test_encode_empty_table_matches_oracle():
+    schema = d.build_vocab(["f0", "f1"], [["a", "b"], [("x", "y"), ("y",)]], min_count=1)
+    split, stats = d.encode_instances(schema, [[], []], [])
+    assert stats == encode_instances_oracle(schema, [], [])[1] == d.IngestStats()
     assert_same_split(split, to_split([], n_f=2))
 
 
@@ -532,9 +604,9 @@ def test_mask_count_matches_value_count():
 # --- field permutation -----------------------------------------------------------
 
 def _schema_and_split():
-    rows = [[("a",), ("x",), ("p",), ("m",)], [("b",), ("y",), ("q",), ("n",)]]
-    schema = d.build_vocab(["f0", "f1", "f2", "f3"], rows, min_count=1)
-    split, _ = d.encode_instances(schema, rows, [1, 0])
+    columns = [["a", "b"], ["x", "y"], ["p", "q"], ["m", "n"]]
+    schema = d.build_vocab(["f0", "f1", "f2", "f3"], columns, min_count=1)
+    split, _ = d.encode_instances(schema, columns, [1, 0])
     return schema, split
 
 
@@ -625,19 +697,18 @@ def test_dataset_file_roundtrip(tmp_path):
 
 
 def test_multivalent_cells_roundtrip(tmp_path):
-    rows = [[("a",), ("x", "y")], [("b",), ("y",)]]
-    schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
-    split, _ = d.encode_instances(schema, rows, [1, 0])
+    columns = [["a", "b"], [("x", "y"), ("y",)]]
+    schema = d.build_vocab(["f0", "f1"], columns, min_count=1)
+    split, _ = d.encode_instances(schema, columns, [1, 0])
     path = tmp_path / "mv.csv"
     d.write_dataset_file(path, schema, split)
-    names, back_rows, labels = d.read_dataset_file(path)
-    assert back_rows[0][1] == ("x", "y")
+    names, back_columns, labels = d.read_dataset_file(path)
+    assert back_columns == columns      # the univalent column keeps its cells as strings
     assert labels == [1, 0]
 
 
 def test_schema_sidecar_roundtrip(tmp_path):
-    rows = [[("a",), ("x", "y")], [("b",), ("y",)]]
-    schema = d.build_vocab(["f0", "f1"], rows, min_count=1)
+    schema = d.build_vocab(["f0", "f1"], [["a", "b"], [("x", "y"), ("y",)]], min_count=1)
     path = tmp_path / "schema.txt"
     schema.save(path)
     loaded = d.DatasetSchema.load(path)
@@ -668,16 +739,161 @@ def test_bad_label_names_file_line_after_multiline_cell(tmp_path):
         d.read_dataset_file(path)
 
 
+def test_encode_fault_names_file_line_after_blank_line(tmp_path):
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("f0,f1,label\na,x,1\nb,y,0\n", encoding="utf-8")
+    test.write_text("f0,f1,label\n\na,x|y,1\n", encoding="utf-8")
+    schema, _, _ = d.fit_dataset(train, min_count=1)
+    with pytest.raises(d.DataError, match=r"^.*test\.csv: field 'f1' is univalent but "
+                                          r"line 3 carries 2 values$"):
+        d.load_dataset(test, schema)
+
+
+def test_encode_fault_names_file_line_after_multiline_cell(tmp_path):
+    # the quoted cell of record 1 spans file lines 2 and 3
+    train, test = tmp_path / "train.csv", tmp_path / "test.csv"
+    train.write_text("f0,f1,label\na,x,1\nb,y,0\n", encoding="utf-8")
+    test.write_text('f0,f1,label\n"a\nb",x,1\nb,y,0\nc,x|y|x,1\n', encoding="utf-8")
+    schema, _, _ = d.fit_dataset(train, min_count=1)
+    with pytest.raises(d.DataError, match=r"test\.csv: field 'f1' is univalent but "
+                                          r"line 5 carries 3 values"):
+        d.load_dataset(test, schema)
+
+
+# --- file-level property: fit_dataset/load_dataset against the row oracles ---------
+
+TOKENS = ("a", "b", "", "x,y", 'q"t', "n\nl", " s")
+
+
+def fit_dataset_oracle(path, min_count, max_vals=None):
+    field_names, rows, labels, lines = read_dataset_file_oracle(path)
+    schema = build_vocab_oracle(field_names, rows, min_count)
+    return (schema, *_encode_file_oracle(path, schema, rows, labels, lines, max_vals))
+
+
+def load_dataset_oracle(path, schema, max_vals=None):
+    field_names, rows, labels, lines = read_dataset_file_oracle(path)
+    if field_names != schema.field_names():
+        raise d.DataError(f"{path}: field order {field_names} does not match schema "
+                          f"{schema.field_names()}")
+    return _encode_file_oracle(path, schema, rows, labels, lines, max_vals)
+
+
+def _encode_file_oracle(path, schema, rows, labels, lines, max_vals):
+    """A fault names the file and the row's file line."""
+    try:
+        instances, stats = encode_instances_oracle(schema, rows, labels, max_vals, lines)
+    except d.DataError as exc:
+        raise d.DataError(f"{path}: {exc}") from None
+    return to_split(instances, schema.n_f), stats
+
+
+def _split_bytes(split):
+    return [(a.dtype.str, a.shape, a.tobytes())
+            for a in (split.indices, split.lengths, split.labels)]
+
+
+def _ingest_outcome(fit, load, train, test, min_count, max_vals):
+    """Schema text, split bytes and stats of fitting train and loading test,
+    up to the message of the first DataError."""
+    out = []
+    try:
+        schema, split, stats = fit(train, min_count, max_vals)
+        out += [schema.to_text(), _split_bytes(split), stats]
+        split, stats = load(test, schema, max_vals)
+        out += [_split_bytes(split), stats]
+    except d.DataError as exc:
+        out.append(f"DataError: {exc}")
+    return out
+
+
+@st.composite
+def _file_cases(draw):
+    """Train and test tables as cell text, the label at any header position,
+    tokens holding commas, quotes, newlines or nothing, multivalent cells,
+    blank lines, and up to two injected faults."""
+    n_f = draw(st.integers(0, 4))
+    multi = draw(st.lists(st.booleans(), min_size=n_f, max_size=n_f))
+
+    def table(alphabet):
+        n = draw(st.integers(0, 8))
+        rows = [[d.VALUE_SEP.join(draw(st.lists(st.sampled_from(alphabet), min_size=1,
+                                                max_size=4 if multi[j] else 1)))
+                 for j in range(n_f)] for _ in range(n)]
+        labels = draw(st.lists(st.sampled_from("01"), min_size=n, max_size=n))
+        return rows, labels
+
+    case = dict(n_f=n_f, train=table(TOKENS), test=table(TOKENS + ("new",)),
+                label_pos=draw(st.integers(0, n_f)), min_count=draw(st.integers(1, 3)),
+                max_vals=draw(st.one_of(st.none(), st.integers(1, 3))),
+                blanks=draw(st.lists(st.integers(0, 9), max_size=3)))
+    for _ in range(draw(st.integers(0, 2))):
+        part = draw(st.sampled_from(["train", "test"]))
+        rows, labels = case[part]
+        if not rows:
+            continue
+        r = draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["ragged", "label", "pipe"]))
+        if kind == "ragged":
+            rows[r] = rows[r][:-1] if rows[r] and draw(st.booleans()) else rows[r] + ["a"]
+        elif kind == "label":
+            # " 1", "+0" and "01" are read as labels, the rest are faults
+            labels[r] = draw(st.sampled_from(["2", "-1", "x", "", "1.0", " 1", "+0", "01"]))
+        elif n_f and part == "test":
+            rows[r][draw(st.integers(0, n_f - 1))] = "a|b"
+    return case
+
+
+def _write_table(path, case, part):
+    rows, labels = case[part]
+    names = [f"f{j}" for j in range(case["n_f"])]
+    out = io.StringIO()
+    writer = csv.writer(out)
+    pos = case["label_pos"]
+    lines = [[*names[:pos], d.LABEL_COLUMN, *names[pos:]]]
+    lines += [[*row[:pos], label, *row[pos:]] for row, label in zip(rows, labels)]
+    for i, line in enumerate(lines):
+        writer.writerow(line)
+        out.write("\n" * case["blanks"].count(i))
+    path.write_text(out.getvalue(), encoding="utf-8", newline="")
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_file_cases())
+def test_file_ingest_matches_the_row_oracles(case):
+    with tempfile.TemporaryDirectory() as tmp:
+        train, test = Path(tmp) / "train.csv", Path(tmp) / "test.csv"
+        _write_table(train, case, "train")
+        _write_table(test, case, "test")
+        args = (train, test, case["min_count"], case["max_vals"])
+        assert _ingest_outcome(d.fit_dataset, d.load_dataset, *args) == \
+            _ingest_outcome(fit_dataset_oracle, load_dataset_oracle, *args)
+        for path in (train, test):
+            try:
+                _, rows, labels, _ = read_dataset_file_oracle(path)
+            except d.DataError:
+                continue
+            _, columns, got_labels = d.read_dataset_file(path)
+            assert got_labels == labels
+            for j, column in enumerate(columns):
+                cells = [row[j] for row in rows]
+                # a column without a "|" cell comes back as strings
+                if all(len(cell) == 1 for cell in cells):
+                    cells = [cell[0] for cell in cells]
+                assert column == cells
+
+
 def test_write_read_encode_roundtrip_with_multivalent_fields(tmp_path):
-    rows = [[("a",), ("x", "y", "z"), ("p",)], [("b",), ("y",), ("q", "p")],
-            [("a",), ("w", "x"), ("r",)], [("c",), ("x",), ("p", "q", "r")]]
-    schema = d.build_vocab(["f0", "f1", "f2"], rows, min_count=2)
-    split, _ = d.encode_instances(schema, rows, [1, 0, 1, 0])
+    columns = [["a", "b", "a", "c"],
+               [("x", "y", "z"), ("y",), ("w", "x"), ("x",)],
+               [("p",), ("q", "p"), ("r",), ("p", "q", "r")]]
+    schema = d.build_vocab(["f0", "f1", "f2"], columns, min_count=2)
+    split, _ = d.encode_instances(schema, columns, [1, 0, 1, 0])
     path = tmp_path / "mv.csv"
     d.write_dataset_file(path, schema, split)
-    names, back_rows, labels = d.read_dataset_file(path)
-    assert back_rows[0] == [("a",), ("x", "y", d.DUMMY_TOKEN), ("p",)]
-    back, _ = d.encode_instances(schema, back_rows, labels)
+    names, back_columns, labels = d.read_dataset_file(path)
+    assert [c[0] for c in back_columns] == ["a", ("x", "y", d.DUMMY_TOKEN), ("p",)]
+    back, _ = d.encode_instances(schema, back_columns, labels)
     assert names == schema.field_names()
     assert_same_split(back, split)
     for f in schema.fields:
@@ -695,16 +911,15 @@ def test_missing_label_column_rejected(tmp_path):
 
 
 def test_truncation_counted_in_stats():
-    rows = [[("a", "b", "c", "d")], [("a",)]]
-    schema = d.build_vocab(["f0"], rows, min_count=1)
-    split, stats = d.encode_instances(schema, rows, [1, 0], max_vals=2)
+    columns = [[("a", "b", "c", "d"), ("a",)]]
+    schema = d.build_vocab(["f0"], columns, min_count=1)
+    split, stats = d.encode_instances(schema, columns, [1, 0], max_vals=2)
     assert stats.truncated_values == 2
     assert split.lengths[0, 0] == 2 and split.indices.shape[2] == 2
 
 
 def test_univalent_field_rejects_multiple_values():
-    rows = [[("a",)], [("b",)]]
-    schema = d.build_vocab(["f0"], rows, min_count=1)
+    schema = d.build_vocab(["f0"], [["a", "b"]], min_count=1)
     with pytest.raises(d.DataError):
         d.encode_instances(schema, [[("a", "b")]], [1])
 
@@ -722,8 +937,7 @@ def test_schema_sidecar_rejects_foreign_text():
 
 
 def test_schema_sidecar_rejects_future_version():
-    rows = [[("a",)]]
-    schema = d.build_vocab(["f0"], rows, min_count=1)
+    schema = d.build_vocab(["f0"], [["a"]], min_count=1)
     text = schema.to_text().replace(f"{d.SCHEMA_MAGIC} 1", f"{d.SCHEMA_MAGIC} 9")
     with pytest.raises(d.DataError):
         d.DatasetSchema.from_text(text)

@@ -275,6 +275,23 @@ def _write_multivalent_csv(path, n, unseen_row=None):
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
+def test_cli_train_names_the_file_line_of_an_encode_fault(tmp_path, capsys):
+    # file line 3 of the test file, after a blank line, gives the univalent f1 two values
+    (tmp_path / "train.csv").write_text("f0,f1,label\na,x,1\nb,y,0\n", encoding="utf-8")
+    (tmp_path / "test.csv").write_text("f0,f1,label\n\na,x|y,1\n", encoding="utf-8")
+    cfg = tmp_path / "fault.cfg"
+    cfg.write_text(TOY_CFG + f"""
+[data]
+train = {tmp_path / 'train.csv'}
+test = {tmp_path / 'test.csv'}
+""", encoding="utf-8")
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 2
+    err = capsys.readouterr().err
+    assert f"{tmp_path / 'test.csv'}: field 'f1' is univalent but line 3 carries 2 values" \
+        in err, err
+
+
 def test_cli_reports_ingest_counts(toy_cfg, tmp_path, capsys):
     _write_multivalent_csv(tmp_path / "train.csv", 40)
     _write_multivalent_csv(tmp_path / "test.csv", 10, unseen_row=3)

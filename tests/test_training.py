@@ -294,16 +294,16 @@ def test_multivalent_fields_train_end_to_end():
 
     rng = np.random.default_rng(13)
     tokens = [f"t{i}" for i in range(6)]
-    rows = []
+    columns = [[], []]
     labels = []
     for _ in range(80):
         bag = tuple(rng.choice(tokens, size=rng.integers(1, 4), replace=False))
-        single = (str(rng.integers(0, 3)),)
-        rows.append([single, bag])
+        columns[0].append(str(rng.integers(0, 3)))
+        columns[1].append(bag)
         labels.append(int("t0" in bag))
-    schema = build_vocab(["plain", "bag"], rows, min_count=1)
+    schema = build_vocab(["plain", "bag"], columns, min_count=1)
     assert schema.fields[1].multivalent
-    instances, _ = encode_instances(schema, rows, labels)
+    instances, _ = encode_instances(schema, columns, labels)
     cfg = ModelConfig(
         k=4,
         classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,)),
