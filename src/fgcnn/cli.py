@@ -109,6 +109,16 @@ def _resolve_data(cfg: ExperimentConfig):
     return (*_synthetic_split(cfg)[:3], ingest)
 
 
+def _scored(train_set, test_set):
+    """The split a subcommand scores: the test split when one is configured,
+    else the train split. An empty one is a data error, raised before any
+    training."""
+    name, split = ("train", train_set) if test_set is None else ("test", test_set)
+    if len(split) == 0:
+        raise DataError(f"cannot score an empty {name} split")
+    return split
+
+
 def _ingest_lines(ingest) -> list[str]:
     return [f"ingest {split} rows {s.rows} unknown_tokens {s.unknown_tokens} "
             f"truncated_values {s.truncated_values}" for split, s in ingest.items()]
@@ -149,11 +159,12 @@ def _cmd_train(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     schema, train_set, test_set, ingest = _resolve_data(cfg)
+    scored = _scored(train_set, test_set)
     model = FgcnnModel.build(schema, cfg.model, cfg.train.seed, cfg.train.precision)
     history = train(model, train_set, cfg.train, eval_split=test_set)
     digest = cfg.digest()
     write_records(out / "metrics.jsonl", history, cfg.train.seed, digest)
-    final = evaluate(model, test_set if test_set is not None else train_set)
+    final = evaluate(model, scored)
     final_auc = "-" if final.auc is None else f"{final.auc:.6f}"
     lines = [f"seed {cfg.train.seed}", f"config_digest {digest}", *_ingest_lines(ingest),
              experiments.render_table(history), "",
@@ -171,7 +182,7 @@ def _cmd_eval(args) -> int:
     out = _out_dir(args)
     schema, train_set, test_set, ingest = _resolve_data(cfg)
     model, _ = load_checkpoint(args.checkpoint, schema)
-    dataset = test_set if test_set is not None else train_set
+    dataset = _scored(train_set, test_set)
     m = evaluate(model, dataset)
     row = {**m.to_dict(), "dataset_size": len(dataset)}
     write_records(out / "eval.jsonl", [row], cfg.train.seed, cfg.digest())
@@ -198,7 +209,7 @@ def _cmd_ablate(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    rows = experiments.run_ablation(train_set, test_set or train_set, schema,
+    rows = experiments.run_ablation(train_set, _scored(train_set, test_set), schema,
                                     cfg.model, cfg.train)
     write_records(out / "ablation.jsonl", rows, cfg.train.seed, cfg.digest())
     print(render_table(rows))
@@ -210,7 +221,7 @@ def _cmd_compat(args) -> int:
     out = _out_dir(args)
     kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    rows = experiments.run_compatibility(kinds, train_set, test_set or train_set,
+    rows = experiments.run_compatibility(kinds, train_set, _scored(train_set, test_set),
                                          schema, cfg.model, cfg.train,
                                          seeds=(cfg.train.seed,))
     write_records(out / "compatibility.jsonl", rows, cfg.train.seed, cfg.digest())
@@ -222,7 +233,7 @@ def _cmd_shuffle(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    result = experiments.run_shuffle_study(train_set, test_set or train_set, schema,
+    result = experiments.run_shuffle_study(train_set, _scored(train_set, test_set), schema,
                                            cfg.model, cfg.train,
                                            n_permutations=args.permutations,
                                            seed=cfg.train.seed)
@@ -244,7 +255,7 @@ def _cmd_sweep(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    points = experiments.sweep(args.knob, args.values, train_set, test_set or train_set,
+    points = experiments.sweep(args.knob, args.values, train_set, _scored(train_set, test_set),
                                schema, cfg.model, cfg.train)
     write_records(out / f"sweep_{args.knob}.jsonl", points, cfg.train.seed, cfg.digest())
     print(render_table(points))

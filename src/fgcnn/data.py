@@ -1,5 +1,5 @@
-"""Multi-field categorical data: vocabularies, bucketing, negative sampling,
-batching, field permutation, synthetic generation, and the dataset file format.
+"""Multi-field categorical data: vocabularies, negative sampling, batching,
+field permutation, synthetic generation, and the dataset file format.
 
 Dataset files are UTF-8 CSV: the first row names the fields plus a "label"
 column, one column per field, multivalent values joined by "|". A fitted
@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import csv
 import hashlib
-import math
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -272,32 +271,6 @@ def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
     if faults:
         raise RowError(*min(faults))
     return Split(indices, kept, np.array(labels, dtype=np.int64)), stats
-
-
-# ---------------------------------------------------------------------------
-# numeric bucketing
-
-def bucketize_numeric(value: float, boundaries: Sequence[float]) -> str:
-    """Token "bucket_j" where j counts boundaries <= value (right-open intervals)."""
-    if math.isnan(value):
-        raise DataError("cannot bucketize NaN")
-    bounds = np.asarray(boundaries, dtype=float)
-    if bounds.ndim != 1 or (len(bounds) > 1 and not np.all(np.diff(bounds) > 0)):
-        raise DataError("bucket boundaries must be strictly increasing")
-    j = int(np.searchsorted(bounds, value, side="right"))
-    return f"bucket_{j}"
-
-
-def fit_quantile_boundaries(values: Sequence[float], n_buckets: int) -> list[float]:
-    """Empirical quantile cut points giving n_buckets roughly equal buckets."""
-    if n_buckets < 2:
-        raise DataError(f"need at least 2 buckets, got {n_buckets}")
-    arr = np.asarray(values, dtype=float)
-    if arr.size == 0 or np.any(np.isnan(arr)):
-        raise DataError("quantile fitting needs a non-empty, NaN-free sample")
-    qs = np.quantile(arr, [i / n_buckets for i in range(1, n_buckets)])
-    bounds = np.unique(qs)
-    return [float(b) for b in bounds]
 
 
 # ---------------------------------------------------------------------------

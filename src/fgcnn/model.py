@@ -218,11 +218,8 @@ class FgcnnModel:
         """Same model at a different float width (float32 -> float64 is exact)."""
         dtype = nn.as_dtype(precision)
         params = {k: v.astype(dtype) for k, v in self.params.items()}
-        states = {
-            k: nn.BnState(mean=s.mean.astype(dtype), var=s.var.astype(dtype),
-                          momentum=s.momentum)
-            for k, s in self.bn_states.items()
-        }
+        states = {k: nn.BnState(mean=s.mean.astype(dtype), var=s.var.astype(dtype))
+                  for k, s in self.bn_states.items()}
         return FgcnnModel(self.schema, self.config, params, states, precision)
 
 

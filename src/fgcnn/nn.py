@@ -16,6 +16,9 @@ it has made its last read of that tensor, so the receiver may update the
 tensor in place as soon as it has the gradient. gradient_sink() gives an
 emit that collects every gradient into a dict.
 
+Work reaches the one helper thread as one kind of job: Helper.fork queues
+a run-once Job, and Job.wait runs it, or helps with queued jobs until it is
+done, then re-raises its exception; wait_all waits for a list of them.
 Large float32 products (matmul: the affine maps, the emitted weight
 gradients, the convolution and the FM gram) split across two threads when a
 helper is active (active_helper), with the bits of the unsplit product.
@@ -75,22 +78,17 @@ SPLIT_MIN = 1 << 26
 class Helper:
     """One helper thread that runs queued jobs.
 
-    submit() queues a job, at the front when first is set; fork() queues one
-    at the front and returns a handle whose wait() runs the job on the
-    waiting thread if no thread has started it yet. The first queued job
-    starts the thread, so an owner that queues nothing never has one. join()
-    runs queued jobs on the calling thread too, until none is queued or
-    running, and then raises the first exception a submitted job raised;
-    once one has, the queue is dropped and further submitted jobs are ignored
-    until that join. A forked job's exception goes to its wait() instead.
-    close() drops the queue and joins the thread.
+    fork(fn) queues fn as a run-once Job and returns it: at the front of the
+    queue, or at the back when first is False. The first fork starts the
+    thread, so an owner that forks nothing never has one. The thread takes
+    jobs from the front; so does a thread waiting for a job that another
+    thread has started (Job.wait). close() drops the queue and joins the
+    thread; a job forked after it is run by its waiter.
     """
 
     def __init__(self):
         self._jobs: deque = deque()
         self._cond = threading.Condition()
-        self._running = 0
-        self._error: Optional[BaseException] = None
         self._closed = False
         self._thread: Optional[threading.Thread] = None
 
@@ -100,66 +98,29 @@ class Helper:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _queue(self, job, first: bool) -> None:
-        """Queue job and start the thread if it has none; holds the lock."""
-        (self._jobs.appendleft if first else self._jobs.append)(job)
-        self._cond.notify_all()
-        if self._thread is None:
-            self._thread = threading.Thread(target=self._serve, name="fgcnn-helper",
-                                            daemon=True)
-            self._thread.start()
-
-    def submit(self, job, first: bool = False) -> None:
+    def fork(self, fn: Callable[[], object], first: bool = True) -> "Job":
+        job = Job(fn, self)
         with self._cond:
-            if self._error is None:
-                self._queue(job, first)
+            if self._closed:
+                return job
+            (self._jobs.appendleft if first else self._jobs.append)(job)
+            self._cond.notify_all()
+            if self._thread is None:
+                self._thread = threading.Thread(target=self._work, args=(lambda: self._closed,),
+                                                name="fgcnn-helper", daemon=True)
+                self._thread.start()
+        return job
 
-    def fork(self, job) -> "Fork":
-        handle = Fork(job, self._cond)
-        with self._cond:
-            self._queue(handle, first=True)
-        return handle
-
-    def _run(self, job) -> None:
-        try:
-            job()
-        except BaseException as exc:
-            with self._cond:
-                self._error = self._error or exc
-                self._jobs.clear()
-        finally:
-            with self._cond:
-                self._running -= 1
-                self._cond.notify_all()
-
-    def _serve(self) -> None:
+    def _work(self, done: Callable[[], bool]) -> None:
+        """Run queued jobs on this thread until done(), read under the lock."""
         while True:
             with self._cond:
-                while not (self._jobs or self._closed):
+                while not (done() or self._jobs):
                     self._cond.wait()
-                if self._closed:
+                if done():
                     return
                 job = self._jobs.popleft()
-                self._running += 1
-            self._run(job)
-            job = None          # drop the job's arrays before waiting
-
-    def join(self) -> None:
-        while True:
-            with self._cond:
-                if self._jobs:
-                    job = self._jobs.popleft()
-                    self._running += 1
-                elif self._running:
-                    self._cond.wait()
-                    continue
-                else:
-                    error, self._error = self._error, None
-                    break
-            self._run(job)
-            job = None
-        if error is not None:
-            raise error
+            job._run()          # drops its fn, and so the fn's arrays
 
     def close(self) -> None:
         with self._cond:
@@ -170,36 +131,46 @@ class Helper:
             self._thread.join()
 
 
-class Fork:
-    """A forked job: the first thread to call it runs it (a later call, or
-    one after the queue was dropped, finds it taken); wait() calls it, then
-    blocks until it is done and re-raises its exception."""
+class Job:
+    """A forked fn: the first thread to take it runs it, once."""
 
-    def __init__(self, job, cond: threading.Condition):
-        self._job, self._cond = job, cond
+    def __init__(self, fn: Callable[[], object], helper: Helper):
+        self._fn, self._helper = fn, helper
         self._done = False
         self._error: Optional[BaseException] = None
 
-    def __call__(self) -> None:
-        with self._cond:
-            job, self._job = self._job, None
-        if job is None:
+    def _run(self) -> None:
+        with self._helper._cond:
+            fn, self._fn = self._fn, None
+        if fn is None:
             return
         try:
-            job()
+            fn()
         except BaseException as exc:
             self._error = exc
-        with self._cond:
+        with self._helper._cond:
             self._done = True
-            self._cond.notify_all()
+            self._helper._cond.notify_all()
 
     def wait(self) -> None:
-        self()
-        with self._cond:
-            while not self._done:
-                self._cond.wait()
+        """Run the job here if no thread has started it; otherwise run queued
+        jobs until it is done. Then re-raise its exception."""
+        self._run()
+        self._helper._work(lambda: self._done)
         if self._error is not None:
             raise self._error
+
+
+def wait_all(jobs) -> None:
+    """Wait for every job, then raise the first exception one raised."""
+    error = None
+    for job in jobs:
+        try:
+            job.wait()
+        except BaseException as exc:
+            error = error or exc
+    if error is not None:
+        raise error
 
 
 # Process-wide rather than passed down: every layer's products reach it, and
@@ -254,9 +225,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np
     element is the BLAS reduction the whole product computes, so the bits
     are unchanged. (OpenBLAS's float64 kernels change some elements' bits
     with the column count, so float64 products never split.) The output is
-    allocated here, on the calling thread; the other half runs on the
-    helper, or here too if the helper has not started it when this half is
-    done."""
+    allocated here, on the calling thread; the other half is forked to the
+    front of the helper's queue and waited for once this half is done."""
     helper = _active
     # a.size * b.size / depth bounds the multiply-adds from above: a cheap
     # first test, since most products of a small model pass through here
@@ -349,10 +319,10 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
 
 @dataclass
 class BnState:
-    """Running statistics for one batch-norm site."""
+    """Running statistics for one batch-norm site, updated with momentum
+    BN_MOMENTUM."""
     mean: np.ndarray
     var: np.ndarray
-    momentum: float = BN_MOMENTUM
 
 
 def init_bn_state(dim: int, dtype) -> BnState:
@@ -394,12 +364,9 @@ def batchnorm_forward(x: np.ndarray, g: np.ndarray, b: np.ndarray, state: BnStat
         xhat *= inv_std.reshape(col)
         np.multiply(xhat, g.reshape(col), out=out)
         out += b.reshape(col)
-        m = state.momentum
-        new_state = BnState(
-            mean=(m * state.mean + (1.0 - m) * mu).astype(x.dtype),
-            var=(m * state.var + (1.0 - m) * var).astype(x.dtype),
-            momentum=m,
-        )
+        m = BN_MOMENTUM
+        new_state = BnState(mean=(m * state.mean + (1.0 - m) * mu).astype(x.dtype),
+                            var=(m * state.var + (1.0 - m) * var).astype(x.dtype))
         return out, (xhat, inv_std, g), new_state
     if mode == "infer":
         # (x - mean) / std * g + b folded into one scale and one shift

@@ -145,11 +145,11 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     - no update starts before the last backward read of its tensor:
       backward_batch emits a gradient only after that read;
     - the Adam state and the divergence snapshot are allocated here, filled
-      by the helper during the first forward pass, and joined before the
-      first backward pass, so they exist before the first update;
-    - each batch ends with a join, so no forward pass starts before the
-      previous batch's updates finish;
-    - the helper is joined on every exit path, and an exception raised in
+      by the helper during the first forward pass, and waited for before
+      the first backward pass, so they exist before the first update;
+    - each batch ends by waiting for every job it forked, so no forward
+      pass starts before the previous batch's updates finish;
+    - the helper is closed on every exit path, and an exception raised in
       one of its jobs leaves this call with its type and message.
     Every tensor sees the operations of a serial run in the same order, so
     the results are bit-identical to one.
@@ -160,11 +160,17 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     clamp_stats = ClampStats()
     history: list[dict] = []
     with nn.active_helper() as helper:
+        jobs: list[nn.Job] = []     # forked since the last wait
+
         def dispatch(size: int, job) -> None:
             if size >= HELPER_MIN:
-                helper.submit(job)
+                jobs.append(helper.fork(job, first=False))
             else:
                 job()
+
+        def wait_jobs() -> None:
+            nn.wait_all(jobs)
+            jobs.clear()
 
         opt: dict[str, nn.AdamState] = {}
         last_good: dict[str, np.ndarray] = {}
@@ -187,9 +193,9 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                     nn.adam_step(param, grad, state)
                     return
                 first, *rest = nn.adam_parts(param, grad, state, ADAM_RANGE)
-                for part in rest:
-                    helper.submit(functools.partial(nn.adam_step, *part), first=True)
+                parts = [helper.fork(functools.partial(nn.adam_step, *part)) for part in rest]
                 nn.adam_step(*first)
+                nn.wait_all(parts)
             dispatch(param.size, job)
 
         for epoch in range(1, config.epochs + 1):
@@ -200,7 +206,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                 yhat, cache = model.forward_batch(batch, mode="train", dropout_rng=dropout_rng)
                 loss_vec, dlogit = loss_and_grad(yhat, batch.labels, clamp_stats)
                 loss = float(loss_vec.mean())
-                helper.join()       # the Adam state and the snapshot are complete
+                wait_jobs()         # the Adam state and the snapshot are complete
                 if not np.isfinite(loss):
                     model.params = last_good
                     model.bn_states = last_good_bn
@@ -208,7 +214,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                         f"training diverged at epoch {epoch}; restored epoch {epoch - 1} state")
                 losses.append(loss)
                 model.backward_batch(cache, dlogit / batch.size, update)
-                helper.join()       # the next forward pass reads finished updates
+                wait_jobs()         # the next forward pass reads finished updates
             row = {"epoch": epoch, "train_loss": float(np.mean(losses)),
                    "n_clamped": clamp_stats.n_clamped}
             if eval_split is not None and epoch % config.eval_every == 0:

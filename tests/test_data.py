@@ -365,36 +365,6 @@ def test_encode_empty_table_matches_oracle():
     assert_same_split(split, to_split([], n_f=2))
 
 
-# --- bucketize ---------------------------------------------------------------
-
-def test_bucketize_below_first_boundary():
-    assert d.bucketize_numeric(-5.0, [0.0, 1.0]) == "bucket_0"
-
-
-def test_bucketize_boundary_value_right_open():
-    assert d.bucketize_numeric(2.0, [1.0, 2.0, 3.0]) == "bucket_2"
-
-
-def test_bucketize_nan_rejected():
-    with pytest.raises(d.DataError):
-        d.bucketize_numeric(float("nan"), [0.0])
-
-
-def test_bucketize_requires_increasing_boundaries():
-    with pytest.raises(d.DataError):
-        d.bucketize_numeric(1.0, [3.0, 1.0])
-
-
-def test_quantile_fit_balances_buckets():
-    rng = np.random.default_rng(0)
-    sample = rng.uniform(0, 1, size=20000)
-    bounds = d.fit_quantile_boundaries(sample, 4)
-    tokens = [d.bucketize_numeric(v, bounds) for v in sample]
-    counts = np.array([tokens.count(f"bucket_{j}") for j in range(4)])
-    # populations within 5% of each other
-    assert counts.max() - counts.min() <= 0.05 * counts.mean()
-
-
 # --- negative sampling ---------------------------------------------------------
 
 def _labeled_stream(n_pos, n_neg, seed=0):

@@ -266,6 +266,37 @@ schema = {synth_dir / 'schema.txt'}
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "fr")]) == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["train"], ["eval", "--checkpoint", "{ckpt}"], ["ablate"], ["compat", "--kinds", "fm"],
+    ["shuffle", "--permutations", "2"], ["sweep", "--knob", "new_maps", "--values", "1"],
+], ids=lambda argv: argv[0])
+def test_cli_scores_a_configured_empty_test_file_as_a_data_error(toy_cfg, tmp_path, capsys,
+                                                                  argv):
+    """A header-only test file is a configured test split: every data
+    subcommand takes it as the split to score, rather than the train split,
+    and exits 2 with nothing written."""
+    synth_dir = tmp_path / "synthdata"
+    assert cli_main(["synth", "--config", str(toy_cfg), "--out", str(synth_dir)]) == 0
+    data = f"""
+[data]
+train = {synth_dir / 'train.csv'}
+schema = {synth_dir / 'schema.txt'}
+"""
+    full, empty = tmp_path / "full.cfg", tmp_path / "empty.cfg"
+    full.write_text(TOY_CFG + data, encoding="utf-8")
+    header = (synth_dir / "test.csv").read_text(encoding="utf-8").splitlines()[0]
+    (tmp_path / "empty.csv").write_text(header + "\n", encoding="utf-8")
+    empty.write_text(TOY_CFG + data + f"test = {tmp_path / 'empty.csv'}\n", encoding="utf-8")
+    ckpt = tmp_path / "full" / "model.ckpt"
+    if argv[0] == "eval":
+        assert cli_main(["train", "--config", str(full), "--out", str(ckpt.parent)]) == 0
+    capsys.readouterr()
+    argv = [a.format(ckpt=ckpt) for a in argv]
+    assert cli_main([*argv, "--config", str(empty), "--out", str(tmp_path / "run")]) == 2
+    assert "cannot score an empty test split" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists() or not any((tmp_path / "run").iterdir())
+
+
 def _write_multivalent_csv(path, n, unseen_row=None):
     lines = ["f0,f1,f2,f3,label"]
     for i in range(n):

@@ -1,8 +1,10 @@
 """nn.matmul splits large float32 products across the active helper and
-keeps the bits of np.matmul; nn.Helper.fork hands a job to whichever thread
-gets to it first."""
+keeps the bits of np.matmul; nn.Helper.fork queues a job that whichever
+thread gets to it first runs, and Job.wait runs queued jobs until its own is
+done."""
 import math
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -68,9 +70,9 @@ def _counting_forks(helper):
     forks = []
     fork = helper.fork
 
-    def counting(job):
+    def counting(job, first=True):
         forks.append(threading.current_thread())
-        return fork(job)
+        return fork(job, first)
     helper.fork = counting
     return forks
 
@@ -136,7 +138,7 @@ def test_products_do_not_split_without_an_active_helper_or_below_the_cut(monkeyp
 
 
 # ---------------------------------------------------------------------------
-# fork semantics
+# job semantics
 
 
 class InjectedError(RuntimeError):
@@ -144,26 +146,36 @@ class InjectedError(RuntimeError):
 
 
 def _busy(helper):
-    """Occupy the helper thread with a job until the returned event is set."""
+    """Occupy the helper thread with a job until the returned event is set;
+    also returns the job."""
     started, release = threading.Event(), threading.Event()
 
     def block():
         started.set()
         assert release.wait(10.0)
-    helper.submit(block)
+    job = helper.fork(block, first=False)
     assert started.wait(10.0)
-    return release
+    return release, job
+
+
+def _drain(helper):
+    """Block until the helper thread has taken every job queued before this
+    call (a job it finds taken is skipped)."""
+    drained = threading.Event()
+    helper.fork(drained.set, first=False)
+    assert drained.wait(10.0)
 
 
 def test_an_unstarted_fork_runs_on_the_waiter():
     with nn.Helper() as helper:
-        release = _busy(helper)
+        release, busy = _busy(helper)
         ran_on = []
         handle = helper.fork(lambda: ran_on.append(threading.current_thread()))
         handle.wait()
         assert ran_on == [threading.current_thread()]
         release.set()
-        helper.join()
+        busy.wait()
+        _drain(helper)                        # the helper has found the fork taken
         assert ran_on == [threading.current_thread()]     # never run twice
 
 
@@ -182,10 +194,31 @@ def test_a_started_fork_is_waited_for():
         assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
 
 
+def test_a_waiter_runs_queued_jobs_while_its_job_runs_on_the_helper():
+    """The helper's job can finish only after the next queued one has run,
+    and the helper is busy: the waiter must take it."""
+    with nn.Helper() as helper:
+        started, unblocked, ran_on = threading.Event(), threading.Event(), []
+
+        def first():
+            started.set()
+            assert unblocked.wait(10.0)
+
+        def second():
+            ran_on.append(threading.current_thread())
+            unblocked.set()
+        handle = helper.fork(first, first=False)
+        assert started.wait(10.0)
+        queued = helper.fork(second, first=False)
+        _within(10.0, handle.wait)
+        assert len(ran_on) == 1 and ran_on[0].name != "fgcnn-helper"
+        queued.wait()
+
+
 @pytest.mark.parametrize("on_helper", [True, False])
 def test_a_forked_exception_reaches_the_waiter_with_its_type_and_message(on_helper):
     with nn.Helper() as helper:
-        release = None if on_helper else _busy(helper)
+        release, busy = (None, None) if on_helper else _busy(helper)
         started = threading.Event()
 
         def fail():
@@ -198,41 +231,51 @@ def test_a_forked_exception_reaches_the_waiter_with_its_type_and_message(on_help
             handle.wait()
         if release is not None:
             release.set()
-        helper.join()                         # the fork's error is not the helper's
+            busy.wait()                       # another job's wait does not see the error
         done = []
-        helper.submit(lambda: done.append(1))
-        helper.join()
-        assert done == [1]
+        helper.fork(lambda: done.append(1), first=False).wait()
+        assert done == [1]                    # a later job still runs
 
 
 def _within(seconds, fn):
-    """Run fn on a thread and fail if it has not returned after seconds."""
-    worker = threading.Thread(target=fn, daemon=True)
+    """Run fn on a thread and fail if it has not returned after seconds;
+    re-raise what fn raised."""
+    raised = []
+
+    def run():
+        try:
+            fn()
+        except BaseException as exc:
+            raised.append(exc)
+    worker = threading.Thread(target=run, daemon=True)
     worker.start()
     worker.join(seconds)
     assert not worker.is_alive()
+    if raised:
+        raise raised[0]
 
 
 def test_a_fork_made_on_the_helper_thread_cannot_deadlock():
     """The helper forks from inside one of its jobs and waits: with nobody
-    else to take the half it runs it itself, and with a thread joining,
+    else to take the half it runs it itself, and with a thread waiting,
     either thread may."""
     with nn.Helper() as helper:
-        for joining in (False, True):
+        outer_jobs = []
+        for waiting in (False, True):
             done, halves = threading.Event(), []
 
             def job():
                 handle = helper.fork(lambda: halves.append(threading.current_thread()))
                 handle.wait()
                 done.set()
-            helper.submit(job)
-            if joining:
-                _within(10.0, helper.join)
+            outer_jobs.append(helper.fork(job, first=False))
+            if waiting:
+                _within(10.0, outer_jobs[-1].wait)
             assert done.wait(10.0)
             assert len(halves) == 1
-            if not joining:
+            if not waiting:
                 assert halves[0].name == "fgcnn-helper"
-        _within(10.0, helper.join)
+        _within(10.0, lambda: nn.wait_all(outer_jobs))
 
 
 def test_matmul_on_the_helper_thread_forks_back_to_the_joining_caller():
@@ -247,10 +290,10 @@ def test_matmul_on_the_helper_thread_forks_back_to_the_joining_caller():
         def job():
             on_helper.set()
             nn.matmul(x.T, g, out=dw)
-        helper.submit(job)
-        assert on_helper.wait(10.0)           # the helper, not this join, took the job
-        _within(10.0, helper.join)
-    assert len(forks) == 1 and forks[0] is not threading.main_thread()
+        handle = helper.fork(job, first=False)
+        assert on_helper.wait(10.0)           # the helper, not this wait, took the job
+        _within(10.0, handle.wait)
+    assert len(forks) == 2 and forks[1] is not threading.main_thread()
     assert dw.tobytes() == np.matmul(x.T, g).tobytes()
 
 
@@ -259,7 +302,83 @@ def test_active_helper_is_reused_and_closed_by_its_owner():
     with nn.active_helper() as outer:
         with nn.active_helper() as inner:
             assert inner is outer
-        _busy(outer).set()                    # starts the thread
+        _busy(outer)[0].set()                 # starts the thread
         assert nn._active is outer
     assert nn._active is None
+    assert set(threading.enumerate()) == before
+
+
+def test_a_fork_after_close_runs_on_its_waiter_and_starts_no_thread():
+    before = set(threading.enumerate())
+    helper = nn.Helper()
+    helper.close()
+    ran_on = []
+    helper.fork(lambda: ran_on.append(threading.current_thread())).wait()
+    assert ran_on == [threading.current_thread()]
+    assert set(threading.enumerate()) == before
+
+
+# A job tree: (sleep seconds, fails, first, wait each child rather than
+# wait_all, children). Three levels at most.
+def _nodes(depth):
+    children = st.just(()) if depth == 1 else st.lists(_nodes(depth - 1), max_size=3)
+    return st.tuples(st.sampled_from([0.0, 0.0, 1e-4, 1e-3]), st.booleans(),
+                     st.booleans(), st.booleans(), children.map(tuple))
+
+
+@settings(max_examples=60, deadline=None)
+@given(roots=st.lists(_nodes(3), min_size=1, max_size=4), each=st.booleans())
+def test_random_job_trees_run_each_job_once_and_raise_where_they_are_waited(roots, each):
+    """Jobs fork children from whichever thread runs them, at either end of
+    the queue, and wait for them one by one or with wait_all; some fail.
+    Every job runs once, a wait returns only after its job is done and
+    re-raises its exception, and wait_all raises the first failure (in list
+    order) only after every job is done."""
+    before = set(threading.enumerate())
+    ran, finished = [], set()
+
+    def make(node, ident):
+        sleep, fails, _, each_child, children = node
+
+        def fn():
+            ran.append(ident)
+            try:
+                time.sleep(sleep)
+                fork_and_wait(children, ident, each_child)
+                if fails:
+                    raise InjectedError(f"job {ident}")
+            finally:
+                finished.add(ident)
+        return fn
+
+    def fork_and_wait(nodes, parent, each_child):
+        idents = [parent + (i,) for i in range(len(nodes))]
+        jobs = [helper.fork(make(node, ident), first=node[2])
+                for node, ident in zip(nodes, idents)]
+        failing = [ident for node, ident in zip(nodes, idents) if node[1]]
+        if each_child:
+            for node, ident, job in zip(nodes, idents, jobs):
+                if node[1]:
+                    with pytest.raises(InjectedError) as info:
+                        job.wait()
+                    assert str(info.value) == f"job {ident}"
+                else:
+                    job.wait()
+                assert ident in finished
+        elif failing:
+            with pytest.raises(InjectedError) as info:
+                nn.wait_all(jobs)
+            assert str(info.value) == f"job {failing[0]}"
+        else:
+            nn.wait_all(jobs)
+        assert finished.issuperset(idents)
+
+    def all_idents(nodes, parent):
+        for i, node in enumerate(nodes):
+            yield parent + (i,)
+            yield from all_idents(node[4], parent + (i,))
+
+    with nn.Helper() as helper:
+        _within(30.0, lambda: fork_and_wait(roots, (), each))
+    assert sorted(ran) == sorted(all_idents(roots, ()))
     assert set(threading.enumerate()) == before

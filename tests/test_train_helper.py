@@ -54,9 +54,9 @@ def _record_forks(monkeypatch):
     forks = []
     fork = nn.Helper.fork
 
-    def recording(self, job):
+    def recording(self, job, first=True):
         forks.append(threading.current_thread() is threading.main_thread())
-        return fork(self, job)
+        return fork(self, job, first)
 
     monkeypatch.setattr(nn.Helper, "fork", recording)
     return forks
@@ -88,15 +88,15 @@ def serial_train(model, split, config):
 
 def _delay_helper_jobs(monkeypatch, seconds):
     """Sleep before every job the helper thread runs, so the main thread
-    takes more of the queue at each join."""
-    run = nn.Helper._run
+    takes more of the queue while it waits."""
+    run = nn.Job._run
 
-    def slow_run(self, job):
+    def slow_run(self):
         if threading.current_thread() is not threading.main_thread():
             time.sleep(seconds)
-        run(self, job)
+        run(self)
 
-    monkeypatch.setattr(nn.Helper, "_run", slow_run)
+    monkeypatch.setattr(nn.Job, "_run", slow_run)
 
 
 def helper_train(monkeypatch, model, split, config, cut, delay=0.0, adam_range=16,
