@@ -151,7 +151,8 @@ class Split:
 @dataclass
 class Batch:
     """Rows of a split; indices/value_mask are [b, n_f, max_vals]. Padded
-    positions carry index 0 and mask 0 so they contribute nothing to sums."""
+    positions carry index 0 and mask False (a 0/1 float mask is accepted
+    too) so they contribute nothing to sums."""
     indices: np.ndarray
     value_mask: np.ndarray
     labels: np.ndarray
@@ -309,7 +310,7 @@ def make_batches(split: Split, batch_size: int,
         lengths = split.lengths[rows]
         width = max(1, int(lengths.max()))
         batches.append(Batch(indices=split.indices[rows, :, :width],
-                             value_mask=(np.arange(width) < lengths[..., None]).astype(np.float64),
+                             value_mask=np.arange(width) < lengths[..., None],
                              labels=split.labels[rows].astype(np.float64)))
     return batches
 

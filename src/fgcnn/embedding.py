@@ -47,27 +47,47 @@ def _validate_indices(batch: Batch, table: EmbeddingTable) -> None:
 
 def assemble_embedding_matrix(batch: Batch, table: EmbeddingTable) -> np.ndarray:
     """Per-field embeddings [b, n_f, k]; multivalent fields sum their values'
-    embeddings, masked positions contribute nothing."""
+    embeddings, masked positions contribute nothing.
+
+    Slot 0 of every field is gathered straight into the output and empty
+    cells are set to +0.0; only fields with a real second slot somewhere in
+    the batch take the masked gather-and-sum over every slot. The bits are
+    those of that sum over every field: a padded slot adds a signed zero
+    to a sum that starts from +0.0, which read a -0.0 weight as +0.0."""
     _validate_indices(batch, table)
-    global_idx = batch.indices + table.offsets[None, :, None]
-    rows = table.weights[global_idx]                       # [b, n_f, v, k]
-    mask = batch.value_mask.astype(table.weights.dtype)
-    return (rows * mask[..., None]).sum(axis=2)
+    real = batch.value_mask.astype(bool, copy=False)
+    out = table.weights[batch.indices[:, :, 0] + table.offsets]    # [b, n_f, k]
+    empty = ~real[:, :, 0]
+    if empty.any():
+        out[empty] = 0.0
+    multi = real[:, :, 1:2].any(axis=(0, 2))                        # [n_f]
+    if multi.any():
+        rows = table.weights[batch.indices[:, multi] + table.offsets[multi, None]]
+        mask = real[:, multi].astype(table.weights.dtype)
+        out[:, multi] = (rows * mask[..., None]).sum(axis=2)
+    return out
 
 
 def backward_embedding(grad_output: np.ndarray, batch: Batch,
                        table: EmbeddingTable, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of assemble: accumulate each output-row gradient into the rows
     that were looked up; untouched rows stay zero. out, when given, is a
-    zeroed array shaped like the table that receives (and is) the result."""
+    zeroed array shaped like the table that receives (and is) the result.
+
+    Only real slots are scattered, in the order of the raveled slots: a
+    padded slot would add a signed zero, which leaves any accumulator that
+    started at +0.0 with the same bits."""
     b, n_f, max_vals = batch.indices.shape
     if grad_output.shape != (b, n_f, table.k):
         raise ValueError(
             f"grad_output shape {grad_output.shape} does not match batch "
             f"({b}, {n_f}, {table.k})")
     global_idx = batch.indices + table.offsets[None, :, None]
-    mask = batch.value_mask.astype(grad_output.dtype)
-    contrib = grad_output[:, :, None, :] * mask[..., None]  # [b, n_f, v, k]
+    real = batch.value_mask.astype(bool, copy=False)
     grad = np.zeros_like(table.weights, dtype=grad_output.dtype) if out is None else out
-    np.add.at(grad, global_idx.ravel(), contrib.reshape(-1, table.k))
+    if max_vals == 1 and real.all():
+        np.add.at(grad, global_idx.ravel(), grad_output.reshape(-1, table.k))
+    else:
+        rows, fields, _ = np.nonzero(real)
+        np.add.at(grad, global_idx[real], grad_output[rows, fields])
     return grad

@@ -155,26 +155,29 @@ def conv_affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
     return dx.reshape(x.shape), dw.reshape(w.shape)
 
 
-def pool_forward(x: np.ndarray, pool_height: int):
+def pool_forward(x: np.ndarray, pool_height: int, mode: str = "train"):
     """Non-overlapping max over windows of pool_height along the field axis.
 
     x: [rows, maps, b, k] -> (out, argmax), both [ceil(rows / pool_height),
     maps, b, k]. A final partial window (when pool_height does not divide
     rows) takes the max of its remaining rows. argmax, the row within the
     window in the smallest unsigned type that holds pool_height - 1, is
-    kept for the backward pass; ties resolve to the lowest row index.
+    kept for the backward pass; ties resolve to the lowest row index. In
+    infer mode argmax is None and no comparison is made.
     """
     # Running max over window rows: row j of every window is x[j::pool_height]
     # (a partial last window may lack it). Strict > keeps the lowest row on ties
     # and j exceeds every index recorded so far; np.maximum(row, out) returns its
     # second operand on ties, so out keeps that row's bits (signed zeros too).
     out = x[::pool_height].copy()
-    argmax = np.zeros(out.shape, dtype=np.min_scalar_type(pool_height - 1))
+    argmax = (np.zeros(out.shape, dtype=np.min_scalar_type(pool_height - 1))
+              if mode == "train" else None)
     for j in range(1, pool_height):
         row = x[j::pool_height]
         head = out[:len(row)]
-        head_arg = argmax[:len(row)]
-        np.maximum(head_arg, (row > head) * argmax.dtype.type(j), out=head_arg)
+        if argmax is not None:
+            head_arg = argmax[:len(row)]
+            np.maximum(head_arg, (row > head) * argmax.dtype.type(j), out=head_arg)
         np.maximum(row, head, out=head)
     return out, argmax
 
@@ -225,7 +228,7 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
                 continue
             a, conv = nn.block_forward(x, params, f"fg.conv{i}", "tanh",
                                        bn_states, mode, linear=conv_affine)
-            x, argmax = pool_forward(a, config.pool_height)
+            x, argmax = pool_forward(a, config.pool_height, mode)
             del a
             recomb = None
             if config.use_recombination:
@@ -237,7 +240,6 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
                 # pooled maps become fields directly: [rows_i, m, b, k] -> [b, rows_i*m, k]
                 outs.append(x.transpose(2, 0, 1, 3).reshape(b, -1, k))
             rounds.append((conv, argmax, recomb) if mode == "train" else None)
-            del argmax      # dead in infer mode; round i+1 would pool beside it
         except (KeyError, ValueError) as exc:
             raise type(exc)(f"feature generation round {i}: {exc}") from exc
     r_all = np.concatenate(outs, axis=1)

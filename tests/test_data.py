@@ -462,13 +462,13 @@ def batches_oracle(instances, batch_size, shuffle_seed=None):
         n_f = len(chunk[0].per_field_indices)
         max_vals = max(1, max(len(v) for inst in chunk for v in inst.per_field_indices))
         idx = np.zeros((len(chunk), n_f, max_vals), dtype=np.int64)
-        mask = np.zeros((len(chunk), n_f, max_vals), dtype=np.float64)
+        mask = np.zeros((len(chunk), n_f, max_vals), dtype=bool)
         labels = np.zeros(len(chunk), dtype=np.float64)
         for b, inst in enumerate(chunk):
             labels[b] = inst.label
             for f, vals in enumerate(inst.per_field_indices):
                 idx[b, f, :len(vals)] = vals
-                mask[b, f, :len(vals)] = 1.0
+                mask[b, f, :len(vals)] = True
         batches.append(d.Batch(indices=idx, value_mask=mask, labels=labels))
     return batches
 

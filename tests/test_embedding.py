@@ -1,8 +1,13 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fgcnn import data as d
 from fgcnn import embedding as emb
+from fgcnn import nn
 from fgcnn.checks import check_embedding_gather
 from fgcnn.classifier import ClassifierConfig
 from fgcnn.featuregen import FeatureGenConfig
@@ -140,6 +145,129 @@ def test_backward_is_exact_adjoint():
         grad = emb.backward_embedding(g, batch, emb.EmbeddingTable(np.zeros_like(dt), *meta))
         rhs = float((grad * dt).sum())
         assert abs(lhs - rhs) < 1e-10
+
+
+# --- oracles: the padded gather and scatter over every slot ----------------------
+
+def assemble_oracle(batch, table):
+    """Gather every slot, mask it and sum over the slot axis."""
+    global_idx = batch.indices + table.offsets[None, :, None]
+    rows = table.weights[global_idx]                       # [b, n_f, v, k]
+    mask = batch.value_mask.astype(table.weights.dtype)
+    return (rows * mask[..., None]).sum(axis=2)
+
+
+def backward_oracle(grad_output, batch, table):
+    """Scatter the masked gradient of every slot, padded ones included."""
+    global_idx = batch.indices + table.offsets[None, :, None]
+    mask = batch.value_mask.astype(grad_output.dtype)
+    contrib = grad_output[:, :, None, :] * mask[..., None]  # [b, n_f, v, k]
+    grad = np.zeros_like(table.weights, dtype=grad_output.dtype)
+    np.add.at(grad, global_idx.ravel(), contrib.reshape(-1, table.k))
+    return grad
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@st.composite
+def _gather_cases(draw):
+    """A batch as make_batches pads it (index 0 and mask 0 past each cell's
+    length), widths 1-10, empty and multivalent cells, repeated rows, a
+    float or bool mask, and an f32 or f64 table and gradient with no -0.0
+    weight; some gradient entries are +0.0 or -0.0."""
+    b, n_f, k = draw(st.integers(1, 5)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    width = draw(st.integers(1, 10))
+    cards = draw(st.lists(st.integers(1, 4), min_size=n_f, max_size=n_f))
+    lengths = np.array(draw(st.lists(st.integers(0, width), min_size=b * n_f,
+                                     max_size=b * n_f))).reshape(b, n_f)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    idx = rng.integers(0, np.array(cards)[None, :, None], size=(b, n_f, width))
+    real = np.arange(width) < lengths[..., None]
+    idx[~real] = 0
+    mask = real if draw(st.booleans()) else real.astype(np.float64)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    offsets = np.concatenate([[0], np.cumsum(cards)[:-1]]).astype(np.int64)
+    table = emb.EmbeddingTable(rng.standard_normal((sum(cards), k)).astype(dtype), offsets,
+                               tuple(f"f{j}" for j in range(n_f)), tuple(cards))
+    g = rng.standard_normal((b, n_f, k)).astype(dtype)
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return d.Batch(indices=idx, value_mask=mask, labels=np.zeros(b)), table, g
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_gather_cases())
+def test_gather_and_scatter_are_bit_identical_to_padded_oracles(case):
+    batch, table, g = case
+    assert not np.any(np.signbit(table.weights) & (table.weights == 0))
+    assert _same_bits(emb.assemble_embedding_matrix(batch, table), assemble_oracle(batch, table))
+    assert _same_bits(emb.backward_embedding(g, batch, table), backward_oracle(g, batch, table))
+    out = np.zeros_like(table.weights)
+    assert emb.backward_embedding(g, batch, table, out) is out
+    assert _same_bits(out, backward_oracle(g, batch, table))
+
+
+def test_negative_zero_weight_is_gathered_as_its_row():
+    # The padded sum started from +0.0, so a -0.0 weight read as +0.0; the
+    # direct gather returns the row's bits. The two compare equal.
+    schema = _schema(cards=(3, 4), multivalent=(1,))
+    table, _ = _tables(schema, k=2, seed=13)
+    table.weights[schema.offsets()[0] + 1] = -0.0
+    batch = _batch([[(1,), (2, 3)]], n_f=2, max_vals=2)
+    got, want = emb.assemble_embedding_matrix(batch, table), assemble_oracle(batch, table)
+    assert np.all(np.signbit(got[0, 0])) and not np.any(np.signbit(want[0, 0]))
+    assert np.array_equal(got, want)
+    assert _same_bits(got[0, 1], want[0, 1])
+
+
+def _awkward_batch():
+    """One make_batches batch over an encoded table with a univalent field,
+    a multivalent cell truncated from 3 values to 2, a cell holding one
+    token twice, an empty cell and a token on several rows."""
+    schema = d.DatasetSchema(fields=[
+        d.FieldSchema("u", {"x": 1, "y": 2}),
+        d.FieldSchema("m", {"a": 1, "b": 2, "c": 3}, multivalent=True),
+        d.FieldSchema("n", {"p": 1, "q": 2}, multivalent=True)])
+    columns = [["x", "y", "x"],
+               [("a", "b", "c"), ("b", "b"), ()],
+               [("p",), ("q", "p"), ("q",)]]
+    split, stats = d.encode_instances(schema, columns, [0, 1, 0], max_vals=2)
+    assert stats.truncated_values == 1
+    batch = d.make_batches(split, 3)[0]
+    assert batch.indices.shape == (3, 3, 2) and not batch.value_mask[2, 1, 0]
+    return schema, batch
+
+
+def _table_of(schema, weights):
+    return emb.EmbeddingTable(weights, schema.offsets(), tuple(schema.field_names()),
+                              tuple(f.cardinality for f in schema.fields))
+
+
+def test_backward_matches_finite_differences_on_multivalent_batch():
+    schema, batch = _awkward_batch()
+    rng = np.random.default_rng(14)
+    table = _table_of(schema, rng.standard_normal((schema.t_f, 3)))
+    g = rng.standard_normal((3, 3, 3))
+
+    def f(params):
+        t = replace(table, weights=params["w"])
+        return (float((g * emb.assemble_embedding_matrix(batch, t)).sum()),
+                {"w": emb.backward_embedding(g, batch, t)})
+
+    assert nn.grad_check(f, {"w": table.weights.copy()}) < 1e-6
+
+
+def test_backward_is_exact_adjoint_on_multivalent_batch():
+    schema, batch = _awkward_batch()
+    rng = np.random.default_rng(15)
+    for _ in range(5):
+        dt = rng.standard_normal((schema.t_f, 3))
+        g = rng.standard_normal((3, 3, 3))
+        lhs = float((g * emb.assemble_embedding_matrix(batch, _table_of(schema, dt))).sum())
+        grad = emb.backward_embedding(g, batch, _table_of(schema, np.zeros_like(dt)))
+        assert abs(lhs - float((grad * dt).sum())) < 1e-10
 
 
 # --- initialization -------------------------------------------------------------

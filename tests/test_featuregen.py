@@ -260,6 +260,33 @@ def test_pool_is_bit_identical_to_argmax_oracle(case):
 
 
 @settings(max_examples=150, deadline=None, database=None)
+@given(_pool_inputs())
+def test_infer_pool_builds_no_argmax_and_keeps_the_bits(case):
+    x, pool_height = case
+    out, argmax = fg.pool_forward(rows_first(x), pool_height, "infer")
+    want, _ = fg.pool_forward(rows_first(x), pool_height, "train")
+    assert argmax is None
+    assert out.dtype == want.dtype and out.tobytes() == want.tobytes()
+
+
+def test_infer_pool_allocates_only_its_output():
+    """Train mode also holds the argmax and the comparison temporaries
+    (0.88x the input here); infer mode holds the pooled maps alone."""
+    x = np.random.default_rng(20).standard_normal((8, 4, 2048, 8)).astype(np.float32)
+
+    def peak(mode):
+        tracemalloc.start()
+        try:
+            out, _ = fg.pool_forward(x, 2, mode)
+            return tracemalloc.get_traced_memory()[1], out.nbytes
+        finally:
+            tracemalloc.stop()
+
+    infer, out_bytes = peak("infer")
+    assert infer < out_bytes + 4096 < peak("train")[0]
+
+
+@settings(max_examples=150, deadline=None, database=None)
 @given(_pool_inputs(), st.integers(0, 2**32 - 1))
 def test_pool_backward_is_bit_identical_to_strided_oracle(case, seed):
     x, pool_height = case
@@ -483,9 +510,10 @@ def test_infer_conv_block_holds_one_activation(use_bn):
 
 @pytest.mark.parametrize("use_bn", [False, True])
 def test_infer_generate_drops_each_rounds_argmax(use_bn):
-    """An infer pass keeps no argmax, so the chain peaks while round 1 pools
-    (1.88x its conv activation here), not in round 2's convolution with
-    round 1's argmax still alive (2.00x)."""
+    """An infer pass keeps no argmax: pooling round 1 holds its activation
+    and the pooled maps (1.50x the activation here), and the chain peaks in
+    round 2's convolution (1.88x), not there with round 1's argmax still
+    alive (2.00x)."""
     cfg = _cfg(kernel_heights=(2, 2), feature_maps=(4, 4), new_maps=(2, 2), use_bn=use_bn)
     n_f, k, b = 8, 8, 2048
     params = _params(n_f, k, cfg, precision="f32")
