@@ -74,7 +74,7 @@ def fm_layer_backward(grad: np.ndarray, e: np.ndarray) -> np.ndarray:
     dgram = np.zeros((b, t, t), dtype=grad.dtype)
     dgram[:, iu, ju] = grad
     dgram[:, ju, iu] = grad
-    return dgram @ e
+    return nn.matmul(dgram, e)
 
 
 def _pair_sum(e: np.ndarray) -> np.ndarray:

@@ -37,8 +37,10 @@ class DataError(ValueError):
 class FieldSchema:
     """Vocabulary of one categorical field.
 
-    Index 0 is reserved for the rare-token dummy; retained tokens occupy
-    1..cardinality-1 in first-seen order.
+    Index 0 is reserved for the rare-token dummy. token_to_index numbers
+    the retained tokens 1..cardinality-1 in its insertion order (first-seen
+    order, from build_vocab; DatasetSchema.from_text and synthetic_schema
+    build it so too), and the schema writers rely on that order.
     """
     field_name: str
     token_to_index: dict[str, int]
@@ -49,8 +51,14 @@ class FieldSchema:
         return len(self.token_to_index) + 1
 
     def tokens_in_index_order(self) -> list[str]:
-        toks = sorted(self.token_to_index.items(), key=lambda kv: kv[1])
-        return [t for t, _ in toks]
+        """The tokens of indices 1..n: the mapping's own order, once its values
+        are checked to be exactly 1..n in that order. A mapping that breaks
+        the contract raises DataError, since written out it would load back
+        with other indices."""
+        if list(self.token_to_index.values()) != list(range(1, len(self.token_to_index) + 1)):
+            raise DataError(f"field {self.field_name!r}: token indices are not 1..n "
+                            f"in insertion order")
+        return list(self.token_to_index)
 
 
 @dataclass

@@ -149,9 +149,9 @@ def conv_affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray):
     h, out_maps = w.shape[0], w.shape[3]
     pad_top = (h - 1) // 2
     g = grad.reshape(rows, out_maps, b * k)
-    dw = np.matmul(_row_windows(x, h, pad_top), g.transpose(0, 2, 1)).sum(axis=0)
+    dw = nn.matmul(_row_windows(x, h, pad_top), g.transpose(0, 2, 1)).sum(axis=0)
     w_mirror = w[::-1, 0].transpose(1, 0, 2).reshape(in_maps, h * out_maps)
-    dx = np.matmul(w_mirror, _row_windows(grad, h, h - 1 - pad_top))
+    dx = nn.matmul(w_mirror, _row_windows(grad, h, h - 1 - pad_top))
     return dx.reshape(x.shape), dw.reshape(w.shape)
 
 

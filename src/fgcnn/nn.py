@@ -19,9 +19,10 @@ emit that collects every gradient into a dict.
 Work reaches the one helper thread as one kind of job: Helper.fork queues
 a run-once Job, and Job.wait runs it, or helps with queued jobs until it is
 done, then re-raises its exception; wait_all waits for a list of them.
-Large float32 products (matmul: the affine maps, the emitted weight
-gradients, the convolution and the FM gram) split across two threads when a
-helper is active (active_helper), with the bits of the unsplit product.
+Large float32 products (matmul: the affine maps and their input and
+weight gradients, the convolution and its gradients, the FM gram and its
+gradient) split across two threads when a helper is active
+(active_helper), with the bits of the unsplit product.
 """
 from __future__ import annotations
 
@@ -273,7 +274,7 @@ def affine_backward(grad: np.ndarray, x: np.ndarray, w: np.ndarray, name: str,
     """Gradients for y = x @ w + b at layer name: returns dx and emits
     name + ".w" and name + ".b" after dx, the last product that reads w.
     dw is written into a buffer allocated here, by the calling thread."""
-    dx = grad @ w.T
+    dx = matmul(grad, w.T)
     dw = np.empty(w.shape, dtype=np.result_type(x, grad))
     emit(name + ".w", lambda: matmul(x.T, grad, out=dw))
     emit(name + ".b", lambda: grad.sum(axis=0))

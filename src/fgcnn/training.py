@@ -141,7 +141,8 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     tensor of at least HELPER_MIN elements, its gradient product, the L2
     term and its Adam update (in ranges either thread may take); smaller
     tensors update inline. The input-gradient chain stays on the calling
-    thread. Ordering:
+    thread, but its large products split onto the helper like the forward's.
+    Ordering:
     - no update starts before the last backward read of its tensor:
       backward_batch emits a gradient only after that read;
     - the Adam state and the divergence snapshot are allocated here, filled
@@ -340,10 +341,11 @@ def load_checkpoint(path, schema: DatasetSchema):
         config, precision = _read_config_blob(path, _read_exact(fh, blob_len))
         (dig_len,) = struct.unpack("<I", _read_exact(fh, 4))
         digest = _read_exact(fh, dig_len).decode("ascii", "replace")
-        if digest != schema.digest():
+        expected = schema.digest()
+        if digest != expected:
             raise SchemaDigestError(
                 f"{path} was written against a different vocabulary: stored "
-                f"schema digest {digest[:12]}.. does not match {schema.digest()[:12]}..")
+                f"schema digest {digest[:12]}.. does not match {expected[:12]}..")
         (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
         tensors: dict[str, np.ndarray] = {}
         for _ in range(n_tensors):

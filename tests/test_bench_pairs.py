@@ -161,3 +161,52 @@ def test_record_carries_src_lines_of_each_side(tmp_path, monkeypatch):
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
                              "--seeds", "1", "--pr", "0", "--out", str(out)]) == 0
     assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
+
+
+def _traced_checkout(path, save_s, digest):
+    """A checkout whose benchmark prints canned pair lines, and for --trace 1
+    a detail line with digest and a final line with save_s as a self time."""
+    _checkout(path, {"m.py": "1\n"})
+    traced = json.dumps({"correct": True, "attempted": 3, "failed": 0, "metrics": {
+        "training.save_checkpoint.self_s": {"value": save_s, "unit": "s"},
+        "data.build_vocab.self_s": {"value": 0.5, "unit": "s"},
+        "data.build_vocab.calls": {"value": 1, "unit": "count"}}})
+    (path / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        "if sys.argv[1:] == ['--workload', 'wide', '--seed', '7', '--trace', '1']:\n"
+        "    print('env {}')\n"
+        f"    print('detail ' + json.dumps({{'loss_digest': {digest!r}}}))\n"
+        f"    print({traced!r})\n"
+        "elif sys.argv[1:3] == ['--workload', 'all']:\n"
+        f"    print({_line(100, 500)!r})\n"
+        "else:\n"
+        "    sys.exit('unexpected arguments %s' % sys.argv[1:])\n")
+    return path
+
+
+def test_trace_records_every_self_time_of_one_traced_run_per_side(tmp_path, monkeypatch):
+    parent = _traced_checkout(tmp_path / "parent", 0.25, "aa")
+    change = _traced_checkout(tmp_path / "change", 0.125, "bb")
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: {})
+    out = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--seeds", "7-8", "--pr", "0", "--out", str(out),
+                             "--trace", "wide"]) == 0
+    record = json.loads(out.read_text())
+    assert len(record["runs"]) == 2
+    assert record["trace"] == {
+        "command": "python3 perfbench/run.py --workload wide --seed 7 --trace 1",
+        "parent": {"loss_digest": "aa", "self_s": {"training.save_checkpoint.self_s": 0.25,
+                                                   "data.build_vocab.self_s": 0.5}},
+        "change": {"loss_digest": "bb", "self_s": {"training.save_checkpoint.self_s": 0.125,
+                                                   "data.build_vocab.self_s": 0.5}}}
+    out.unlink()
+    bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                      "--seeds", "7", "--pr", "0", "--out", str(out)])
+    assert "trace" not in json.loads(out.read_text())
+
+
+def test_tagged_line_reads_the_first_line_of_its_tag():
+    text = 'env {"a": 1}\nwide detail {"loss_digest": "x"}\ndetail {"loss_digest": "y"}\n{}\n'
+    assert bench_pairs.tagged_line(text, "detail") == {"loss_digest": "x"}
+    assert bench_pairs.tagged_line(text, "trace") == {}

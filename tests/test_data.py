@@ -687,6 +687,76 @@ def test_schema_sidecar_roundtrip(tmp_path):
     assert loaded.fields[1].multivalent
 
 
+def to_text_oracle(schema):
+    """The sidecar writer that sorted each field's tokens by index: the oracle
+    for writing them in the mapping's own order."""
+    lines = [f"{d.SCHEMA_MAGIC} {d.SCHEMA_VERSION}", f"min_count {schema.min_count}",
+             f"fields {schema.n_f}"]
+    for f in schema.fields:
+        kind = "multivalent" if f.multivalent else "univalent"
+        lines.append(f"field {f.field_name} {kind} {f.cardinality}")
+        lines.extend(t for t, _ in sorted(f.token_to_index.items(), key=lambda kv: kv[1]))
+    return "\n".join(lines) + "\n"
+
+
+def test_schema_sidecar_text_and_digest_are_pinned():
+    # sidecars and checkpoint digests written before stay readable only while
+    # these bytes hold
+    columns = [["b", "a", "c", "a", "b"],
+               [("x", "y"), ("y",), ("z", "x", "y"), ("w",), ("x",)],
+               [("p",), ("q", "p"), ("r",), ("p",), ("q",)]]
+    schema = d.build_vocab(["site", "tags", "apps"], columns, min_count=2)
+    assert schema.to_text() == ("fgcnn-schema 1\nmin_count 2\nfields 3\n"
+                                "field site univalent 3\nb\na\n"
+                                "field tags multivalent 3\nx\ny\n"
+                                "field apps multivalent 3\np\nq\n")
+    assert schema.digest() == "941fbfa80f32387ba3aa6a2271a5211eae3afd571e2c841f8eb4723f25e065fc"
+
+
+_SIDECAR_TOKEN = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4
+                         ).filter(lambda t: t.split() == [t])
+
+
+@st.composite
+def _sidecar_texts(draw):
+    """A sidecar as the writer would make it, of 0..3 fields with distinct
+    tokens that hold no whitespace."""
+    n_f = draw(st.integers(0, 3))
+    lines = [f"{d.SCHEMA_MAGIC} {d.SCHEMA_VERSION}",
+             f"min_count {draw(st.integers(1, 3))}", f"fields {n_f}"]
+    for j in range(n_f):
+        tokens = draw(st.lists(_SIDECAR_TOKEN, max_size=6, unique=True))
+        kind = draw(st.sampled_from(["univalent", "multivalent"]))
+        lines += [f"field f{j} {kind} {len(tokens) + 1}", *tokens]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_ingest_cases(), _sidecar_texts())
+def test_schema_text_matches_the_sorted_writer_and_round_trips(case, text):
+    fitted = d.build_vocab(case["names"], columns_of(case["train"], len(case["names"])),
+                           case["min_count"])
+    for schema in (fitted, d.DatasetSchema.from_text(text)):
+        assert schema.to_text() == to_text_oracle(schema)
+        back = d.DatasetSchema.from_text(schema.to_text())
+        assert back == schema
+        assert back.digest() == schema.digest()
+    assert d.DatasetSchema.from_text(text).to_text() == text
+
+
+@pytest.mark.parametrize("mapping", [{"a": 2, "b": 1}, {"a": 1, "c": 3}, {"a": 0},
+                                     {"a": 1, "b": 1}, {"a": "1"}])
+def test_mapping_not_numbered_in_insertion_order_is_refused(tmp_path, mapping):
+    # written in index order, each of these would reload with other indices
+    schema = d.DatasetSchema([d.FieldSchema("ok", {"x": 1}), d.FieldSchema("bad", mapping)])
+    split = d.Split(np.ones((1, 2, 1), np.int64), np.ones((1, 2), np.int64),
+                    np.ones(1, np.int64))
+    for write in (schema.to_text, schema.digest, lambda: schema.save(tmp_path / "s.txt"),
+                  lambda: d.write_dataset_file(tmp_path / "d.csv", schema, split)):
+        with pytest.raises(d.DataError, match=r"field 'bad': token indices are not 1\.\.n"):
+            write()
+
+
 def test_ragged_file_row_names_line(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("f0,f1,label\na,x,1\nb,0\n", encoding="utf-8")

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
+from fgcnn import classifier as clf
 from fgcnn import featuregen as fg
 from fgcnn import nn
 
@@ -135,6 +136,40 @@ def test_products_do_not_split_without_an_active_helper_or_below_the_cut(monkeyp
     with nn.active_helper():
         nn.matmul(a, b)
     assert len(forked) == 1
+
+
+def _backward_products(rng):
+    """name -> (a call of one backward kernel returning its arrays, the
+    number of products it makes)."""
+    def f32(*shape):
+        return rng.standard_normal(shape).astype(np.float32)
+
+    def affine():
+        emit, grads = nn.gradient_sink()
+        dx = nn.affine_backward(g_fc, x_fc, w_fc, "fc", emit)
+        return dx, grads["fc.w"], grads["fc.b"]
+    g_fc, x_fc, w_fc = f32(6, 40), f32(6, 48), f32(48, 40)
+    g_conv, x_conv, w_conv = f32(5, 3, 4, 2), f32(5, 2, 4, 2), f32(3, 1, 2, 3)
+    g_fm, e_fm = f32(4, 10), f32(4, 5, 3)
+    return {"affine": (affine, 2),
+            "conv": (lambda: fg.conv_affine_backward(g_conv, x_conv, w_conv), 2),
+            "fm": (lambda: (clf.fm_layer_backward(g_fm, e_fm),), 1)}
+
+
+@pytest.mark.parametrize("name", ["affine", "conv", "fm"])
+def test_backward_products_split_and_keep_their_bits(monkeypatch, name):
+    """The input-gradient products of nn.affine_backward, conv_affine_backward
+    and fm_layer_backward go through nn.matmul like their weight gradients:
+    with the cut at 0 every product forks once, and the arrays keep the
+    bits of the unsplit kernel."""
+    backward, products = _backward_products(np.random.default_rng(6))[name]
+    want = backward()
+    monkeypatch.setattr(nn, "SPLIT_MIN", 0)
+    with nn.active_helper() as helper:
+        forks = _counting_forks(helper)
+        got = backward()
+    assert len(forks) == products
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
 
 # ---------------------------------------------------------------------------

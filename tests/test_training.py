@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fgcnn import model as model_mod
 from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig
-from fgcnn.data import (DataError, generate_synthetic, make_batches, planted_spec,
-                         synthetic_schema)
+from fgcnn.data import (DataError, DatasetSchema, FieldSchema, generate_synthetic,
+                         make_batches, planted_spec, synthetic_schema)
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
 from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotACheckpointError,
@@ -475,6 +476,47 @@ def test_param_shapes_and_bn_sites_match_build(model_kw):
         n: p.shape for n, p in model.params.items()}
     assert bn_site_dims(config, schema.n_f) == {s: st.mean.shape[0]
                                                 for s, st in model.bn_states.items()}
+
+
+def build_oracle(schema, config, seed, precision):
+    """The params of FgcnnModel.build with each Glorot tensor drawn in one
+    rng.uniform call and cast afterwards."""
+    dtype = nn.as_dtype(precision)
+    rng = np.random.default_rng(seed)
+    params = {}
+    for name, shape in param_shapes(config, schema.n_f, schema.t_f).items():
+        if name.endswith(".bn.g"):
+            params[name] = np.ones(shape, dtype=dtype)
+        elif name.endswith(".b") or name == "clf.linear.w":
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            rf = math.prod(shape[:-2])
+            bound = np.sqrt(6.0 / (rf * shape[-2] + rf * shape[-1]))
+            params[name] = rng.uniform(-bound, bound, size=shape).astype(dtype)
+    return params
+
+
+@pytest.mark.parametrize("precision", ["f32", "f64"])
+@pytest.mark.parametrize("cardinality, glorot_slice", [(5000, None), (4, 5)])
+def test_build_draws_the_bytes_of_one_shot_glorot_draws(monkeypatch, precision, cardinality,
+                                                         glorot_slice):
+    # 5000 values in each of 4 fields at k=4: the embedding tables hold
+    # 80016 values, past one default slice; a slice of 5 cuts every tensor
+    if glorot_slice is not None:
+        monkeypatch.setattr(model_mod, "GLOROT_SLICE", glorot_slice)
+    schema = DatasetSchema([FieldSchema(f"f{j}", {f"v{i}": i + 1 for i in range(cardinality)})
+                            for j in range(4)])
+    config = ModelConfig(k=4, classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,)),
+                         featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,),
+                                                  new_maps=(2,)))
+    assert max(math.prod(s) for s in param_shapes(config, 4, schema.t_f).values()) > (
+        glorot_slice or model_mod.GLOROT_SLICE)
+    got = FgcnnModel.build(schema, config, 3, precision).params
+    want = build_oracle(schema, config, 3, precision)
+    assert got.keys() == want.keys()
+    for name, arr in want.items():
+        assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape), name
+        assert got[name].tobytes() == arr.tobytes(), name
 
 
 def _shrink_first_bn_mean(model, opt):

@@ -2,7 +2,7 @@
 """Run the benchmark in alternating parent/change pairs and write the perf record.
 
     python3 tools/bench_pairs.py --parent ../parent --change . --seeds 701-710 \\
-        --pr N --claim ref.train_examples_per_s
+        --pr N --claim ref.train_examples_per_s --trace ref
 
 For every seed, `python3 perfbench/run.py --workload all --seed N` runs once
 in each checkout, at the benchmark's own run length; the first pair starts with the change and the
@@ -17,8 +17,12 @@ side's interquartile range is wider than the bound allows, unless every change
 run reads better than every parent run). It also totals
 each side's attempted and failed operations; a change run that is not
 correct, or a larger share of failed operations than the parent's, is
-flagged and fails the claim. Last, the Tier-1 test command runs once in
-each checkout and its pass counts and wall time are recorded. The record
+flagged and fails the claim. With --trace WORKLOAD, one
+`perfbench/run.py --workload WORKLOAD --seed <first seed> --trace 1` runs
+in each checkout, and the record's "trace" keeps every per-span self time
+(the *.self_s metrics) and the loss digest of each side. Last, the Tier-1
+test command runs once in each checkout and its pass counts and wall time
+are recorded. The record
 also carries each checkout's src_lines, the total `wc -l src/**/*.py`
 prints, so the net line change of the change comes from the same command.
 """
@@ -56,14 +60,19 @@ def final_line(stdout: str) -> dict:
     return json.loads(lines[-1])
 
 
-def env_line(stdout: str) -> dict:
-    """The first `env` line of a perfbench run (`--workload all` prefixes it
-    with the workload name), or {} when there is none."""
+def tagged_line(stdout: str, tag: str) -> dict:
+    """The object of the first `<tag> {...}` line of a perfbench run
+    (`--workload all` prefixes it with the workload name), or {} when there
+    is none."""
     for line in stdout.splitlines():
-        m = re.match(r"(?:\S+ )?env (\{.*\})$", line)
+        m = re.match(rf"(?:\S+ )?{tag} (\{{.*\}})$", line)
         if m:
             return json.loads(m.group(1))
     return {}
+
+
+def env_line(stdout: str) -> dict:
+    return tagged_line(stdout, "env")
 
 
 def _side(values: list[float]) -> dict:
@@ -156,14 +165,27 @@ def claim_block(summary: dict, key: str, pairs: list[dict]) -> dict:
             "met": bool(s["change_wins"] >= 0.9 * n_pairs and gain > iqr and not bad)}
 
 
-def run_bench(checkout: Path, seed: int) -> tuple[dict, dict]:
-    """(final line, env line) of one benchmark run in checkout."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "all", "--seed", str(seed)],
-        cwd=checkout, capture_output=True, text=True)
+def _perfbench(checkout: Path, *args: str) -> str:
+    """Standard output of one `perfbench/run.py *args` run in checkout."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", *args],
+                          cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"benchmark failed in {checkout}:\n{proc.stderr[-2000:]}")
-    return final_line(proc.stdout), env_line(proc.stdout)
+    return proc.stdout
+
+
+def run_bench(checkout: Path, seed: int) -> tuple[dict, dict]:
+    """(final line, env line) of one benchmark run in checkout."""
+    stdout = _perfbench(checkout, "--workload", "all", "--seed", str(seed))
+    return final_line(stdout), env_line(stdout)
+
+
+def run_trace(checkout: Path, workload: str, seed: int) -> dict:
+    """The loss digest and every per-span self time of one traced run."""
+    stdout = _perfbench(checkout, "--workload", workload, "--seed", str(seed), "--trace", "1")
+    metrics = final_line(stdout)["metrics"]
+    return {"loss_digest": tagged_line(stdout, "detail").get("loss_digest"),
+            "self_s": {k: v["value"] for k, v in metrics.items() if k.endswith(".self_s")}}
 
 
 def run_tier1(checkout: Path) -> dict:
@@ -206,6 +228,8 @@ def main(argv=None) -> int:
     ap.add_argument("--seeds", required=True, help="e.g. 701-710 or 701,703")
     ap.add_argument("--pr", required=True, help="number in the BENCH_<pr>.json name")
     ap.add_argument("--claim", help="claimed metric, e.g. ref.train_examples_per_s")
+    ap.add_argument("--trace", metavar="WORKLOAD",
+                    help="also record one --trace 1 run of WORKLOAD per side")
     ap.add_argument("--what", default="", help="one line on what the change does")
     ap.add_argument("--out", type=Path, help="default: <change>/BENCH_<pr>.json")
     args = ap.parse_args(argv)
@@ -239,6 +263,12 @@ def main(argv=None) -> int:
         out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"seed {seed}: {len(record['runs'])}/{len(seeds)} pairs written to {out}",
               flush=True)
+    if args.trace:
+        record["trace"] = {"command": f"python3 perfbench/run.py --workload {args.trace} "
+                                      f"--seed {seeds[0]} --trace 1"}
+        for side in ("change", "parent"):
+            record["trace"][side] = run_trace(getattr(args, side), args.trace, seeds[0])
+        out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
     record["tier1"] = {"command": "PYTHONPATH=src " + " ".join(["python"] + TIER1[1:])}
     for side in ("parent", "change"):
         record["tier1"][side] = run_tier1(getattr(args, side))
