@@ -102,19 +102,32 @@ class DatasetSchema:
             if int(version) != SCHEMA_VERSION:
                 raise DataError(f"unsupported schema version {version}")
             min_count = int(lines[1].split()[1])
+            if min_count < 1:
+                raise DataError(f"line 2: min_count must be >= 1, got {min_count}")
             n_fields = int(lines[2].split()[1])
             fields: list[FieldSchema] = []
             pos = 3
             for _ in range(n_fields):
                 _, name, kind, card = lines[pos].split()
                 pos += 1
+                if kind not in ("univalent", "multivalent"):
+                    raise DataError(f"field {name!r}: unknown kind {kind!r}, expected "
+                                    f"univalent or multivalent")
+                if int(card) < 1:
+                    raise DataError(f"field {name!r}: cardinality must be >= 1, got {card}")
                 n_tokens = int(card) - 1
                 tokens = lines[pos:pos + n_tokens]
                 pos += n_tokens
+                if len(tokens) != n_tokens:
+                    raise DataError(f"field {name!r}: the file ends after {len(tokens)} "
+                                    f"of its {n_tokens} tokens")
                 mapping = {tok: i + 1 for i, tok in enumerate(tokens)}
                 if len(mapping) != n_tokens:
                     raise DataError(f"duplicate tokens in field {name!r}")
                 fields.append(FieldSchema(name, mapping, multivalent=(kind == "multivalent")))
+            if pos != len(lines):
+                raise DataError(f"line {pos + 1}: {len(lines) - pos} lines after the "
+                                f"last declared field")
         except (IndexError, ValueError) as exc:
             if isinstance(exc, DataError):
                 raise

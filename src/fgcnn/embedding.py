@@ -72,22 +72,35 @@ def backward_embedding(grad_output: np.ndarray, batch: Batch,
                        table: EmbeddingTable, out: np.ndarray | None = None) -> np.ndarray:
     """Adjoint of assemble: accumulate each output-row gradient into the rows
     that were looked up; untouched rows stay zero. out, when given, is a
-    zeroed array shaped like the table that receives (and is) the result.
+    zeroed C-contiguous writeable array shaped like the table that receives
+    (and is) the result.
 
     Only real slots are scattered, in the order of the raveled slots: a
     padded slot would add a signed zero, which leaves any accumulator that
-    started at +0.0 with the same bits."""
+    started at +0.0 with the same bits. The scatter is one 1-D np.add.at
+    over the element indices row * k + col of the raveled result (numpy's
+    fast path; the 2-D form walks row by row), and every element receives
+    the same additions in the same order as a row-wise scatter."""
     b, n_f, max_vals = batch.indices.shape
-    if grad_output.shape != (b, n_f, table.k):
+    k = table.k
+    if grad_output.shape != (b, n_f, k):
         raise ValueError(
             f"grad_output shape {grad_output.shape} does not match batch "
-            f"({b}, {n_f}, {table.k})")
+            f"({b}, {n_f}, {k})")
+    if out is None:
+        out = np.zeros_like(table.weights, dtype=grad_output.dtype)
+    elif out.shape != table.weights.shape or not (out.flags.c_contiguous
+                                                  and out.flags.writeable):
+        # reshape(-1) of such an array is a copy, and the scatter would be lost
+        raise ValueError(f"out must be a C-contiguous writeable array of shape "
+                         f"{table.weights.shape}, got {out.shape}")
     global_idx = batch.indices + table.offsets[None, :, None]
     real = batch.value_mask.astype(bool, copy=False)
-    grad = np.zeros_like(table.weights, dtype=grad_output.dtype) if out is None else out
     if max_vals == 1 and real.all():
-        np.add.at(grad, global_idx.ravel(), grad_output.reshape(-1, table.k))
+        rows, values = global_idx.reshape(-1), grad_output.reshape(-1, k)
     else:
-        rows, fields, _ = np.nonzero(real)
-        np.add.at(grad, global_idx[real], grad_output[rows, fields])
-    return grad
+        slot_rows, slot_fields, _ = np.nonzero(real)
+        rows, values = global_idx[real], grad_output[slot_rows, slot_fields]
+    flat = (rows[:, None] * k + np.arange(k)).reshape(-1)
+    np.add.at(out.reshape(-1), flat, values.reshape(-1))
+    return out

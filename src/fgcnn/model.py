@@ -74,6 +74,17 @@ def _glorot_uniform(rng: np.random.Generator, bound: float, shape: tuple[int, ..
     return out
 
 
+# forward_batch forks the emb.clf gather to the active helper, beside the
+# emb.gen gather and feature generation, when its output has at least
+# GATHER_FORK_MIN values (b * n_f * k). Measured on a 2-vCPU host, a fork's
+# round trip (waking the helper, then two threads handing the GIL back and
+# forth) cost the calling thread 0.16-0.28 ms: more than toy's gathers (0.05
+# ms at 16384 values, 0.15 ms at 65536) and ref's (0.1 ms at 122880, whose
+# 40-float rows copy fast), while wide's multivalent gathers (0.7 ms at
+# 131072 values, 2.2 ms at 262144) were hidden in full.
+GATHER_FORK_MIN = 1 << 17
+
+
 @functools.cache
 def field_types(cls) -> dict[str, type]:
     """Field name -> declared type of dataclass cls, Optional[X] read as X."""
@@ -170,14 +181,27 @@ class FgcnnModel:
     def forward_batch(self, batch: Batch, mode: str = "infer",
                       dropout_rng: Optional[np.random.Generator] = None):
         """Returns (yhat, cache) under the forward contract of nn: the cache
-        feeds backward_batch, and a train-mode call advances self.bn_states."""
+        feeds backward_batch, and a train-mode call advances self.bn_states.
+
+        With feature generation and raw features both on, the emb.clf
+        gather runs on the active helper beside the emb.gen gather and
+        generate (nn.beside) once its output has GATHER_FORK_MIN values."""
         cfg = self.config
-        r = fg_cache = e_raw = None
-        if cfg.featgen is not None:
+
+        def generated():
+            if cfg.featgen is None:
+                return None, None
             e_gen = assemble_embedding_matrix(batch, self._table("emb.gen"))
-            r, fg_cache = fg_mod.generate(e_gen, self.params, cfg.featgen, self.bn_states, mode)
-        if cfg.include_raw:
-            e_raw = assemble_embedding_matrix(batch, self._table("emb.clf"))
+            return fg_mod.generate(e_gen, self.params, cfg.featgen, self.bn_states, mode)
+
+        def raw():
+            if not cfg.include_raw:
+                return None
+            return assemble_embedding_matrix(batch, self._table("emb.clf"))
+
+        fork = (cfg.featgen is not None and cfg.include_raw
+                and batch.indices.shape[0] * self.schema.n_f * cfg.k >= GATHER_FORK_MIN)
+        e_raw, (r, fg_cache) = nn.beside(raw, generated, fork)
         logit, clf_cache = clf_mod.classifier_forward(
             fg_mod.augment(e_raw, r), self.params, cfg.classifier, self.bn_states, mode,
             dropout_rng)

@@ -18,11 +18,12 @@ emit that collects every gradient into a dict.
 
 Work reaches the one helper thread as one kind of job: Helper.fork queues
 a run-once Job, and Job.wait runs it, or helps with queued jobs until it is
-done, then re-raises its exception; wait_all waits for a list of them.
-Large float32 products (matmul: the affine maps and their input and
-weight gradients, the convolution and its gradients, the FM gram and its
-gradient) split across two threads when a helper is active
-(active_helper), with the bits of the unsplit product.
+done, then re-raises its exception or returns its value; wait_all waits for
+a list of them, and beside runs two calls on the two threads. Large float32
+products (matmul: the affine maps and their input and weight gradients, the
+convolution and its gradients, the FM gram and its gradient) split across
+two threads when a helper is active (active_helper), with the bits of the
+unsplit product.
 """
 from __future__ import annotations
 
@@ -138,6 +139,7 @@ class Job:
     def __init__(self, fn: Callable[[], object], helper: Helper):
         self._fn, self._helper = fn, helper
         self._done = False
+        self._value: object = None
         self._error: Optional[BaseException] = None
 
     def _run(self) -> None:
@@ -146,20 +148,22 @@ class Job:
         if fn is None:
             return
         try:
-            fn()
+            self._value = fn()
         except BaseException as exc:
             self._error = exc
         with self._helper._cond:
             self._done = True
             self._helper._cond.notify_all()
 
-    def wait(self) -> None:
+    def wait(self):
         """Run the job here if no thread has started it; otherwise run queued
-        jobs until it is done. Then re-raise its exception."""
+        jobs until it is done. Then re-raise its exception, or return its
+        value."""
         self._run()
         self._helper._work(lambda: self._done)
         if self._error is not None:
             raise self._error
+        return self._value
 
 
 def wait_all(jobs) -> None:
@@ -196,6 +200,23 @@ def active_helper():
             _active = None
 
 
+def beside(there: Callable[[], object], here: Callable[[], object], fork: bool = True):
+    """(there(), here()). When fork is set and a helper is active, there is
+    forked to the front of its queue while here runs on the calling thread,
+    and the fork is waited for on every exit path; otherwise here runs, then
+    there, both on the calling thread."""
+    helper = _active
+    if not (fork and helper is not None):
+        mine = here()
+        return there(), mine
+    job = helper.fork(there)
+    try:
+        mine = here()
+    finally:
+        theirs = job.wait()
+    return theirs, mine
+
+
 def _halves(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]):
     """Two (a, b, output index) parts of a product with output shape, or None.
 
@@ -226,12 +247,11 @@ def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np
     element is the BLAS reduction the whole product computes, so the bits
     are unchanged. (OpenBLAS's float64 kernels change some elements' bits
     with the column count, so float64 products never split.) The output is
-    allocated here, on the calling thread; the other half is forked to the
-    front of the helper's queue and waited for once this half is done."""
-    helper = _active
+    allocated here, on the calling thread; the other half runs beside
+    this one (beside)."""
     # a.size * b.size / depth bounds the multiply-adds from above: a cheap
     # first test, since most products of a small model pass through here
-    if (helper is None or a.dtype != np.float32 or b.dtype != np.float32
+    if (_active is None or a.dtype != np.float32 or b.dtype != np.float32
             or a.ndim < 2 or b.ndim < 2 or a.size * b.size < SPLIT_MIN * a.shape[-1]):
         return np.matmul(a, b, out=out)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
@@ -241,11 +261,7 @@ def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np
     if out is None:
         out = np.empty(shape, dtype=np.float32)
     (a0, b0, i0), (a1, b1, i1) = halves
-    other = helper.fork(lambda: np.matmul(a1, b1, out=out[i1]))
-    try:
-        np.matmul(a0, b0, out=out[i0])
-    finally:
-        other.wait()
+    beside(lambda: np.matmul(a1, b1, out=out[i1]), lambda: np.matmul(a0, b0, out=out[i0]))
     return out
 
 

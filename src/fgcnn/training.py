@@ -141,7 +141,8 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     tensor of at least HELPER_MIN elements, its gradient product, the L2
     term and its Adam update (in ranges either thread may take); smaller
     tensors update inline. The input-gradient chain stays on the calling
-    thread, but its large products split onto the helper like the forward's.
+    thread, but its large products split onto the helper like the forward's,
+    whose large raw-branch gathers run there too (FgcnnModel.forward_batch).
     Ordering:
     - no update starts before the last backward read of its tensor:
       backward_batch emits a gradient only after that read;

@@ -981,3 +981,25 @@ def test_schema_sidecar_rejects_future_version():
     text = schema.to_text().replace(f"{d.SCHEMA_MAGIC} 1", f"{d.SCHEMA_MAGIC} 9")
     with pytest.raises(d.DataError):
         d.DatasetSchema.from_text(text)
+
+
+_ONE_FIELD = f"{d.SCHEMA_MAGIC} 1\nmin_count 1\nfields 1\n"
+
+
+@pytest.mark.parametrize("text, message", [
+    (_ONE_FIELD + "field f0 univalent 2\na\nb\nc\n",
+     "line 6: 2 lines after the last declared field"),
+    (_ONE_FIELD + "field f0 bogus 1\n",
+     "field 'f0': unknown kind 'bogus', expected univalent or multivalent"),
+    (f"{d.SCHEMA_MAGIC} 1\nmin_count 0\nfields 1\nfield f0 univalent 1\n",
+     "line 2: min_count must be >= 1, got 0"),
+    (_ONE_FIELD + "field f0 univalent 0\n", "field 'f0': cardinality must be >= 1, got 0"),
+    (_ONE_FIELD + "field f0 univalent 4\na\n",
+     "field 'f0': the file ends after 1 of its 3 tokens"),
+], ids=["trailing_tokens", "unknown_kind", "min_count_0", "cardinality_0", "short"])
+def test_schema_sidecar_that_would_not_round_trip_is_refused(text, message):
+    """to_text never writes these, and each loaded as some other schema (or
+    failed with another message) before."""
+    with pytest.raises(d.DataError) as err:
+        d.DatasetSchema.from_text(text)
+    assert str(err.value) == message

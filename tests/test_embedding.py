@@ -126,6 +126,31 @@ def test_backward_shape_mismatch_rejected():
         emb.backward_embedding(np.zeros((1, 3, 5)), batch, table)
 
 
+def _read_only(shape):
+    out = np.zeros(shape)
+    out.flags.writeable = False
+    return out
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda shape: np.zeros(shape[::-1]).T,                      # Fortran order
+    lambda shape: np.zeros((shape[0], 2 * shape[1]))[:, ::2],   # strided columns
+    lambda shape: np.zeros((shape[0] - 1, shape[1])),           # too few rows
+    lambda shape: np.zeros(shape[0] * shape[1]),                # flat
+    _read_only,
+], ids=["fortran", "strided", "short", "flat", "read_only"])
+def test_backward_refuses_an_out_it_cannot_scatter_into(make_out):
+    """A flat view of such an array would be a copy (or would not exist), so
+    the scatter would be lost or land in the wrong rows."""
+    schema = _schema()
+    table, _ = _tables(schema, k=2, seed=7)
+    batch = _batch([[(1,), (2,), (1,)]], n_f=3)
+    out = make_out(table.weights.shape)
+    with pytest.raises(ValueError, match="^out must be a C-contiguous writeable array"):
+        emb.backward_embedding(np.ones((1, 3, 2)), batch, table, out)
+    assert not out.any()
+
+
 def test_backward_matches_finite_differences():
     assert check_embedding_gather(0) < 1e-6
 

@@ -266,6 +266,36 @@ schema = {synth_dir / 'schema.txt'}
     assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "fr")]) == 0
 
 
+def test_cli_eval_with_a_sidecar_that_would_not_round_trip_exits_two(toy_cfg, tmp_path,
+                                                                       capsys):
+    synth_dir = tmp_path / "synthdata"
+    assert cli_main(["synth", "--config", str(toy_cfg), "--out", str(synth_dir)]) == 0
+    cfg = tmp_path / "files.cfg"
+    sidecar = tmp_path / "schema.txt"
+    cfg.write_text(TOY_CFG + f"""
+[data]
+train = {synth_dir / 'train.csv'}
+test = {synth_dir / 'test.csv'}
+schema = {sidecar}
+""", encoding="utf-8")
+    good = (synth_dir / "schema.txt").read_text(encoding="utf-8")
+    sidecar.write_text(good, encoding="utf-8")
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    for text, words in (
+            (good + "zz\n", "after the last declared field"),
+            (good.replace("f0 univalent", "f0 bogus", 1), "unknown kind 'bogus'"),
+            (good.replace("min_count 1", "min_count 0", 1), "min_count must be >= 1, got 0"),
+            (good.replace("f0 univalent 5", "f0 univalent 0", 1),
+             "field 'f0': cardinality must be >= 1, got 0")):
+        assert text != good
+        sidecar.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev"),
+                         "--checkpoint", str(tmp_path / "run" / "model.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert words in err and "Traceback" not in err, err
+
+
 @pytest.mark.parametrize("argv", [
     ["train"], ["eval", "--checkpoint", "{ckpt}"], ["ablate"], ["compat", "--kinds", "fm"],
     ["shuffle", "--permutations", "2"], ["sweep", "--knob", "new_maps", "--values", "1"],

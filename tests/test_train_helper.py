@@ -2,6 +2,7 @@
 gradients, L2 terms, Adam updates in ranges) runs beside the input-gradient
 chain, large products split onto it (nn.matmul), and the results keep the
 bits of a serial run. Evaluation splits its products onto the same helper."""
+import re
 import sys
 import threading
 import time
@@ -11,10 +12,11 @@ import numpy as np
 import pytest
 
 from fgcnn import classifier as clf_mod
+from fgcnn import model as model_mod
 from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig, loss_and_grad
 from fgcnn.config import load_config
-from fgcnn.data import generate_synthetic, make_batches, planted_spec, synthetic_schema
+from fgcnn.data import DataError, generate_synthetic, make_batches, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig
 from fgcnn.training import TrainConfig, train
@@ -100,10 +102,11 @@ def _delay_helper_jobs(monkeypatch, seconds):
 
 
 def helper_train(monkeypatch, model, split, config, cut, delay=0.0, adam_range=16,
-                 split_min=SERIAL):
+                 split_min=SERIAL, gather_min=SERIAL):
     """train with the helper cut at cut elements, updates split into ranges
-    of adam_range and products split from split_min multiply-adds; returns
-    (history, {name: Adam state})."""
+    of adam_range, products split from split_min multiply-adds and the raw
+    gather forked from gather_min values; returns (history, {name: Adam
+    state})."""
     states = []
     adam_state = nn.AdamState
 
@@ -115,6 +118,7 @@ def helper_train(monkeypatch, model, split, config, cut, delay=0.0, adam_range=1
         mp.setattr(training, "HELPER_MIN", cut)
         mp.setattr(training, "ADAM_RANGE", adam_range)
         mp.setattr(nn, "SPLIT_MIN", split_min)
+        mp.setattr(model_mod, "GATHER_FORK_MIN", gather_min)
         mp.setattr(nn, "AdamState", recording_state)
         if delay:
             _delay_helper_jobs(mp, delay)
@@ -154,7 +158,8 @@ def test_helper_runs_keep_the_serial_bits(monkeypatch, case):
     and both mixed, the last two with the helper's jobs delayed; each with
     no product split and with every product that can split split (at a cut
     of 0 these models' batched products split; no 2-D product here has the
-    32 columns a column split needs)."""
+    32 columns a column split needs), and each with the raw gather forked
+    in every forward pass and in none."""
     kw = dict(CASES[case])
     config = TrainConfig(batch_size=16, learning_rate=1e-2, epochs=2, seed=7,
                          l2_embedding=kw.pop("l2", 0.0), precision=kw.get("precision", "f32"))
@@ -164,11 +169,11 @@ def test_helper_runs_keep_the_serial_bits(monkeypatch, case):
     want = model_bytes(model, want_opt)
     histories = []
     for cut, delay in ((SERIAL, 0.0), (0, 0.0), (0, 5e-4), (mid, 5e-4)):
-        for split_min in (SERIAL, 0):
+        for split_min, gather_min in ((SERIAL, SERIAL), (0, 0), (SERIAL, 0), (0, SERIAL)):
             model, split = _setup(**kw)
             history, opt = helper_train(monkeypatch, model, split, config, cut, delay,
-                                        split_min=split_min)
-            case_id = (cut, delay, split_min)
+                                        split_min=split_min, gather_min=gather_min)
+            case_id = (cut, delay, split_min, gather_min)
             assert [row["train_loss"] for row in history] == want_losses, case_id
             got = model_bytes(model, opt)
             assert got.keys() == want.keys()
@@ -201,21 +206,27 @@ def test_split_products_keep_the_serial_bits(monkeypatch):
 @pytest.mark.parametrize("kind", ["ipnn", "dnn", "fm", "deepfm"])
 def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, style):
     """Scores with no product split, at the shipped cut, and with every
-    product that can split split. At the shipped cut only the larger
-    model's cnn recombination (192 x 2048 x 1024) is above it."""
+    product that can split split, each with the raw gather forked from the
+    shipped cut, in every batch and in none. At the shipped cuts only the
+    larger model's cnn recombination (192 x 2048 x 1024) is above them."""
     forks = {}
     for setup, cuts in ((_setup, (SERIAL, 0)), (_split_setup, (SERIAL, nn.SPLIT_MIN, 0))):
         model, split = setup(kind=kind, style=style)
         scores = {}
         for split_min in cuts:
-            with monkeypatch.context() as mp:
-                mp.setattr(nn, "SPLIT_MIN", split_min)
-                forks[setup, split_min] = _record_forks(mp)
-                scores[split_min] = model.predict_scores(split).tobytes()
+            for gather_min in (SERIAL, model_mod.GATHER_FORK_MIN, 0):
+                with monkeypatch.context() as mp:
+                    mp.setattr(nn, "SPLIT_MIN", split_min)
+                    mp.setattr(model_mod, "GATHER_FORK_MIN", gather_min)
+                    forks[setup, split_min, gather_min] = _record_forks(mp)
+                    scores[split_min, gather_min] = model.predict_scores(split).tobytes()
         assert len(set(scores.values())) == 1, setup.__name__
-    assert not forks[_setup, SERIAL] and not forks[_split_setup, SERIAL]
-    assert forks[_split_setup, 0]
-    assert bool(forks[_split_setup, nn.SPLIT_MIN]) == (style == "cnn")
+    shipped = model_mod.GATHER_FORK_MIN
+    for setup in (_setup, _split_setup):
+        assert not forks[setup, SERIAL, SERIAL] and not forks[setup, SERIAL, shipped]
+        assert forks[setup, SERIAL, 0] and all(forks[setup, SERIAL, 0])   # from main
+    assert forks[_split_setup, 0, SERIAL]
+    assert bool(forks[_split_setup, nn.SPLIT_MIN, SERIAL]) == (style == "cnn")
 
 
 def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
@@ -296,12 +307,41 @@ def test_helper_keeps_the_serial_bits_under_a_short_switch_interval(monkeypatch)
     try:
         start = time.monotonic()
         history, opt = helper_train(monkeypatch, model, split, config, cut=0, adam_range=4,
-                                    split_min=0)
+                                    split_min=0, gather_min=0)
         assert time.monotonic() - start < 120.0
     finally:
         sys.setswitchinterval(interval)
     assert [row["train_loss"] for row in history] == want_losses
     assert model_bytes(model, opt) == want
+
+
+def _out_of_range_split(n=72):
+    """_setup's split with one index of field 2 past its cardinality."""
+    model, split = _setup(n=n)
+    card = model.schema.fields[2].cardinality
+    split.indices[n // 2, 2, 0] = card
+    return model, split, f"feature index {card} out of range for field 'f2' (cardinality {card})"
+
+
+def test_out_of_range_index_in_a_forked_batch_raises_the_serial_error(monkeypatch):
+    """Every batch above the gather cut: evaluate and train raise the
+    DataError of the unforked forward, which checks the emb.gen gather
+    first, and leave no thread behind."""
+    before = set(threading.enumerate())
+    model, split, message = _out_of_range_split()
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        training.evaluate(model, split)                       # the shipped cut
+    with monkeypatch.context() as mp:
+        mp.setattr(model_mod, "GATHER_FORK_MIN", 0)
+        forks = _record_forks(mp)
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            training.evaluate(model, split)
+        assert forks
+        forks.clear()
+        with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+            train(model, split, TrainConfig(batch_size=72, epochs=1))
+        assert forks
+    assert set(threading.enumerate()) == before
 
 
 def test_no_thread_outlives_train(monkeypatch):
