@@ -32,12 +32,14 @@ class EmbeddingTable:
 
 def _validate_indices(batch: Batch, table: EmbeddingTable) -> None:
     idx = batch.indices
-    mask = batch.value_mask
     if idx.shape[1] != len(table.cardinalities):
         raise DataError(
             f"batch has {idx.shape[1]} fields but table expects {len(table.cardinalities)}")
     card = np.asarray(table.cardinalities)[None, :, None]
-    bad = (mask > 0) & ((idx < 0) | (idx >= card))
+    if idx.min(initial=0) >= 0 and not (idx >= card).any():
+        return
+    # a padded slot may hold any index: find the first real slot out of range
+    bad = (batch.value_mask > 0) & ((idx < 0) | (idx >= card))
     if np.any(bad):
         b, f, v = np.argwhere(bad)[0]
         raise DataError(

@@ -27,7 +27,9 @@ unsplit product.
 """
 from __future__ import annotations
 
+import ctypes
 import math
+import platform
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -75,6 +77,26 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 # small-matrix kernels (under about 10^6) may give a half other bits than
 # the whole product.
 SPLIT_MIN = 1 << 26
+
+# By default glibc gives a freed block above its mmap threshold back to the
+# kernel and trims the heap top, so the next op faults its large arrays in
+# again (ref's 38.7 MB recombination gradient and moments). Some glibc cap
+# M_MMAP_THRESHOLD below those, so no block is mmapped, and none is trimmed.
+# No value changes, but a fresh np.empty may hold an old block's values.
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4
+
+
+def keep_freed_memory() -> None:
+    """Set glibc's malloc to keep freed memory; a no-op on other C libraries."""
+    if platform.libc_ver()[0] != "glibc":
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)       # the largest int: no trim
+        mallopt(_M_MMAP_MAX, 0)
+
+
+keep_freed_memory()
 
 
 class Helper:

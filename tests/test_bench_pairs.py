@@ -210,3 +210,37 @@ def test_tagged_line_reads_the_first_line_of_its_tag():
     text = 'env {"a": 1}\nwide detail {"loss_digest": "x"}\ndetail {"loss_digest": "y"}\n{}\n'
     assert bench_pairs.tagged_line(text, "detail") == {"loss_digest": "x"}
     assert bench_pairs.tagged_line(text, "trace") == {}
+
+
+def _git(cwd, *args):
+    subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@example.com", *args],
+                   cwd=cwd, check=True, capture_output=True)
+
+
+def test_head_names_a_commit_only_for_a_work_tree_top_level(tmp_path):
+    """Clean: the commit. Tracked changes: the commit + "+dirty" (an
+    untracked file is not a change). A `git archive` directory, inside
+    another repository or not, and a subdirectory of a work tree: ""."""
+    repo = tmp_path / "repo"
+    (repo / "src").mkdir(parents=True)
+    (repo / "src" / "a.py").write_text("x = 1\n")
+    _git(repo, "init", "-q")
+    _git(repo, "add", "-A")
+    _git(repo, "commit", "-q", "-m", "one")
+    commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=repo, capture_output=True,
+                            text=True, check=True).stdout.strip()
+    assert len(commit) == 40
+    (repo / "notes.txt").write_text("untracked\n")
+    assert bench_pairs._head(repo) == commit
+    (repo / "src" / "a.py").write_text("x = 2\n")
+    assert bench_pairs._head(repo) == commit + "+dirty"
+    _git(repo, "add", "src/a.py")                  # staged counts as a change too
+    assert bench_pairs._head(repo) == commit + "+dirty"
+    assert bench_pairs._head(repo / "src") == ""
+    archive = tmp_path / "parent.tar"
+    _git(repo, "archive", "-o", str(archive), "HEAD")
+    for where in (tmp_path / "outside", repo / "inside"):
+        where.mkdir()
+        shutil.unpack_archive(archive, where)
+        assert (where / "src" / "a.py").read_text() == "x = 1\n"
+        assert bench_pairs._head(where) == ""

@@ -79,6 +79,29 @@ def test_out_of_range_index_names_field():
         emb.assemble_embedding_matrix(batch, table)
 
 
+@pytest.mark.parametrize("bad", [-3, 4, 99])
+def test_out_of_range_index_in_a_padded_slot_passes(bad):
+    """Only real slots are checked: the unmasked range test fires, and the
+    masked search finds nothing."""
+    schema = _schema(cards=(3, 4, 2), multivalent=(1,))
+    table, _ = _tables(schema, k=2, seed=2)
+    batch = _batch([[(1,), (2, 3), (0,)], [(2,), (1,), (1,)]], n_f=3, max_vals=2)
+    batch.indices[1, 1, 1] = bad                   # padded: mask False
+    batch.indices[0, 2, 1] = bad
+    assert emb._validate_indices(batch, table) is None
+
+
+@pytest.mark.parametrize("bad", [-1, 4])
+def test_out_of_range_index_in_a_real_slot_names_index_field_and_cardinality(bad):
+    schema = _schema(cards=(3, 4, 2), multivalent=(1,))
+    table, _ = _tables(schema, k=2, seed=2)
+    batch = _batch([[(1,), (2, 3), (0,)], [(2,), (1, bad), (1,)]], n_f=3, max_vals=2)
+    batch.indices[0, 2, 1] = 7                     # padded: not reported
+    with pytest.raises(d.DataError) as err:
+        emb.assemble_embedding_matrix(batch, table)
+    assert str(err.value) == f"feature index {bad} out of range for field 'f1' (cardinality 4)"
+
+
 def test_assemble_is_linear_in_the_table():
     schema = _schema()
     rng = np.random.default_rng(3)

@@ -206,9 +206,18 @@ def src_lines(checkout: Path) -> int:
 
 
 def _head(checkout: Path) -> str:
-    proc = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout,
-                          capture_output=True, text=True)
-    return proc.stdout.strip()
+    """HEAD's commit when checkout is the top level of a git work tree, with
+    "+dirty" when tracked files differ from HEAD; "" otherwise, as in a
+    `git archive` directory, which git would place in any enclosing
+    repository."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True)
+
+    top = git("rev-parse", "--show-toplevel")
+    head = git("rev-parse", "--verify", "-q", "HEAD").stdout.strip()
+    if top.returncode or not head or Path(top.stdout.strip()).resolve() != checkout.resolve():
+        return ""
+    return head + ("+dirty" if git("diff", "--quiet", "HEAD").returncode else "")
 
 
 def _cpu() -> str:
