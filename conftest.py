@@ -10,9 +10,16 @@ A watchdog ends the session with every thread's stack when one test phase
 (setup, call or teardown) runs longer than 600 seconds, so a deadlock
 fails the suite with its place instead of hanging it. The slowest phase
 takes under a minute on a 2-vCPU host.
+
+The process has one helper thread (fgcnn.nn), shared by every test. After
+each test that has it running, a marker job queued at the back must be run
+by that thread within 10 seconds, so a test that leaves a job blocking the
+helper fails its own teardown rather than slowing or stalling later tests.
 """
 import faulthandler
 import os
+import sys
+import threading
 
 import pytest
 
@@ -53,3 +60,20 @@ def pytest_runtest_call(item):
 @pytest.hookimpl(hookwrapper=True)
 def pytest_runtest_teardown(item, nextitem):
     yield from _watched()
+
+
+@pytest.fixture(autouse=True)
+def _helper_is_free():
+    yield
+    nn = sys.modules.get("fgcnn.nn")
+    if nn is None or nn._thread is None:
+        return
+    ran_on, ran = [], threading.Event()
+
+    def marker():
+        ran_on.append(threading.current_thread())
+        ran.set()
+    job = nn.fork(marker, first=False)
+    assert ran.wait(10.0), "a job left by this test blocks the helper thread"
+    job.wait()
+    assert ran_on == [nn._thread]

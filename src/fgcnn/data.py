@@ -173,7 +173,8 @@ class Split:
 class Batch:
     """Rows of a split; indices/value_mask are [b, n_f, max_vals]. Padded
     positions carry index 0 and mask False (a 0/1 float mask is accepted
-    too) so they contribute nothing to sums."""
+    too) so they contribute nothing to sums. Every index, padded or real,
+    lies in [0, cardinality) of its field."""
     indices: np.ndarray
     value_mask: np.ndarray
     labels: np.ndarray

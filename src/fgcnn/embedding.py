@@ -35,16 +35,15 @@ def _validate_indices(batch: Batch, table: EmbeddingTable) -> None:
     if idx.shape[1] != len(table.cardinalities):
         raise DataError(
             f"batch has {idx.shape[1]} fields but table expects {len(table.cardinalities)}")
+    # every slot, padded or real, holds an index in [0, cardinality): the
+    # gather reads padded slots of multivalent fields too (padded slots hold 0)
     card = np.asarray(table.cardinalities)[None, :, None]
     if idx.min(initial=0) >= 0 and not (idx >= card).any():
         return
-    # a padded slot may hold any index: find the first real slot out of range
-    bad = (batch.value_mask > 0) & ((idx < 0) | (idx >= card))
-    if np.any(bad):
-        b, f, v = np.argwhere(bad)[0]
-        raise DataError(
-            f"feature index {int(idx[b, f, v])} out of range for field "
-            f"{table.field_names[f]!r} (cardinality {table.cardinalities[f]})")
+    b, f, v = np.argwhere((idx < 0) | (idx >= card))[0]
+    raise DataError(
+        f"feature index {int(idx[b, f, v])} out of range for field "
+        f"{table.field_names[f]!r} (cardinality {table.cardinalities[f]})")
 
 
 def assemble_embedding_matrix(batch: Batch, table: EmbeddingTable) -> np.ndarray:

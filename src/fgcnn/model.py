@@ -74,7 +74,7 @@ def _glorot_uniform(rng: np.random.Generator, bound: float, shape: tuple[int, ..
     return out
 
 
-# forward_batch forks the emb.clf gather to the active helper, beside the
+# forward_batch forks the emb.clf gather to the helper thread, beside the
 # emb.gen gather and feature generation, when its output has at least
 # GATHER_FORK_MIN values (b * n_f * k). Measured on a 2-vCPU host, a fork's
 # round trip (waking the helper, then two threads handing the GIL back and
@@ -184,7 +184,7 @@ class FgcnnModel:
         feeds backward_batch, and a train-mode call advances self.bn_states.
 
         With feature generation and raw features both on, the emb.clf
-        gather runs on the active helper beside the emb.gen gather and
+        gather runs on the helper thread beside the emb.gen gather and
         generate (nn.beside) once its output has GATHER_FORK_MIN values."""
         cfg = self.config
 
@@ -199,9 +199,9 @@ class FgcnnModel:
                 return None
             return assemble_embedding_matrix(batch, self._table("emb.clf"))
 
-        fork = (cfg.featgen is not None and cfg.include_raw
-                and batch.indices.shape[0] * self.schema.n_f * cfg.k >= GATHER_FORK_MIN)
-        e_raw, (r, fg_cache) = nn.beside(raw, generated, fork)
+        parallel = (cfg.featgen is not None and cfg.include_raw
+                    and batch.indices.shape[0] * self.schema.n_f * cfg.k >= GATHER_FORK_MIN)
+        e_raw, (r, fg_cache) = nn.beside(raw, generated, parallel)
         logit, clf_cache = clf_mod.classifier_forward(
             fg_mod.augment(e_raw, r), self.params, cfg.classifier, self.bn_states, mode,
             dropout_rng)
@@ -239,13 +239,12 @@ class FgcnnModel:
     # -- inference -------------------------------------------------------
 
     def predict_scores(self, split: Split, batch_size: int = 1024) -> np.ndarray:
-        """Scores in split order. Large products split onto the active
-        helper (nn.matmul), or onto one this call owns."""
+        """Scores in split order. Large products split onto the helper
+        thread (nn.matmul)."""
         scores = []
-        with nn.active_helper():
-            for batch in make_batches(split, batch_size):
-                yhat, _ = self.forward_batch(batch, mode="infer")
-                scores.append(yhat)
+        for batch in make_batches(split, batch_size):
+            yhat, _ = self.forward_batch(batch, mode="infer")
+            scores.append(yhat)
         return np.concatenate(scores)
 
     # -- utilities --------------------------------------------------------

@@ -16,14 +16,16 @@ it has made its last read of that tensor, so the receiver may update the
 tensor in place as soon as it has the gradient. gradient_sink() gives an
 emit that collects every gradient into a dict.
 
-Work reaches the one helper thread as one kind of job: Helper.fork queues
-a run-once Job, and Job.wait runs it, or helps with queued jobs until it is
-done, then re-raises its exception or returns its value; wait_all waits for
-a list of them, and beside runs two calls on the two threads. Large float32
-products (matmul: the affine maps and their input and weight gradients, the
-convolution and its gradients, the FM gram and its gradient) split across
-two threads when a helper is active (active_helper), with the bits of the
-unsplit product.
+The process has one helper thread, with no owner, and work reaches it one
+way: fork queues a run-once Job (the first fork starts the thread, which
+then serves the process for its lifetime), and Job.wait runs it, or helps
+with queued jobs until it is done, then re-raises its exception or returns
+its value; wait_all waits for a list of them, and beside runs two calls on
+the two threads. Whoever forks a job waits for it, so no job outlives the
+call that forked it. Large float32 products (matmul: the affine maps and
+their input and weight gradients, the convolution and its gradients, the
+FM gram and its gradient) split across the two threads, with the bits of
+the unsplit product.
 """
 from __future__ import annotations
 
@@ -32,7 +34,6 @@ import math
 import platform
 import threading
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -71,7 +72,7 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 # helper thread and split products
 
 # A float32 product of at least SPLIT_MIN multiply-adds splits across two
-# threads when a helper is active. The cut keeps toy-sized products (35M
+# threads. The cut keeps toy-sized products (35M
 # multiply-adds at most) on one thread, where a fork's overhead would be a
 # large share, and every half far above the sizes at which OpenBLAS's
 # small-matrix kernels (under about 10^6) may give a half other bits than
@@ -99,73 +100,54 @@ def keep_freed_memory() -> None:
 keep_freed_memory()
 
 
-class Helper:
-    """One helper thread that runs queued jobs.
+# The process's helper thread and its queue. The thread starts with the
+# first fork and serves the process for its lifetime, so a run that forks
+# nothing never has one.
+_jobs: deque = deque()
+_cond = threading.Condition()
+_thread: Optional[threading.Thread] = None
 
-    fork(fn) queues fn as a run-once Job and returns it: at the front of the
-    queue, or at the back when first is False. The first fork starts the
-    thread, so an owner that forks nothing never has one. The thread takes
-    jobs from the front; so does a thread waiting for a job that another
-    thread has started (Job.wait). close() drops the queue and joins the
-    thread; a job forked after it is run by its waiter.
-    """
 
-    def __init__(self):
-        self._jobs: deque = deque()
-        self._cond = threading.Condition()
-        self._closed = False
-        self._thread: Optional[threading.Thread] = None
+def fork(fn: Callable[[], object], first: bool = True) -> "Job":
+    """Queue fn as a run-once Job and return it: at the front of the queue,
+    or at the back when first is False. The helper thread takes jobs from
+    the front; so does a thread waiting for a job that another thread has
+    started (Job.wait)."""
+    global _thread
+    job = Job(fn)
+    with _cond:
+        (_jobs.appendleft if first else _jobs.append)(job)
+        _cond.notify_all()
+        if _thread is None:
+            _thread = threading.Thread(target=_work, args=(lambda: False,),
+                                       name="fgcnn-helper", daemon=True)
+            _thread.start()
+    return job
 
-    def __enter__(self) -> "Helper":
-        return self
 
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def fork(self, fn: Callable[[], object], first: bool = True) -> "Job":
-        job = Job(fn, self)
-        with self._cond:
-            if self._closed:
-                return job
-            (self._jobs.appendleft if first else self._jobs.append)(job)
-            self._cond.notify_all()
-            if self._thread is None:
-                self._thread = threading.Thread(target=self._work, args=(lambda: self._closed,),
-                                                name="fgcnn-helper", daemon=True)
-                self._thread.start()
-        return job
-
-    def _work(self, done: Callable[[], bool]) -> None:
-        """Run queued jobs on this thread until done(), read under the lock."""
-        while True:
-            with self._cond:
-                while not (done() or self._jobs):
-                    self._cond.wait()
-                if done():
-                    return
-                job = self._jobs.popleft()
-            job._run()          # drops its fn, and so the fn's arrays
-
-    def close(self) -> None:
-        with self._cond:
-            self._closed = True
-            self._jobs.clear()
-            self._cond.notify_all()
-        if self._thread is not None:
-            self._thread.join()
+def _work(done: Callable[[], bool]) -> None:
+    """Run queued jobs on this thread until done(), read under the lock."""
+    while True:
+        with _cond:
+            while not (done() or _jobs):
+                _cond.wait()
+            if done():
+                return
+            job = _jobs.popleft()
+        job._run()          # drops its fn, and so the fn's arrays
 
 
 class Job:
     """A forked fn: the first thread to take it runs it, once."""
 
-    def __init__(self, fn: Callable[[], object], helper: Helper):
-        self._fn, self._helper = fn, helper
+    def __init__(self, fn: Callable[[], object]):
+        self._fn = fn
         self._done = False
         self._value: object = None
         self._error: Optional[BaseException] = None
 
     def _run(self) -> None:
-        with self._helper._cond:
+        with _cond:
             fn, self._fn = self._fn, None
         if fn is None:
             return
@@ -173,16 +155,16 @@ class Job:
             self._value = fn()
         except BaseException as exc:
             self._error = exc
-        with self._helper._cond:
+        with _cond:
             self._done = True
-            self._helper._cond.notify_all()
+            _cond.notify_all()
 
     def wait(self):
         """Run the job here if no thread has started it; otherwise run queued
         jobs until it is done. Then re-raise its exception, or return its
         value."""
         self._run()
-        self._helper._work(lambda: self._done)
+        _work(lambda: self._done)
         if self._error is not None:
             raise self._error
         return self._value
@@ -200,38 +182,15 @@ def wait_all(jobs) -> None:
         raise error
 
 
-# Process-wide rather than passed down: every layer's products reach it, and
-# so must the helper thread, whose weight-gradient products split too.
-_active: Optional[Helper] = None
-
-
-@contextmanager
-def active_helper():
-    """Yield the process's active helper, the one matmul forks to. Without
-    one, a new helper is active for the block and closed when it ends; its
-    thread starts only if a product splits."""
-    global _active
-    if _active is not None:
-        yield _active
-        return
-    with Helper() as helper:
-        _active = helper
-        try:
-            yield helper
-        finally:
-            _active = None
-
-
-def beside(there: Callable[[], object], here: Callable[[], object], fork: bool = True):
-    """(there(), here()). When fork is set and a helper is active, there is
-    forked to the front of its queue while here runs on the calling thread,
-    and the fork is waited for on every exit path; otherwise here runs, then
-    there, both on the calling thread."""
-    helper = _active
-    if not (fork and helper is not None):
+def beside(there: Callable[[], object], here: Callable[[], object], parallel: bool = True):
+    """(there(), here()). When parallel is set, there is forked to the front
+    of the queue while here runs on the calling thread, and the fork is
+    waited for on every exit path; otherwise here runs, then there, both on
+    the calling thread."""
+    if not parallel:
         mine = here()
         return there(), mine
-    job = helper.fork(there)
+    job = fork(there)
     try:
         mine = here()
     finally:
@@ -263,8 +222,8 @@ def _halves(a: np.ndarray, b: np.ndarray, shape: tuple[int, ...]):
 
 
 def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """np.matmul(a, b, out=out), in two halves on two threads when a helper
-    is active, both operands are float32 and the product has at least
+    """np.matmul(a, b, out=out), in two halves on two threads when both
+    operands are float32 and the product has at least
     SPLIT_MIN multiply-adds (see _halves for the split). Every output
     element is the BLAS reduction the whole product computes, so the bits
     are unchanged. (OpenBLAS's float64 kernels change some elements' bits
@@ -273,8 +232,8 @@ def matmul(a: np.ndarray, b: np.ndarray, out: Optional[np.ndarray] = None) -> np
     this one (beside)."""
     # a.size * b.size / depth bounds the multiply-adds from above: a cheap
     # first test, since most products of a small model pass through here
-    if (_active is None or a.dtype != np.float32 or b.dtype != np.float32
-            or a.ndim < 2 or b.ndim < 2 or a.size * b.size < SPLIT_MIN * a.shape[-1]):
+    if (a.dtype != np.float32 or b.dtype != np.float32 or a.ndim < 2 or b.ndim < 2
+            or a.size * b.size < SPLIT_MIN * a.shape[-1]):
         return np.matmul(a, b, out=out)
     shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-1])
     halves = _halves(a, b, shape) if math.prod(shape) * a.shape[-1] >= SPLIT_MIN else None

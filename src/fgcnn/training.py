@@ -135,14 +135,14 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     parameters and batch-norm running statistics are restored to the last
     epoch that completed cleanly and NumericError is raised.
 
-    The parameter side runs beside the backward pass on one helper thread
-    (nn.active_helper, which this call owns unless one is already active;
-    the evaluation's and other large products split onto it too): for each
-    tensor of at least HELPER_MIN elements, its gradient product, the L2
-    term and its Adam update (in ranges either thread may take); smaller
-    tensors update inline. The input-gradient chain stays on the calling
-    thread, but its large products split onto the helper like the forward's,
-    whose large raw-branch gathers run there too (FgcnnModel.forward_batch).
+    The parameter side runs beside the backward pass on the helper thread
+    (nn.fork; the evaluation's and other large products split onto it
+    too): for each tensor of at least HELPER_MIN elements, its gradient
+    product, the L2 term and its Adam update (in ranges either thread may
+    take); smaller tensors update inline. The input-gradient chain stays on
+    the calling thread, but its large products split onto the helper like
+    the forward's, whose large raw-branch gathers run there too
+    (FgcnnModel.forward_batch).
     Ordering:
     - no update starts before the last backward read of its tensor:
       backward_batch emits a gradient only after that read;
@@ -151,8 +151,9 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
       the first backward pass, so they exist before the first update;
     - each batch ends by waiting for every job it forked, so no forward
       pass starts before the previous batch's updates finish;
-    - the helper is closed on every exit path, and an exception raised in
-      one of its jobs leaves this call with its type and message.
+    - every job this call forked is done when it returns or raises, and an
+      exception raised in one of its jobs leaves this call with its type
+      and message.
     Every tensor sees the operations of a serial run in the same order, so
     the results are bit-identical to one.
     """
@@ -161,21 +162,41 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     config.validate(uses_bn=uses_bn)
     clamp_stats = ClampStats()
     history: list[dict] = []
-    with nn.active_helper() as helper:
-        jobs: list[nn.Job] = []     # forked since the last wait
+    jobs: list[nn.Job] = []     # forked and not yet waited for
 
-        def dispatch(size: int, job) -> None:
-            if size >= HELPER_MIN:
-                jobs.append(helper.fork(job, first=False))
-            else:
-                job()
+    def dispatch(size: int, job) -> None:
+        if size >= HELPER_MIN:
+            jobs.append(nn.fork(job, first=False))
+        else:
+            job()
 
-        def wait_jobs() -> None:
-            nn.wait_all(jobs)
-            jobs.clear()
+    def wait_jobs() -> None:
+        pending = jobs.copy()
+        jobs.clear()
+        nn.wait_all(pending)
 
-        opt: dict[str, nn.AdamState] = {}
-        last_good: dict[str, np.ndarray] = {}
+    opt: dict[str, nn.AdamState] = {}
+    last_good: dict[str, np.ndarray] = {}
+
+    def update(name: str, make_grad) -> None:
+        param, state = model.params[name], opt[name]
+
+        def job():
+            grad = make_grad()
+            if config.l2_embedding > 0.0 and name in ("emb.gen", "emb.clf"):
+                grad += 2.0 * config.l2_embedding * param
+            if param.size < HELPER_MIN:
+                nn.adam_step(param, grad, state)
+                return
+            first, *rest = nn.adam_parts(param, grad, state, ADAM_RANGE)
+            parts = [nn.fork(functools.partial(nn.adam_step, *part)) for part in rest]
+            try:
+                nn.adam_step(*first)
+            finally:
+                nn.wait_all(parts)
+        dispatch(param.size, job)
+
+    try:
         for name, p in model.params.items():
             opt[name] = nn.AdamState(m=np.empty_like(p), v=np.empty_like(p),
                                      lr=config.learning_rate)
@@ -183,23 +204,6 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
             dispatch(p.size, functools.partial(_start_tensor, p, opt[name], last_good[name]))
         # a train forward replaces bn_states entries, so a shallow copy is a snapshot
         last_good_bn = dict(model.bn_states)
-
-        def update(name: str, make_grad) -> None:
-            param, state = model.params[name], opt[name]
-
-            def job():
-                grad = make_grad()
-                if config.l2_embedding > 0.0 and name in ("emb.gen", "emb.clf"):
-                    grad += 2.0 * config.l2_embedding * param
-                if param.size < HELPER_MIN:
-                    nn.adam_step(param, grad, state)
-                    return
-                first, *rest = nn.adam_parts(param, grad, state, ADAM_RANGE)
-                parts = [helper.fork(functools.partial(nn.adam_step, *part)) for part in rest]
-                nn.adam_step(*first)
-                nn.wait_all(parts)
-            dispatch(param.size, job)
-
         for epoch in range(1, config.epochs + 1):
             shuffle_seed = config.seed * 1_000_003 + epoch
             dropout_rng = np.random.default_rng(shuffle_seed + 500_009)
@@ -229,6 +233,8 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
                     dispatch(snapshot.size,
                              functools.partial(np.copyto, snapshot, model.params[name]))
                 last_good_bn = dict(model.bn_states)
+    finally:
+        wait_jobs()
     return history
 
 

@@ -80,15 +80,36 @@ def test_out_of_range_index_names_field():
 
 
 @pytest.mark.parametrize("bad", [-3, 4, 99])
-def test_out_of_range_index_in_a_padded_slot_passes(bad):
-    """Only real slots are checked: the unmasked range test fires, and the
-    masked search finds nothing."""
+def test_out_of_range_index_in_a_padded_slot_is_rejected(bad):
+    """Padded slots are checked like real ones: the gather reads every slot
+    of a field with a real second slot (f1 here), so a padded index past
+    the table would fail there and a negative one would read another
+    field's row."""
     schema = _schema(cards=(3, 4, 2), multivalent=(1,))
     table, _ = _tables(schema, k=2, seed=2)
     batch = _batch([[(1,), (2, 3), (0,)], [(2,), (1,), (1,)]], n_f=3, max_vals=2)
     batch.indices[1, 1, 1] = bad                   # padded: mask False
     batch.indices[0, 2, 1] = bad
-    assert emb._validate_indices(batch, table) is None
+    with pytest.raises(d.DataError) as err:
+        emb.assemble_embedding_matrix(batch, table)
+    assert str(err.value) == f"feature index {bad} out of range for field 'f2' (cardinality 2)"
+
+
+def test_a_negative_padded_index_does_not_read_another_fields_row():
+    """-5 in a padded slot of f1 (offset 3) would gather row -2, which numpy
+    wraps to f2's row 7: a NaN there turned row 1's f1 output into NaN
+    (NaN * 0). The index is rejected; with the padding's 0 the output is
+    finite."""
+    schema = _schema(cards=(3, 4, 2), multivalent=(1,))
+    table, _ = _tables(schema, k=2, seed=2)
+    table.weights[7] = np.nan
+    batch = _batch([[(1,), (2, 3), (1,)], [(2,), (1,), (1,)]], n_f=3, max_vals=2)
+    batch.indices[1, 1, 1] = -5                    # padded: mask False
+    with pytest.raises(d.DataError) as err:
+        emb.assemble_embedding_matrix(batch, table)
+    assert str(err.value) == "feature index -5 out of range for field 'f1' (cardinality 4)"
+    batch.indices[1, 1, 1] = 0
+    assert np.isfinite(emb.assemble_embedding_matrix(batch, table)[1, 1]).all()
 
 
 @pytest.mark.parametrize("bad", [-1, 4])
@@ -96,7 +117,7 @@ def test_out_of_range_index_in_a_real_slot_names_index_field_and_cardinality(bad
     schema = _schema(cards=(3, 4, 2), multivalent=(1,))
     table, _ = _tables(schema, k=2, seed=2)
     batch = _batch([[(1,), (2, 3), (0,)], [(2,), (1, bad), (1,)]], n_f=3, max_vals=2)
-    batch.indices[0, 2, 1] = 7                     # padded: not reported
+    batch.indices[1, 2, 1] = 7                     # padded, after the bad slot: not reported
     with pytest.raises(d.DataError) as err:
         emb.assemble_embedding_matrix(batch, table)
     assert str(err.value) == f"feature index {bad} out of range for field 'f1' (cardinality 4)"

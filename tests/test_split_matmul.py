@@ -1,6 +1,6 @@
-"""nn.matmul splits large float32 products across the active helper and
-keeps the bits of np.matmul; nn.Helper.fork queues a job that whichever
-thread gets to it first runs, and Job.wait runs queued jobs until its own is
+"""nn.matmul splits large float32 products across the helper thread and
+keeps the bits of np.matmul; nn.fork queues a job that whichever thread
+gets to it first runs, and Job.wait runs queued jobs until its own is
 done."""
 import math
 import threading
@@ -67,15 +67,21 @@ def _splits(a, b) -> bool:
     return shape[0] >= 2
 
 
-def _counting_forks(helper):
+def _counting_forks(mp):
+    """Record the thread that makes each nn.fork, through the MonkeyPatch mp."""
     forks = []
-    fork = helper.fork
+    fork = nn.fork
 
     def counting(job, first=True):
         forks.append(threading.current_thread())
         return fork(job, first)
-    helper.fork = counting
+    mp.setattr(nn, "fork", counting)
     return forks
+
+
+def _added_threads(before):
+    """Threads alive now and not in before, other than the one helper thread."""
+    return set(threading.enumerate()) - before - {nn._thread}
 
 
 @settings(max_examples=100, deadline=None)
@@ -86,8 +92,8 @@ def test_matmul_keeps_the_bits_of_np_matmul(kind, dtype, lead, m, n, reach, use_
     rng = np.random.default_rng(seed)
     a, b = _operands(kind, rng, dtype, lead, m, n, reach * nn.SPLIT_MIN)
     want = np.matmul(a, b)
-    with nn.active_helper() as helper:
-        forks = _counting_forks(helper)
+    with pytest.MonkeyPatch.context() as mp:
+        forks = _counting_forks(mp)
         if use_out:
             out = np.full(want.shape, np.nan, dtype=want.dtype)
             got = nn.matmul(a, b, out=out)
@@ -102,39 +108,30 @@ def test_matmul_keeps_the_bits_of_np_matmul(kind, dtype, lead, m, n, reach, use_
 
 
 @pytest.mark.parametrize("kind", KINDS)
-def test_products_at_the_cut_split_once_and_keep_their_bits(kind):
+def test_products_at_the_cut_split_once_and_keep_their_bits(monkeypatch, kind):
     rng = np.random.default_rng(3)
     a, b = _operands(kind, rng, np.float32, 13, 18 if kind == "conv" else 64,
                      1440 if kind != "gram" else 93, 1.5 * nn.SPLIT_MIN)
     assert _splits(a, b)
-    with nn.active_helper() as helper:
-        forks = _counting_forks(helper)
-        got = nn.matmul(a, b)
+    forks = _counting_forks(monkeypatch)
+    got = nn.matmul(a, b)
     assert forks == [threading.main_thread()]
     assert got.tobytes() == np.matmul(a, b).tobytes()
 
 
 def test_products_do_not_split_without_an_active_helper_or_below_the_cut(monkeypatch):
+    """Products below the cut, with a float64 operand or of a single row
+    never fork; the same product above the cut forks once."""
     rng = np.random.default_rng(4)
     a = rng.standard_normal((128, 2048)).astype(np.float32)
     b = rng.standard_normal((2048, 512)).astype(np.float32)      # 2^27 multiply-adds
-    forked = []
-    fork = nn.Helper.fork
-
-    def spy(self, job):
-        forked.append(job)
-        return fork(self, job)
-
-    monkeypatch.setattr(nn.Helper, "fork", spy)
-    assert nn.matmul(a, b).tobytes() == (a @ b).tobytes()           # no helper
-    with nn.active_helper():
-        nn.matmul(a[:, :1024], b[:1024, :256])                       # below the cut
-        nn.matmul(a.astype(np.float64), b.astype(np.float64))        # float64
-        nn.matmul(a, b.astype(np.float64))                           # mixed
-        nn.matmul(a[:1], b)                                          # one row: gemv
+    forked = _counting_forks(monkeypatch)
+    nn.matmul(a[:, :1024], b[:1024, :256])                           # below the cut
+    nn.matmul(a.astype(np.float64), b.astype(np.float64))            # float64
+    nn.matmul(a, b.astype(np.float64))                               # mixed
+    nn.matmul(a[:1], b)                                              # one row: gemv
     assert forked == []
-    with nn.active_helper():
-        nn.matmul(a, b)
+    assert nn.matmul(a, b).tobytes() == (a @ b).tobytes()
     assert len(forked) == 1
 
 
@@ -165,9 +162,8 @@ def test_backward_products_split_and_keep_their_bits(monkeypatch, name):
     backward, products = _backward_products(np.random.default_rng(6))[name]
     want = backward()
     monkeypatch.setattr(nn, "SPLIT_MIN", 0)
-    with nn.active_helper() as helper:
-        forks = _counting_forks(helper)
-        got = backward()
+    forks = _counting_forks(monkeypatch)
+    got = backward()
     assert len(forks) == products
     assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
 
@@ -180,7 +176,7 @@ class InjectedError(RuntimeError):
     pass
 
 
-def _busy(helper):
+def _busy():
     """Occupy the helper thread with a job until the returned event is set;
     also returns the job."""
     started, release = threading.Event(), threading.Event()
@@ -188,88 +184,84 @@ def _busy(helper):
     def block():
         started.set()
         assert release.wait(10.0)
-    job = helper.fork(block, first=False)
+    job = nn.fork(block, first=False)
     assert started.wait(10.0)
     return release, job
 
 
-def _drain(helper):
+def _drain():
     """Block until the helper thread has taken every job queued before this
     call (a job it finds taken is skipped)."""
     drained = threading.Event()
-    helper.fork(drained.set, first=False)
+    nn.fork(drained.set, first=False)
     assert drained.wait(10.0)
 
 
 def test_an_unstarted_fork_runs_on_the_waiter():
-    with nn.Helper() as helper:
-        release, busy = _busy(helper)
-        ran_on = []
-        handle = helper.fork(lambda: ran_on.append(threading.current_thread()))
-        handle.wait()
-        assert ran_on == [threading.current_thread()]
-        release.set()
-        busy.wait()
-        _drain(helper)                        # the helper has found the fork taken
-        assert ran_on == [threading.current_thread()]     # never run twice
+    release, busy = _busy()
+    ran_on = []
+    handle = nn.fork(lambda: ran_on.append(threading.current_thread()))
+    handle.wait()
+    assert ran_on == [threading.current_thread()]
+    release.set()
+    busy.wait()
+    _drain()                        # the helper has found the fork taken
+    assert ran_on == [threading.current_thread()]     # never run twice
 
 
 def test_a_started_fork_is_waited_for():
-    with nn.Helper() as helper:
-        started, release, ran_on = threading.Event(), threading.Event(), []
+    started, release, ran_on = threading.Event(), threading.Event(), []
 
-        def job():
-            started.set()
-            assert release.wait(10.0)
-            ran_on.append(threading.current_thread())
-        handle = helper.fork(job)
-        assert started.wait(10.0)
-        threading.Timer(0.05, release.set).start()
-        handle.wait()
-        assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
+    def job():
+        started.set()
+        assert release.wait(10.0)
+        ran_on.append(threading.current_thread())
+    handle = nn.fork(job)
+    assert started.wait(10.0)
+    threading.Timer(0.05, release.set).start()
+    handle.wait()
+    assert len(ran_on) == 1 and ran_on[0] is not threading.current_thread()
 
 
 def test_a_waiter_runs_queued_jobs_while_its_job_runs_on_the_helper():
     """The helper's job can finish only after the next queued one has run,
     and the helper is busy: the waiter must take it."""
-    with nn.Helper() as helper:
-        started, unblocked, ran_on = threading.Event(), threading.Event(), []
+    started, unblocked, ran_on = threading.Event(), threading.Event(), []
 
-        def first():
-            started.set()
-            assert unblocked.wait(10.0)
+    def first():
+        started.set()
+        assert unblocked.wait(10.0)
 
-        def second():
-            ran_on.append(threading.current_thread())
-            unblocked.set()
-        handle = helper.fork(first, first=False)
-        assert started.wait(10.0)
-        queued = helper.fork(second, first=False)
-        _within(10.0, handle.wait)
-        assert len(ran_on) == 1 and ran_on[0].name != "fgcnn-helper"
-        queued.wait()
+    def second():
+        ran_on.append(threading.current_thread())
+        unblocked.set()
+    handle = nn.fork(first, first=False)
+    assert started.wait(10.0)
+    queued = nn.fork(second, first=False)
+    _within(10.0, handle.wait)
+    assert len(ran_on) == 1 and ran_on[0].name != "fgcnn-helper"
+    queued.wait()
 
 
 @pytest.mark.parametrize("on_helper", [True, False])
 def test_a_forked_exception_reaches_the_waiter_with_its_type_and_message(on_helper):
-    with nn.Helper() as helper:
-        release, busy = (None, None) if on_helper else _busy(helper)
-        started = threading.Event()
+    release, busy = (None, None) if on_helper else _busy()
+    started = threading.Event()
 
-        def fail():
-            started.set()
-            raise InjectedError("half of a product failed")
-        handle = helper.fork(fail)
-        if on_helper:
-            assert started.wait(10.0)
-        with pytest.raises(InjectedError, match="^half of a product failed$"):
-            handle.wait()
-        if release is not None:
-            release.set()
-            busy.wait()                       # another job's wait does not see the error
-        done = []
-        helper.fork(lambda: done.append(1), first=False).wait()
-        assert done == [1]                    # a later job still runs
+    def fail():
+        started.set()
+        raise InjectedError("half of a product failed")
+    handle = nn.fork(fail)
+    if on_helper:
+        assert started.wait(10.0)
+    with pytest.raises(InjectedError, match="^half of a product failed$"):
+        handle.wait()
+    if release is not None:
+        release.set()
+        busy.wait()                       # another job's wait does not see the error
+    done = []
+    nn.fork(lambda: done.append(1), first=False).wait()
+    assert done == [1]                    # a later job still runs
 
 
 def _within(seconds, fn):
@@ -294,63 +286,40 @@ def test_a_fork_made_on_the_helper_thread_cannot_deadlock():
     """The helper forks from inside one of its jobs and waits: with nobody
     else to take the half it runs it itself, and with a thread waiting,
     either thread may."""
-    with nn.Helper() as helper:
-        outer_jobs = []
-        for waiting in (False, True):
-            done, halves = threading.Event(), []
+    outer_jobs = []
+    for waiting in (False, True):
+        done, halves = threading.Event(), []
 
-            def job():
-                handle = helper.fork(lambda: halves.append(threading.current_thread()))
-                handle.wait()
-                done.set()
-            outer_jobs.append(helper.fork(job, first=False))
-            if waiting:
-                _within(10.0, outer_jobs[-1].wait)
-            assert done.wait(10.0)
-            assert len(halves) == 1
-            if not waiting:
-                assert halves[0].name == "fgcnn-helper"
-        _within(10.0, lambda: nn.wait_all(outer_jobs))
+        def job():
+            handle = nn.fork(lambda: halves.append(threading.current_thread()))
+            handle.wait()
+            done.set()
+        outer_jobs.append(nn.fork(job, first=False))
+        if waiting:
+            _within(10.0, outer_jobs[-1].wait)
+        assert done.wait(10.0)
+        assert len(halves) == 1
+        if not waiting:
+            assert halves[0].name == "fgcnn-helper"
+    _within(10.0, lambda: nn.wait_all(outer_jobs))
 
 
-def test_matmul_on_the_helper_thread_forks_back_to_the_joining_caller():
+def test_matmul_on_the_helper_thread_forks_back_to_the_joining_caller(monkeypatch):
     rng = np.random.default_rng(5)
     x = rng.standard_normal((128, 2048)).astype(np.float32)
     g = rng.standard_normal((128, 1024)).astype(np.float32)
     dw = np.empty((2048, 1024), dtype=np.float32)
-    with nn.active_helper() as helper:
-        forks = _counting_forks(helper)
-        on_helper = threading.Event()
+    forks = _counting_forks(monkeypatch)
+    on_helper = threading.Event()
 
-        def job():
-            on_helper.set()
-            nn.matmul(x.T, g, out=dw)
-        handle = helper.fork(job, first=False)
-        assert on_helper.wait(10.0)           # the helper, not this wait, took the job
-        _within(10.0, handle.wait)
+    def job():
+        on_helper.set()
+        nn.matmul(x.T, g, out=dw)
+    handle = nn.fork(job, first=False)
+    assert on_helper.wait(10.0)           # the helper, not this wait, took the job
+    _within(10.0, handle.wait)
     assert len(forks) == 2 and forks[1] is not threading.main_thread()
     assert dw.tobytes() == np.matmul(x.T, g).tobytes()
-
-
-def test_active_helper_is_reused_and_closed_by_its_owner():
-    before = set(threading.enumerate())
-    with nn.active_helper() as outer:
-        with nn.active_helper() as inner:
-            assert inner is outer
-        _busy(outer)[0].set()                 # starts the thread
-        assert nn._active is outer
-    assert nn._active is None
-    assert set(threading.enumerate()) == before
-
-
-def test_a_fork_after_close_runs_on_its_waiter_and_starts_no_thread():
-    before = set(threading.enumerate())
-    helper = nn.Helper()
-    helper.close()
-    ran_on = []
-    helper.fork(lambda: ran_on.append(threading.current_thread())).wait()
-    assert ran_on == [threading.current_thread()]
-    assert set(threading.enumerate()) == before
 
 
 # A job tree: (sleep seconds, fails, first, wait each child rather than
@@ -388,7 +357,7 @@ def test_random_job_trees_run_each_job_once_and_raise_where_they_are_waited(root
 
     def fork_and_wait(nodes, parent, each_child):
         idents = [parent + (i,) for i in range(len(nodes))]
-        jobs = [helper.fork(make(node, ident), first=node[2])
+        jobs = [nn.fork(make(node, ident), first=node[2])
                 for node, ident in zip(nodes, idents)]
         failing = [ident for node, ident in zip(nodes, idents) if node[1]]
         if each_child:
@@ -413,7 +382,6 @@ def test_random_job_trees_run_each_job_once_and_raise_where_they_are_waited(root
             yield parent + (i,)
             yield from all_idents(node[4], parent + (i,))
 
-    with nn.Helper() as helper:
-        _within(30.0, lambda: fork_and_wait(roots, (), each))
+    _within(30.0, lambda: fork_and_wait(roots, (), each))
     assert sorted(ran) == sorted(all_idents(roots, ()))
-    assert set(threading.enumerate()) == before
+    assert not _added_threads(before)

@@ -1,7 +1,8 @@
-"""train's helper thread: the parameter side of each backward pass (weight
-gradients, L2 terms, Adam updates in ranges) runs beside the input-gradient
-chain, large products split onto it (nn.matmul), and the results keep the
-bits of a serial run. Evaluation splits its products onto the same helper."""
+"""The helper thread in train: the parameter side of each backward pass
+(weight gradients, L2 terms, Adam updates in ranges) runs beside the
+input-gradient chain, large products split onto it (nn.matmul), and the
+results keep the bits of a serial run. Evaluation splits its products onto
+the same helper."""
 import re
 import sys
 import threading
@@ -52,16 +53,34 @@ def _split_setup(kind="ipnn", style="cnn", n=192):
 
 
 def _record_forks(monkeypatch):
-    """Record, for every nn.Helper.fork, whether the main thread made it."""
+    """Record, for every nn.fork, whether the main thread made it."""
     forks = []
-    fork = nn.Helper.fork
+    fork = nn.fork
 
-    def recording(self, job, first=True):
+    def recording(job, first=True):
         forks.append(threading.current_thread() is threading.main_thread())
-        return fork(self, job, first)
+        return fork(job, first)
 
-    monkeypatch.setattr(nn.Helper, "fork", recording)
+    monkeypatch.setattr(nn, "fork", recording)
     return forks
+
+
+def _forked_jobs(monkeypatch):
+    """Every Job that nn.fork returns from now on, from either thread."""
+    jobs = []
+    fork = nn.fork
+
+    def recording(job, first=True):
+        jobs.append(fork(job, first))
+        return jobs[-1]
+
+    monkeypatch.setattr(nn, "fork", recording)
+    return jobs
+
+
+def _added_threads(before):
+    """Threads alive now and not in before, other than the one helper thread."""
+    return set(threading.enumerate()) - before - {nn._thread}
 
 
 def serial_train(model, split, config):
@@ -230,11 +249,15 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
 
 
 def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
+    """Evaluation adds no thread but the helper, and every job it forked is
+    done when it returns or raises."""
     model, split = _split_setup()
     before = set(threading.enumerate())
     forks = _record_forks(monkeypatch)
+    jobs = _forked_jobs(monkeypatch)
     training.evaluate(model, split)
-    assert forks and set(threading.enumerate()) == before
+    assert forks and not _added_threads(before)
+    assert all(job._done for job in jobs)
     forward = clf_mod.classifier_forward
 
     def failing_forward(*args, **kwargs):
@@ -245,7 +268,8 @@ def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
     forks.clear()
     with pytest.raises(InjectedError, match="^scoring failed$"):
         training.evaluate(model, split)
-    assert forks and set(threading.enumerate()) == before
+    assert forks and not _added_threads(before)
+    assert all(job._done for job in jobs)
 
 
 def _helper_starts(monkeypatch):
@@ -267,8 +291,20 @@ def test_a_toy_sized_evaluate_starts_no_thread(monkeypatch):
     split, _ = generate_synthetic(spec, 2048)
     model = FgcnnModel.build(synthetic_schema(spec), cfg.model, 0, cfg.train.precision)
     alive = _helper_starts(monkeypatch)
+    forks = _record_forks(monkeypatch)
     training.evaluate(model, split)
-    assert alive == []
+    assert alive == [] and forks == []
+
+
+def test_ten_evaluates_start_at_most_one_thread(monkeypatch):
+    """Every call forks its large products; the helper thread the first
+    fork started serves the later calls."""
+    model, split = _split_setup()
+    alive = _helper_starts(monkeypatch)
+    forks = _record_forks(monkeypatch)
+    scores = {model.predict_scores(split).tobytes() for _ in range(10)}
+    assert len(scores) == 1 and len(forks) >= 10
+    assert alive in ([], [1])
 
 
 def test_evaluate_inside_train_reuses_trains_helper(monkeypatch):
@@ -288,7 +324,8 @@ def test_evaluate_inside_train_reuses_trains_helper(monkeypatch):
                     eval_split=split)
     assert all("eval_auc" in row for row in history)
     assert len(eval_forks) == 2 and all(eval_forks)
-    assert alive == [1]
+    evaluate(model, split)
+    assert alive in ([], [1])
 
 
 def test_helper_keeps_the_serial_bits_under_a_short_switch_interval(monkeypatch):
@@ -341,19 +378,33 @@ def test_out_of_range_index_in_a_forked_batch_raises_the_serial_error(monkeypatc
         with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
             train(model, split, TrainConfig(batch_size=72, epochs=1))
         assert forks
-    assert set(threading.enumerate()) == before
+    assert not _added_threads(before)
 
 
 def test_no_thread_outlives_train(monkeypatch):
+    """train adds no thread but the helper, and every job it forked is done
+    when it returns or raises."""
     before = set(threading.enumerate())
+    jobs = _forked_jobs(monkeypatch)
     model, split = _setup()
     helper_train(monkeypatch, model, split, TrainConfig(batch_size=16, epochs=2), cut=0)
-    assert set(threading.enumerate()) == before
+    assert jobs and all(job._done for job in jobs)
+    assert not _added_threads(before)
     model, split = _setup()
     model.params["clf.out.w"][:] = np.nan
+    jobs.clear()
     with pytest.raises(nn.NumericError):
         helper_train(monkeypatch, model, split, TrainConfig(batch_size=16, epochs=2), cut=0)
-    assert set(threading.enumerate()) == before
+    assert jobs and all(job._done for job in jobs)
+    model, split, message = _out_of_range_split()
+    jobs.clear()
+    with pytest.raises(DataError, match="^" + re.escape(message) + "$"):
+        # the first forward raises while the delayed helper still holds the
+        # Adam state jobs
+        helper_train(monkeypatch, model, split, TrainConfig(batch_size=72, epochs=1), cut=0,
+                     delay=5e-4)
+    assert jobs and all(job._done for job in jobs)
+    assert not _added_threads(before)
 
 
 def test_helper_job_exception_leaves_train_with_its_type_and_message(monkeypatch):
@@ -371,11 +422,12 @@ def test_helper_job_exception_leaves_train_with_its_type_and_message(monkeypatch
 
     monkeypatch.setattr(training, "_start_tensor", failing_start)
     before = set(threading.enumerate())
+    jobs = _forked_jobs(monkeypatch)
     model, split = _setup()
     with pytest.raises(InjectedError, match="adam state for a tensor of shape"):
         helper_train(monkeypatch, model, split, TrainConfig(batch_size=16, epochs=1), cut=0)
-    assert helper_ran.is_set()
-    assert set(threading.enumerate()) == before
+    assert helper_ran.is_set() and all(job._done for job in jobs)
+    assert not _added_threads(before)
 
 
 def test_update_exception_on_the_helper_reaches_the_caller(monkeypatch):
@@ -391,12 +443,13 @@ def test_update_exception_on_the_helper_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(nn, "adam_step", failing_step)
     before = set(threading.enumerate())
+    jobs = _forked_jobs(monkeypatch)
     model, split = _setup()
     with pytest.raises(InjectedError, match="^update failed$"):
         helper_train(monkeypatch, model, split, TrainConfig(batch_size=16, epochs=2),
                      cut=0)
-    assert helper_ran.is_set()
-    assert set(threading.enumerate()) == before
+    assert helper_ran.is_set() and all(job._done for job in jobs)
+    assert not _added_threads(before)
 
 
 def test_divergence_restores_the_last_good_epoch_with_the_helper(monkeypatch):
