@@ -1,4 +1,15 @@
-"""CNN-based automatic feature generation for click-through-rate models."""
+"""CNN-based automatic feature generation for click-through-rate models.
+
+Imported before numpy, the package pins each BLAS and OpenMP pool size the
+environment leaves unset to one thread: a pool may sum in another order, so
+`fgcnn train` would write other bytes on another core count."""
+import os
+import sys
+
+if "numpy" not in sys.modules:
+    os.environ.update({var: os.environ.get(var, "1") for var in (
+        "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS", "BLIS_NUM_THREADS",
+        "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")})
 
 from .classifier import ClassifierConfig, fm_layer, loss_and_grad
 from .data import (Batch, DatasetSchema, FieldSchema, Split, SyntheticSpec,

@@ -319,8 +319,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except (DataError, ConfigFileError, ConfigError, CheckpointError,
-            FileNotFoundError) as exc:
+    except (DataError, ConfigFileError, ConfigError, CheckpointError, OSError) as exc:
         print(f"fgcnn: data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NumericError as exc:

@@ -25,10 +25,6 @@ class EmbeddingTable:
     def k(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def t_f(self) -> int:
-        return self.weights.shape[0]
-
 
 def _validate_indices(batch: Batch, table: EmbeddingTable) -> None:
     idx = batch.indices

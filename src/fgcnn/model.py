@@ -155,7 +155,8 @@ class FgcnnModel:
         dtype = nn.as_dtype(precision)
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
-        for name, shape in param_shapes(config, schema.n_f, schema.t_f).items():
+        shapes = param_shapes(config, schema.n_f, schema.t_f)
+        for name, shape in shapes.items():
             if name.endswith(".bn.g"):
                 params[name] = np.ones(shape, dtype=dtype)
             elif name.endswith(".b") or name == "clf.linear.w":
@@ -165,7 +166,7 @@ class FgcnnModel:
                 bound = np.sqrt(6.0 / (rf * shape[-2] + rf * shape[-1]))
                 params[name] = _glorot_uniform(rng, bound, shape, dtype)
         bn_states = {site: nn.init_bn_state(dim, dtype)
-                     for site, dim in bn_site_dims(config, schema.n_f).items()}
+                     for site, dim in bn_sites(shapes).items()}
         return cls(schema, config, params, bn_states, precision)
 
     def _table(self, name: str) -> EmbeddingTable:
@@ -255,14 +256,6 @@ class FgcnnModel:
     def clone_params(self) -> dict[str, np.ndarray]:
         return {k: v.copy() for k, v in self.params.items()}
 
-    def astype(self, precision: str) -> "FgcnnModel":
-        """Same model at a different float width (float32 -> float64 is exact)."""
-        dtype = nn.as_dtype(precision)
-        params = {k: v.astype(dtype) for k, v in self.params.items()}
-        states = {k: nn.BnState(mean=s.mean.astype(dtype), var=s.var.astype(dtype))
-                  for k, s in self.bn_states.items()}
-        return FgcnnModel(self.schema, self.config, params, states, precision)
-
 
 def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter FgcnnModel.build allocates for n_f
@@ -280,10 +273,8 @@ def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int
     return shapes
 
 
-def bn_site_dims(config: ModelConfig, n_f: int) -> dict[str, int]:
-    """Batch-norm site name -> normalized dimension, for every site of the
-    model: the ".bn.g" shapes of param_shapes (which the embedding height
-    does not affect)."""
+def bn_sites(shapes: dict[str, tuple[int, ...]]) -> dict[str, int]:
+    """Batch-norm site name -> normalized dimension, for every site of a
+    model with these param_shapes: each ".bn.g" name less its ".g"."""
     return {name[:-len(".g")]: shape[0]
-            for name, shape in param_shapes(config, n_f, 0).items()
-            if name.endswith(".bn.g")}
+            for name, shape in shapes.items() if name.endswith(".bn.g")}

@@ -45,7 +45,7 @@ class NumericError(RuntimeError):
 
 
 class ConfigError(ValueError):
-    """A model config that is invalid, or does not fit the data's field count."""
+    """An invalid model or training config, or one that does not fit the data."""
 
 
 _DTYPES = {"f32": np.float32, "f64": np.float64}
@@ -56,7 +56,7 @@ BN_MOMENTUM = 0.99
 
 def as_dtype(precision: str) -> np.dtype:
     if precision not in _DTYPES:
-        raise ValueError(f"unknown precision {precision!r}, expected one of {sorted(_DTYPES)}")
+        raise ConfigError(f"unknown precision {precision!r}, expected one of {sorted(_DTYPES)}")
     return np.dtype(_DTYPES[precision])
 
 

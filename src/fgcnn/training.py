@@ -4,8 +4,11 @@ and the parameter/multiply bookkeeping report.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
+import math
 import os
+import stat
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -19,7 +22,7 @@ from . import featuregen as fg_mod
 from . import nn
 from .classifier import ClampStats, loss_and_grad
 from .data import DatasetSchema, Split, make_batches
-from .model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
+from .model import FgcnnModel, ModelConfig, bn_sites, param_shapes
 
 CHECKPOINT_MAGIC = b"FGCN"
 CHECKPOINT_VERSION = 1
@@ -36,12 +39,13 @@ class TrainConfig:
     precision: str = "f32"
 
     def validate(self, uses_bn: bool = False) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        """ConfigError naming the first bad field; uses_bn says the model has
+        a batch-norm site, which needs batches of at least two."""
+        for name in ("epochs", "batch_size", "eval_every"):
+            if getattr(self, name) < 1:
+                raise nn.ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if uses_bn and self.batch_size < 2:
-            raise ValueError("batch_size must be >= 2 when batch norm is enabled")
+            raise nn.ConfigError("batch_size must be >= 2 when batch norm is enabled")
         nn.as_dtype(self.precision)
 
 
@@ -157,9 +161,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     Every tensor sees the operations of a serial run in the same order, so
     the results are bit-identical to one.
     """
-    uses_bn = model.config.classifier.use_bn or (
-        model.config.featgen is not None and model.config.featgen.use_bn)
-    config.validate(uses_bn=uses_bn)
+    config.validate(uses_bn=bool(model.bn_states))
     clamp_stats = ClampStats()
     history: list[dict] = []
     jobs: list[nn.Job] = []     # forked and not yet waited for
@@ -242,28 +244,28 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
 # checkpoints
 
 class CheckpointError(RuntimeError):
-    code = "checkpoint_error"
+    """A checkpoint that cannot be loaded; each subclass names one way."""
 
 
 class NotACheckpointError(CheckpointError):
-    code = "bad_magic"
+    """The file does not start with the checkpoint magic."""
 
 
 class CheckpointVersionError(CheckpointError):
-    code = "version_mismatch"
+    """The format version is not CHECKPOINT_VERSION."""
 
 
 class SchemaDigestError(CheckpointError):
-    code = "schema_digest_mismatch"
+    """The checkpoint was written against another vocabulary."""
 
 
 class TruncatedCheckpointError(CheckpointError):
-    code = "truncated"
+    """The file ends before the data its headers declare."""
 
 
 class CheckpointTensorError(CheckpointError):
-    """A stored tensor is missing, unexpected or misshaped for the stored config."""
-    code = "tensor_mismatch"
+    """A stored tensor the stored config cannot take: badly named, unknown,
+    repeated, misshaped or missing."""
 
 
 def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -> None:
@@ -272,13 +274,9 @@ def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -
     straight from its array into the file."""
     tensors: dict[str, np.ndarray] = dict(model.params)
     for site, state in model.bn_states.items():
-        tensors[site + ".running_mean"] = state.mean
-        tensors[site + ".running_var"] = state.var
-    if optimizer is not None:
-        for name, st in optimizer.items():
-            tensors[f"opt.{name}.m"] = st.m
-            tensors[f"opt.{name}.v"] = st.v
-            tensors[f"opt.{name}.t"] = np.array([st.t], dtype=np.float32)
+        tensors.update(zip(_stat_names(site), (state.mean, state.var)))
+    for name, st in (optimizer or {}).items():
+        tensors.update(zip(_moment_names(name), (st.m, st.v, np.array([st.t], np.float32))))
     blob = json.dumps({"model": model.config.to_dict(),
                        "precision": model.precision}, sort_keys=True).encode("utf-8")
     digest = model.schema.digest().encode("ascii")
@@ -319,80 +317,113 @@ def _atomic_file(path: Path):
         raise
 
 
-def _read_exact(fh, n: int) -> bytes:
-    b = fh.read(n)
-    if len(b) != n:
-        raise TruncatedCheckpointError(
-            f"checkpoint truncated: wanted {n} bytes, got {len(b)}")
-    return b
-
-
 def load_checkpoint(path, schema: DatasetSchema):
     """Rebuild a model (and optimizer state, when present) from a checkpoint.
 
     Refuses to load if the file is not a checkpoint, its format version is
     unknown, its config blob holds no valid model config and precision, or
-    the schema digest does not match.
-    Returns (model, optimizer_or_None).
-    """
+    the schema digest does not match. The tensors are then read in one pass
+    against _tensor_layout of the stored config, each checked before it is
+    allocated: a UTF-8 name in the layout and not seen before, the layout's
+    shape, and bytes the file still holds. Every parameter and batch-norm
+    statistic must be present, and each optimizer entry needs m, v and t.
+    Returns (model, optimizer_or_None)."""
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4)
-        if magic != CHECKPOINT_MAGIC:
+        st = os.fstat(fh.fileno())
+        left = st.st_size if stat.S_ISREG(st.st_mode) else math.inf  # a pipe: short reads tell
+
+        def read(n: int) -> bytes:
+            """The next n bytes, refused before reading when the file cannot
+            hold them (fh.read would allocate the n bytes first)."""
+            nonlocal left
+            if n > left or len(b := fh.read(n)) != n:
+                raise TruncatedCheckpointError(f"checkpoint truncated: wanted {n} more bytes")
+            left -= n
+            return b
+
+        def u32() -> int:
+            return struct.unpack("<I", read(4))[0]
+
+        if (magic := read(4)) != CHECKPOINT_MAGIC:
             raise NotACheckpointError(f"{path} is not a checkpoint (magic {magic!r})")
-        (version,) = struct.unpack("<I", _read_exact(fh, 4))
-        if version != CHECKPOINT_VERSION:
+        if (version := u32()) != CHECKPOINT_VERSION:
             raise CheckpointVersionError(
                 f"checkpoint format version {version} unsupported "
                 f"(expected {CHECKPOINT_VERSION})")
-        (blob_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        config, precision = _read_config_blob(path, _read_exact(fh, blob_len))
-        (dig_len,) = struct.unpack("<I", _read_exact(fh, 4))
-        digest = _read_exact(fh, dig_len).decode("ascii", "replace")
+        config, precision = _read_config_blob(path, read(u32()))
+        digest = read(u32()).decode("ascii", "replace")
         expected = schema.digest()
         if digest != expected:
             raise SchemaDigestError(
                 f"{path} was written against a different vocabulary: stored "
                 f"schema digest {digest[:12]}.. does not match {expected[:12]}..")
-        (n_tensors,) = struct.unpack("<I", _read_exact(fh, 4))
+        shapes = param_shapes(config, schema.n_f, schema.t_f)
+        known, stats, moments = _tensor_layout(shapes)
         tensors: dict[str, np.ndarray] = {}
-        for _ in range(n_tensors):
-            (name_len,) = struct.unpack("<I", _read_exact(fh, 4))
-            name = _read_exact(fh, name_len).decode("utf-8")
-            (ndim,) = struct.unpack("<I", _read_exact(fh, 4))
-            shape = struct.unpack(f"<{ndim}I", _read_exact(fh, 4 * ndim))
-            arr = np.empty(shape, dtype="<f4")
-            got = fh.readinto(_bytes_of(arr))
-            if got != arr.nbytes:
+        for _ in range(u32()):
+            raw = read(u32())
+            try:
+                name = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointTensorError(
+                    f"checkpoint tensor name {raw!r} is not UTF-8") from None
+            if name not in known:
+                raise CheckpointTensorError(
+                    f"checkpoint holds tensor {name!r}, which its config does not use")
+            if name in tensors:
+                raise CheckpointTensorError(f"checkpoint holds tensor {name!r} twice")
+            ndim = u32()
+            shape = struct.unpack(f"<{ndim}I", read(4 * ndim))
+            if shape != known[name]:
+                raise CheckpointTensorError(
+                    f"checkpoint tensor {name!r} has shape {shape}, "
+                    f"its config needs {known[name]}")
+            if (nbytes := 4 * math.prod(shape)) > left:
                 raise TruncatedCheckpointError(
-                    f"checkpoint truncated: wanted {arr.nbytes} bytes, got {got}")
+                    f"checkpoint truncated: wanted {nbytes} more bytes")
+            left -= nbytes
+            arr = np.empty(shape, dtype="<f4")
+            if fh.readinto(_bytes_of(arr)) != nbytes:
+                raise TruncatedCheckpointError(
+                    f"checkpoint truncated: wanted {nbytes} more bytes")
             tensors[name] = arr
-    _check_tensor_shapes(tensors, schema, config)
+    present = [names for names in moments.values() if not tensors.keys().isdisjoint(names)]
+    for name in itertools.chain(shapes, *stats.values(), *present):
+        if name not in tensors:
+            raise CheckpointTensorError(
+                f"checkpoint lacks tensor {name!r} of shape {known[name]}")
     dtype = nn.as_dtype(precision)
-    params: dict[str, np.ndarray] = {}
-    bn_means: dict[str, np.ndarray] = {}
-    bn_vars: dict[str, np.ndarray] = {}
-    opt_raw: dict[str, dict] = {}
-    for name, arr in tensors.items():
-        arr = arr.astype(dtype, copy=False)
-        if name.startswith("opt."):
-            base, leaf = name[4:].rsplit(".", 1)
-            opt_raw.setdefault(base, {})[leaf] = arr
-        elif name.endswith(".running_mean"):
-            bn_means[name[: -len(".running_mean")]] = arr
-        elif name.endswith(".running_var"):
-            bn_vars[name[: -len(".running_var")]] = arr
-        else:
-            params[name] = arr
-    bn_states = {site: nn.BnState(mean=bn_means[site], var=bn_vars[site])
-                 for site in bn_means}
-    model = FgcnnModel(schema, config, params, bn_states, precision)
-    optimizer = None
-    if opt_raw:
-        optimizer = {
-            base: nn.AdamState(m=st["m"], v=st["v"], t=int(st["t"][0]))
-            for base, st in opt_raw.items()
-        }
-    return model, optimizer
+    loaded = {name: arr.astype(dtype, copy=False) for name, arr in tensors.items()}
+    params = {name: loaded[name] for name in shapes}
+    bn_states = {site: nn.BnState(mean=loaded[mean], var=loaded[var])
+                 for site, (mean, var) in stats.items()}
+    optimizer = {name: nn.AdamState(m=loaded[m], v=loaded[v], t=int(loaded[t][0]))
+                 for name, (m, v, t) in moments.items() if m in loaded}
+    return FgcnnModel(schema, config, params, bn_states, precision), optimizer or None
+
+
+def _tensor_layout(shapes: dict[str, tuple[int, ...]]) -> tuple[dict, dict, dict]:
+    """The tensors a checkpoint may hold for a model of these parameter
+    shapes, as (known, stats, moments). known maps each name to its shape;
+    stats maps each batch-norm site (model.bn_sites) to its running mean and
+    variance, moments each parameter to its Adam m, v and t (all or none),
+    by the names _stat_names and _moment_names give, as in save_checkpoint."""
+    sites = bn_sites(shapes)
+    stats = {site: _stat_names(site) for site in sites}
+    moments = {name: _moment_names(name) for name in shapes}
+    known = dict(shapes)
+    known.update({n: (sites[site],) for site, names in stats.items() for n in names})
+    for name, (m, v, t) in moments.items():
+        known.update({m: shapes[name], v: shapes[name], t: (1,)})
+    return known, stats, moments
+
+
+def _stat_names(site: str) -> tuple[str, str]:
+    return site + ".running_mean", site + ".running_var"
+
+
+def _moment_names(name: str) -> tuple[str, str, str]:
+    return "opt." + name + ".m", "opt." + name + ".v", "opt." + name + ".t"
 
 
 def _read_config_blob(path, raw: bytes) -> tuple[ModelConfig, str]:
@@ -407,37 +438,6 @@ def _read_config_blob(path, raw: bytes) -> tuple[ModelConfig, str]:
         return ModelConfig.from_dict(blob["model"]), blob["precision"]
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad config blob: {exc}") from exc
-
-
-def _check_tensor_shapes(tensors: dict[str, np.ndarray], schema: DatasetSchema,
-                        config: ModelConfig) -> None:
-    """Compare the stored tensors with those the stored config allocates:
-    every parameter, each batch-norm site's running mean and variance, and
-    for each optimizer entry present its m, v (shaped like the parameter)
-    and step count t. Raises CheckpointTensorError naming the first bad
-    tensor in name order."""
-    params = param_shapes(config, schema.n_f, schema.t_f)
-    expected = dict(params)
-    for site, dim in bn_site_dims(config, schema.n_f).items():
-        expected[site + ".running_mean"] = (dim,)
-        expected[site + ".running_var"] = (dim,)
-    for name in tensors:
-        if name.startswith("opt."):
-            base = name[4:].rsplit(".", 1)[0]
-            if base in params:
-                expected.update({f"opt.{base}.m": params[base],
-                                 f"opt.{base}.v": params[base], f"opt.{base}.t": (1,)})
-    for name in sorted(expected.keys() | tensors.keys()):
-        if name not in tensors:
-            raise CheckpointTensorError(
-                f"checkpoint lacks tensor {name!r} of shape {expected[name]}")
-        if name not in expected:
-            raise CheckpointTensorError(
-                f"checkpoint holds tensor {name!r}, which its config does not use")
-        if tensors[name].shape != expected[name]:
-            raise CheckpointTensorError(
-                f"checkpoint tensor {name!r} has shape {tensors[name].shape}, "
-                f"its config needs {expected[name]}")
 
 
 # ---------------------------------------------------------------------------

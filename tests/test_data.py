@@ -879,8 +879,9 @@ def _file_cases(draw):
         elif kind == "label":
             # " 1", "+0" and "01" are read as labels, the rest are faults
             labels[r] = draw(st.sampled_from(["2", "-1", "x", "", "1.0", " 1", "+0", "01"]))
-        elif n_f and part == "test":
-            rows[r][draw(st.integers(0, n_f - 1))] = "a|b"
+        elif part == "test" and (width := min(n_f, len(rows[r]))):
+            # a row cut short by an earlier "ragged" fault has fewer cells
+            rows[r][draw(st.integers(0, width - 1))] = "a|b"
     return case
 
 

@@ -1,4 +1,5 @@
 import json
+import math
 import re
 import struct
 
@@ -6,12 +7,14 @@ import numpy as np
 import pytest
 
 from fgcnn import experiments as ex
+from fgcnn import nn
 from fgcnn.classifier import ClassifierConfig
 from fgcnn.cli import main as cli_main
-from fgcnn.data import generate_synthetic, planted_spec, synthetic_schema
+from fgcnn.data import DatasetSchema, generate_synthetic, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig, generated_count
 from fgcnn.model import FgcnnModel, ModelConfig
-from fgcnn.training import TrainConfig, train
+from fgcnn.training import (CheckpointTensorError, TrainConfig, load_checkpoint,
+                            save_checkpoint, train)
 
 
 def _base_config(**kw):
@@ -495,6 +498,105 @@ def test_cli_eval_of_checkpoint_with_malformed_header_exits_two(toy_cfg, tmp_pat
     bad = _checkpoint_with_header(toy_cfg, tmp_path, edit)
     err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
     assert "bad.ckpt" in err and all(word in err for word in words), err
+
+
+def _tensor_records(raw):
+    """A checkpoint's bytes as (head, records): head runs up to the tensor
+    count, and each record is (name bytes, shape, data bytes)."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    (d,) = struct.unpack("<I", raw[12 + n:16 + n])
+    pos = 16 + n + d
+    (count,) = struct.unpack("<I", raw[pos:pos + 4])
+    pos += 4
+    records = []
+    for _ in range(count):
+        (name_len,) = struct.unpack("<I", raw[pos:pos + 4])
+        name = raw[pos + 4:pos + 4 + name_len]
+        pos += 4 + name_len
+        (ndim,) = struct.unpack("<I", raw[pos:pos + 4])
+        shape = struct.unpack(f"<{ndim}I", raw[pos + 4:pos + 4 + 4 * ndim])
+        pos += 4 + 4 * ndim
+        records.append((name, shape, raw[pos:pos + 4 * math.prod(shape)]))
+        pos += 4 * math.prod(shape)
+    assert pos == len(raw)
+    return raw[:16 + n + d], records
+
+
+def _checkpoint_bytes(head, records):
+    parts = [head, struct.pack("<I", len(records))]
+    for name, shape, data in records:
+        parts += [struct.pack("<I", len(name)), name,
+                  struct.pack(f"<I{len(shape)}I", len(shape), *shape), data]
+    return b"".join(parts)
+
+
+def _recorded(old, name=None, shape=None):
+    """An edit of a record list that renames or reshapes the record named old."""
+    return lambda records: [(name or n, shape or s, d) if n == old else (n, s, d)
+                            for n, s, d in records]
+
+
+# (2^31, 2^31) floats would be 16 EiB: np.empty raises ValueError on that
+# shape, so a CheckpointTensorError shows the loader checked it first
+@pytest.mark.parametrize("edit, words", [
+    (_recorded(b"clf.out.b", shape=(2**31, 2**31)),
+     ["'clf.out.b'", "has shape (2147483648, 2147483648)", "needs (1,)"]),
+    (_recorded(b"clf.out.b", name=b"clf.out.\xff"),
+     ["b'clf.out.\\xff'", "not UTF-8"]),
+    (lambda records: records + [r for r in records if r[0] == b"clf.out.b"],
+     ["'clf.out.b'", "twice"]),
+    (_recorded(b"clf.out.b", name=b"clf.out.bias"),
+     ["'clf.out.bias'", "which its config does not use"]),
+    (_recorded(b"emb.gen", shape=(4, 20)),
+     ["'emb.gen'", "has shape (4, 20)", "its config needs (20, 4)"]),
+    (lambda records: [r for r in records if r[0] != b"clf.out.b"],
+     ["lacks tensor 'clf.out.b'", "(1,)"]),
+    (lambda records: [r for r in records if r[0] != b"opt.emb.gen.t"],
+     ["lacks tensor 'opt.emb.gen.t'", "(1,)"]),
+], ids=["oversized", "non_utf8_name", "stored_twice", "unknown_name", "wrong_shape",
+        "missing", "optimizer_entry_without_t"])
+def test_crafted_checkpoint_fails_cleanly_naming_the_tensor(toy_cfg, tmp_path, capsys,
+                                                            edit, words):
+    out = tmp_path / "run"
+    assert cli_main(["train", "--config", str(toy_cfg), "--out", str(out)]) == 0
+    schema = DatasetSchema.load(out / "schema.txt")
+    model, _ = load_checkpoint(out / "model.ckpt", schema)
+    opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=0.01)
+           for n, p in model.params.items()}
+    for n, p in model.params.items():
+        nn.adam_step(p, np.ones_like(p), opt[n])
+    save_checkpoint(model, out / "opt.ckpt", optimizer=opt)
+    raw = (out / "opt.ckpt").read_bytes()
+    head, records = _tensor_records(raw)
+    assert _checkpoint_bytes(head, records) == raw
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(_checkpoint_bytes(head, edit(records)))
+    with pytest.raises(CheckpointTensorError) as info:
+        load_checkpoint(bad, schema)
+    assert all(word in str(info.value) for word in words), str(info.value)
+    err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
+    assert all(word in err for word in words), err
+
+
+@pytest.mark.parametrize("argv, config_edit, words", [
+    (["train", "--out", "{tmp}/run"], ("seed = 1", "seed = 1\nprecision = f16"),
+     "unknown precision 'f16'"),
+    (["train", "--out", "{tmp}/run"], ("batch_size = 32", "batch_size = 0"),
+     "batch_size must be >= 1, got 0"),
+    (["train", "--out", "{tmp}/run"], ("seed = 1", "seed = 1\neval_every = 0"),
+     "eval_every must be >= 1, got 0"),
+    (["eval", "--checkpoint", "{tmp}", "--out", "{tmp}/run"], None, "Is a directory"),
+    (["train", "--out", "{tmp}/file"], None, "File exists"),
+], ids=["unknown_precision", "batch_size_0", "eval_every_0", "checkpoint_is_a_directory",
+        "out_is_a_file"])
+def test_cli_config_and_path_faults_exit_two(tmp_path, capsys, argv, config_edit, words):
+    cfg = tmp_path / "c.cfg"
+    text = TOY_CFG if config_edit is None else TOY_CFG.replace(*config_edit)
+    cfg.write_text(text, encoding="utf-8")
+    (tmp_path / "file").write_text("", encoding="utf-8")
+    assert cli_main([*(a.format(tmp=tmp_path) for a in argv), "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err, err
 
 
 @pytest.mark.parametrize("header, row, config_edit, words", [

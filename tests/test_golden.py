@@ -1,7 +1,8 @@
 """The same numbers as the fixture in tests/golden/: the toy `fgcnn train`
 artifacts, one epoch with every helper and split cut forced and the scores
-after it, and checks.run_suite(). tools/regen_golden.py computes them here
-and rewrites the fixture for a change that means to change them.
+after it, checks.run_suite(), and what the committed format-1 checkpoint
+loads to. tools/regen_golden.py computes them here and rewrites the fixture
+for a change that means to change them.
 
 On the BLAS the fixture records, every output must match bit for bit. On
 another BLAS, whose kernels may sum in another order, the test compares
@@ -13,9 +14,13 @@ mismatch:
 - the schema sidecar, which no BLAS touches, by its sha256; the other
   sha256s are left to the norms beside them.
 """
+import filecmp
 import importlib.util
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,3 +75,32 @@ def test_a_forced_cut_epoch_and_its_scores_match_the_fixture():
 
 def test_run_suite_matches_the_fixture():
     _check("run_suite", golden.checks.run_suite(), rel=0.0, abs_=1e-6)
+
+
+def test_the_committed_v1_checkpoint_loads_to_its_pinned_values(tmp_path):
+    _check("v1_checkpoint", golden.v1_checkpoint())
+    # and saving what it loads writes its bytes again
+    model, optimizer = golden.training.load_checkpoint(
+        golden.V1 / "model.ckpt", golden.DatasetSchema.load(golden.V1 / "schema.txt"))
+    golden.training.save_checkpoint(model, tmp_path / "model.ckpt", optimizer=optimizer)
+    assert (tmp_path / "model.ckpt").read_bytes() == (golden.V1 / "model.ckpt").read_bytes()
+
+
+def test_cli_train_writes_the_same_bytes_whether_or_not_the_environment_pins_blas(tmp_path):
+    """Importing fgcnn pins the BLAS pools where the environment does not."""
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+            "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in blas}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    runs = {"pinned": {**env, "OPENBLAS_NUM_THREADS": "1"}, "unset": env}
+    procs = [subprocess.Popen([sys.executable, "-m", "fgcnn.cli", "train", "--config",
+                               str(ROOT / "configs" / "toy.cfg"), "--out", str(tmp_path / name)],
+                              env=run_env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+             for name, run_env in runs.items()]
+    for proc in procs:
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err.decode()
+    for name in golden.ARTIFACTS:
+        assert filecmp.cmp(tmp_path / "pinned" / name, tmp_path / "unset" / name,
+                           shallow=False), name

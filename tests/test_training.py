@@ -3,7 +3,9 @@ import errno
 import io
 import json
 import math
+import os
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from fgcnn.classifier import ClassifierConfig
 from fgcnn.data import (DataError, DatasetSchema, FieldSchema, generate_synthetic,
                          make_batches, planted_spec, synthetic_schema)
 from fgcnn.featuregen import FeatureGenConfig
-from fgcnn.model import FgcnnModel, ModelConfig, bn_site_dims, param_shapes
+from fgcnn.model import FgcnnModel, ModelConfig, bn_sites, param_shapes
 from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotACheckpointError,
                             SchemaDigestError, TrainConfig, TruncatedCheckpointError,
                             auc_score, complexity_report, evaluate, load_checkpoint,
@@ -227,6 +229,15 @@ def test_bn_requires_batch_of_two():
         train(model, instances, TrainConfig(batch_size=1, epochs=1, seed=0))
 
 
+def test_batches_of_one_train_a_model_without_bn_sites():
+    # an fm head has no batch-norm site, so use_bn asks for nothing there
+    schema, instances, model, _ = _toy_setup(
+        featgen=None, classifier=ClassifierConfig(kind="fm", use_bn=True))
+    assert model.bn_states == {}
+    history = train(model, instances, TrainConfig(batch_size=1, epochs=1, seed=0))
+    assert np.isfinite(history[0]["train_loss"])
+
+
 def test_convex_submodel_loss_slope():
     # fm head with frozen embeddings is convex in the linear weights, so
     # full-batch descent at a small step must lower the loss every epoch
@@ -414,9 +425,9 @@ def checkpoint_bytes_oracle(model, optimizer=None) -> bytes:
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
 def test_checkpoint_file_matches_bytesio_writer(tmp_path, precision):
-    schema, instances, model, _ = _toy_setup(
+    schema, instances, _, config = _toy_setup(
         classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,), use_bn=True))
-    model = model.astype(precision)
+    model = FgcnnModel.build(schema, config, 0, precision)
     train(model, instances, TrainConfig(batch_size=16, epochs=1, seed=8,
                                         precision=precision))
     opt = {n: nn.AdamState(m=np.zeros_like(p), v=np.zeros_like(p), lr=0.01)
@@ -472,10 +483,9 @@ def test_checkpoint_roundtrips_optimizer(tmp_path):
 ])
 def test_param_shapes_and_bn_sites_match_build(model_kw):
     schema, _, model, config = _toy_setup(**model_kw)
-    assert param_shapes(config, schema.n_f, schema.t_f) == {
-        n: p.shape for n, p in model.params.items()}
-    assert bn_site_dims(config, schema.n_f) == {s: st.mean.shape[0]
-                                                for s, st in model.bn_states.items()}
+    shapes = param_shapes(config, schema.n_f, schema.t_f)
+    assert shapes == {n: p.shape for n, p in model.params.items()}
+    assert bn_sites(shapes) == {s: st.mean.shape[0] for s, st in model.bn_states.items()}
 
 
 def build_oracle(schema, config, seed, precision):
@@ -592,6 +602,44 @@ def test_checkpoint_truncation(tmp_path):
         path.write_bytes(raw[:cut])
         with pytest.raises(TruncatedCheckpointError):
             load_checkpoint(path, schema)
+
+
+def test_truncated_tensor_is_refused_before_it_is_allocated(tmp_path, monkeypatch):
+    schema, _, model, _ = _toy_setup()
+    path = tmp_path / "t.ckpt"
+    save_checkpoint(model, path)
+    path.write_bytes(path.read_bytes()[:-2])
+    shapes, empty = [], np.empty
+    monkeypatch.setattr(np, "empty", lambda shape, *a, **kw: shapes.append(shape) or
+                        empty(shape, *a, **kw))
+    with pytest.raises(TruncatedCheckpointError):
+        load_checkpoint(path, schema)
+    assert len(shapes) == len(model.params) - 1     # all but the cut last one
+
+
+def test_checkpoint_loads_through_a_pipe(tmp_path):
+    """A pipe has no size to check reads against; it still loads, and its
+    short reads still tell a truncated checkpoint."""
+    schema, instances, model, _ = _toy_setup()
+    path = tmp_path / "m.ckpt"
+    save_checkpoint(model, path)
+    raw = path.read_bytes()
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    for data in (raw, raw[:10], raw[: len(raw) // 2], raw[:-2]):
+        writer = threading.Thread(target=fifo.write_bytes, args=(data,))
+        writer.start()
+        try:
+            if data is raw:
+                loaded, _ = load_checkpoint(fifo, schema)
+                for name, arr in model.params.items():
+                    assert np.array_equal(loaded.params[name], arr), name
+            else:
+                with pytest.raises(TruncatedCheckpointError):
+                    load_checkpoint(fifo, schema)
+        finally:
+            writer.join(timeout=60)
+        assert not writer.is_alive()
 
 
 class _DiskFullFile:
