@@ -4,6 +4,7 @@ end to end.
 """
 from __future__ import annotations
 
+import copy
 import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
@@ -56,22 +57,23 @@ class ModelConfig:
         return _from_dict(cls, d)
 
 
-# A Glorot draw fills its array GLOROT_SLICE values at a time, so its
-# float64 temporary is one slice rather than the whole tensor (77 MB for
-# ref's 6720x1440 recombination).
+# Each thread of a Glorot draw fills its span of the stream GLOROT_SLICE
+# values at a time, so its float64 temporary is one slice rather than a whole
+# tensor (77 MB for ref's 6720x1440 recombination). build draws a stream of at
+# least 2 * GLOROT_SLICE values in two halves, the second on the helper thread.
 GLOROT_SLICE = 1 << 16
 
 
-def _glorot_uniform(rng: np.random.Generator, bound: float, shape: tuple[int, ...],
-                    dtype) -> np.ndarray:
-    """rng.uniform(-bound, bound, size=shape).astype(dtype), bit for bit:
-    slices of one uniform stream are the stream's values in order."""
-    out = np.empty(shape, dtype=dtype)
-    flat = out.reshape(-1)
-    for lo in range(0, flat.size, GLOROT_SLICE):
-        flat[lo:lo + GLOROT_SLICE] = rng.uniform(-bound, bound,
-                                                 size=min(GLOROT_SLICE, flat.size - lo))
-    return out
+def _glorot_fill(rng: np.random.Generator, spans, lo: int, hi: int) -> None:
+    """Fill values lo..hi of a Glorot stream from rng, which stands at value
+    lo. spans lists (flat view, bound, start) per tensor in stream order:
+    value start + i of the stream is element i of that tensor, drawn
+    uniform in [-bound, bound) and cast to its dtype."""
+    for flat, bound, start in spans:
+        a, b = max(lo, start), min(hi, start + flat.size)
+        for i in range(a, b, GLOROT_SLICE):
+            n = min(GLOROT_SLICE, b - i)
+            flat[i - start:i - start + n] = rng.uniform(-bound, bound, size=n)
 
 
 # forward_batch forks the emb.clf gather to the helper thread, beside the
@@ -151,10 +153,20 @@ class FgcnnModel:
         rule: ones for batch-norm scales; zeros for biases, batch-norm
         shifts and the FM linear weights; Glorot-uniform otherwise, with
         fans rf*shape[-2] and rf*shape[-1] where rf = prod(shape[:-2])
-        (h*in_maps and h*out_maps for a conv kernel [h, 1, in_maps, out_maps])."""
+        (h*in_maps and h*out_maps for a conv kernel [h, 1, in_maps, out_maps]).
+
+        The Glorot tensors take consecutive spans of one uniform stream from
+        default_rng(seed), in param_shapes order. Generator.uniform takes
+        exactly one 64-bit PCG64 output per double, so a copy of the bit
+        generator moved on with advance(mid) draws values mid.. of the same
+        stream: a stream of at least 2 * GLOROT_SLICE values is drawn in two
+        halves at once, values mid.. on the helper thread (nn.beside), with
+        the bits of a serial draw."""
         dtype = nn.as_dtype(precision)
         rng = np.random.default_rng(seed)
         params: dict[str, np.ndarray] = {}
+        spans = []
+        total = 0
         shapes = param_shapes(config, schema.n_f, schema.t_f)
         for name, shape in shapes.items():
             if name.endswith(".bn.g"):
@@ -164,7 +176,16 @@ class FgcnnModel:
             else:
                 rf = math.prod(shape[:-2])
                 bound = np.sqrt(6.0 / (rf * shape[-2] + rf * shape[-1]))
-                params[name] = _glorot_uniform(rng, bound, shape, dtype)
+                params[name] = np.empty(shape, dtype=dtype)
+                spans.append((params[name].reshape(-1), bound, total))
+                total += params[name].size
+        if total < 2 * GLOROT_SLICE:
+            _glorot_fill(rng, spans, 0, total)
+        else:
+            mid = total // 2
+            ahead = np.random.Generator(copy.deepcopy(rng.bit_generator).advance(mid))
+            nn.beside(lambda: _glorot_fill(ahead, spans, mid, total),
+                      lambda: _glorot_fill(rng, spans, 0, mid))
         bn_states = {site: nn.init_bn_state(dim, dtype)
                      for site, dim in bn_sites(shapes).items()}
         return cls(schema, config, params, bn_states, precision)

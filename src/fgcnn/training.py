@@ -271,11 +271,19 @@ class CheckpointTensorError(CheckpointError):
 def save_checkpoint(model: FgcnnModel, path, optimizer: Optional[dict] = None) -> None:
     """Binary layout: magic, version, config blob, schema digest, then named
     tensors as little-endian float32, row-major. Each tensor is written
-    straight from its array into the file."""
+    straight from its array into the file. ValueError, before the file is
+    opened, when an optimizer entry names no parameter of the model or its
+    m or v has another shape than that parameter."""
     tensors: dict[str, np.ndarray] = dict(model.params)
     for site, state in model.bn_states.items():
         tensors.update(zip(_stat_names(site), (state.mean, state.var)))
     for name, st in (optimizer or {}).items():
+        if name not in model.params:
+            raise ValueError(f"optimizer entry {name!r} names no parameter of the model")
+        if not st.m.shape == st.v.shape == model.params[name].shape:
+            raise ValueError(
+                f"optimizer entry {name!r} has m of shape {st.m.shape} and v of "
+                f"shape {st.v.shape}; its parameter has {model.params[name].shape}")
         tensors.update(zip(_moment_names(name), (st.m, st.v, np.array([st.t], np.float32))))
     blob = json.dumps({"model": model.config.to_dict(),
                        "precision": model.precision}, sort_keys=True).encode("utf-8")
@@ -321,8 +329,9 @@ def load_checkpoint(path, schema: DatasetSchema):
     """Rebuild a model (and optimizer state, when present) from a checkpoint.
 
     Refuses to load if the file is not a checkpoint, its format version is
-    unknown, its config blob holds no valid model config and precision, or
-    the schema digest does not match. The tensors are then read in one pass
+    unknown, its config blob holds no valid model config and precision, the
+    schema digest does not match, or the stored config does not fit the
+    schema. The tensors are then read in one pass
     against _tensor_layout of the stored config, each checked before it is
     allocated: a UTF-8 name in the layout and not seen before, the layout's
     shape, and bytes the file still holds. Every parameter and batch-norm
@@ -357,7 +366,11 @@ def load_checkpoint(path, schema: DatasetSchema):
             raise SchemaDigestError(
                 f"{path} was written against a different vocabulary: stored "
                 f"schema digest {digest[:12]}.. does not match {expected[:12]}..")
-        shapes = param_shapes(config, schema.n_f, schema.t_f)
+        try:
+            shapes = param_shapes(config, schema.n_f, schema.t_f)
+        except nn.ConfigError as exc:
+            raise CheckpointError(
+                f"{path}: stored model config does not fit the schema: {exc}") from exc
         known, stats, moments = _tensor_layout(shapes)
         tensors: dict[str, np.ndarray] = {}
         for _ in range(u32()):

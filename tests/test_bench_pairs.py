@@ -163,6 +163,22 @@ def test_record_carries_src_lines_of_each_side(tmp_path, monkeypatch):
     assert json.loads(out.read_text())["src_lines"] == {"parent": 3, "change": 1}
 
 
+@pytest.mark.parametrize("value", [None, "1"])
+def test_record_host_carries_pythondontwritebytecode(tmp_path, monkeypatch, value):
+    parent = _checkout(tmp_path / "parent", {"m.py": "1\n"})
+    change = _checkout(tmp_path / "change", {"m.py": "1\n"})
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda checkout: {})
+    if value is None:
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", value)
+    out = tmp_path / "BENCH_0.json"
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--seeds", "1", "--pr", "0", "--out", str(out)]) == 0
+    host = json.loads(out.read_text())["host"]
+    assert "PYTHONDONTWRITEBYTECODE" in host and host["PYTHONDONTWRITEBYTECODE"] == value
+
+
 def _traced_checkout(path, save_s, digest):
     """A checkout whose benchmark prints canned pair lines, and for --trace 1
     a detail line with digest and a final line with save_s as a self time."""

@@ -481,6 +481,16 @@ def test_cli_eval_of_checkpoint_with_non_mapping_config_exits_two(toy_cfg, tmp_p
     assert "'classifier'" in err and "mapping" in err, err
 
 
+def test_cli_eval_of_checkpoint_whose_config_does_not_fit_the_schema_exits_two(toy_cfg,
+                                                                                  tmp_path, capsys):
+    bad = _checkpoint_with_blob(toy_cfg, tmp_path,
+                                lambda model: model["featgen"].update(kernel_heights=[9]))
+    err = _cli_eval_error(toy_cfg, tmp_path, capsys, bad)
+    words = ["bad.ckpt", "stored model config does not fit the schema",
+             "round 1: kernel height 9 exceeds the field count 4"]
+    assert all(word in err for word in words), err
+
+
 @pytest.mark.parametrize("edit, words", [
     (lambda blob, digest: (b"{not json", digest), ["Expecting"]),
     (lambda blob, digest: (b'{"model": "\xff"}', digest), ["utf-8"]),

@@ -5,7 +5,10 @@ import json
 import math
 import os
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +26,8 @@ from fgcnn.training import (CheckpointTensorError, CheckpointVersionError, NotAC
                             SchemaDigestError, TrainConfig, TruncatedCheckpointError,
                             auc_score, complexity_report, evaluate, load_checkpoint,
                             logloss_score, save_checkpoint, train)
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def auc_pair_oracle(scores, labels):
@@ -507,26 +512,61 @@ def build_oracle(schema, config, seed, precision):
 
 
 @pytest.mark.parametrize("precision", ["f32", "f64"])
-@pytest.mark.parametrize("cardinality, glorot_slice", [(5000, None), (4, 5)])
+@pytest.mark.parametrize("cardinality, glorot_slice, forks",
+                         [(5000, None, True), (4, 5, True), (4, None, False)],
+                         ids=["5000-None", "4-5", "4-None"])
 def test_build_draws_the_bytes_of_one_shot_glorot_draws(monkeypatch, precision, cardinality,
-                                                         glorot_slice):
+                                                         glorot_slice, forks):
     # 5000 values in each of 4 fields at k=4: the embedding tables hold
-    # 80016 values, past one default slice; a slice of 5 cuts every tensor
+    # 80016 values each, past one default slice, and the stream of 160780
+    # values forks at 80390, value 374 of emb.clf. With a slice of 5 the
+    # 908 values at cardinality 4 fork at 454, value 34 of clf.fc1.w, and a
+    # slice cuts every tensor; at the default slice they stay on one thread.
     if glorot_slice is not None:
         monkeypatch.setattr(model_mod, "GLOROT_SLICE", glorot_slice)
+    forked = []
+    fork = nn.fork
+    monkeypatch.setattr(nn, "fork", lambda fn, first=True: forked.append(fn) or fork(fn, first))
     schema = DatasetSchema([FieldSchema(f"f{j}", {f"v{i}": i + 1 for i in range(cardinality)})
                             for j in range(4)])
     config = ModelConfig(k=4, classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,)),
                          featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,),
                                                   new_maps=(2,)))
-    assert max(math.prod(s) for s in param_shapes(config, 4, schema.t_f).values()) > (
-        glorot_slice or model_mod.GLOROT_SLICE)
-    got = FgcnnModel.build(schema, config, 3, precision).params
     want = build_oracle(schema, config, 3, precision)
+    sizes = [arr.size for name, arr in want.items()
+             if not (name.endswith((".bn.g", ".b")) or name == "clf.linear.w")]
+    starts = np.cumsum([0] + sizes)
+    mid, slice_ = starts[-1] // 2, model_mod.GLOROT_SLICE
+    assert (starts[-1] >= 2 * slice_) == forks
+    if forks:       # the split lands inside a tensor and inside a slice of it
+        start = starts[np.searchsorted(starts, mid, side="right") - 1]
+        assert start < mid and (mid - start) % slice_ != 0
+    got = FgcnnModel.build(schema, config, 3, precision).params
+    assert len(forked) == forks
     assert got.keys() == want.keys()
     for name, arr in want.items():
         assert (got[name].dtype, got[name].shape) == (arr.dtype, arr.shape), name
         assert got[name].tobytes() == arr.tobytes(), name
+
+
+def test_toy_build_starts_no_helper_thread():
+    """The toy model's Glorot stream is under 2 * GLOROT_SLICE values, so its
+    build draws on the calling thread and starts no helper."""
+    script = (
+        "import threading\n"
+        "from fgcnn.config import load_config\n"
+        "from fgcnn.data import planted_spec, synthetic_schema\n"
+        "from fgcnn.model import FgcnnModel\n"
+        "cfg = load_config('configs/toy.cfg')\n"
+        "s = cfg.synthetic\n"
+        "schema = synthetic_schema(planted_spec(n_f=s.n_fields, cardinality=s.cardinality,\n"
+        "                                       pair=s.pair, seed=s.seed))\n"
+        "FgcnnModel.build(schema, cfg.model, cfg.train.seed, cfg.train.precision)\n"
+        "print(sorted(t.name for t in threading.enumerate()))\n")
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(ROOT / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['MainThread']"
 
 
 def _shrink_first_bn_mean(model, opt):
@@ -558,10 +598,32 @@ def test_checkpoint_tensors_checked_against_config(tmp_path, edit, words):
     save_checkpoint(model, path, optimizer=opt)
     load_checkpoint(path, schema)
     edit(model, opt)
-    save_checkpoint(model, path, optimizer=opt)
+    path.write_bytes(checkpoint_bytes_oracle(model, opt))    # save_checkpoint refuses some
     with pytest.raises(CheckpointTensorError) as info:
         load_checkpoint(path, schema)
     assert all(word in str(info.value) for word in words), str(info.value)
+
+
+@pytest.mark.parametrize("entry, words", [
+    (("clf.nope", (3,), (3,)), ["'clf.nope'", "names no parameter"]),
+    (("emb.gen", (3,), (20, 4)), ["'emb.gen'", "m of shape (3,)", "has (20, 4)"]),
+    (("emb.gen", (20, 4), (4, 20)), ["'emb.gen'", "v of shape (4, 20)", "has (20, 4)"]),
+])
+def test_save_checkpoint_refuses_optimizer_entries_that_do_not_fit(tmp_path, entry, words):
+    """The file is neither opened nor replaced: the previous checkpoint stays
+    and no temporary file is left beside it."""
+    schema, _, model, _ = _toy_setup()
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    before = path.read_bytes()
+    name, m_shape, v_shape = entry
+    opt = {name: nn.AdamState(m=np.zeros(m_shape, np.float32), v=np.zeros(v_shape, np.float32),
+                              lr=0.1)}
+    with pytest.raises(ValueError) as info:
+        save_checkpoint(model, path, optimizer=opt)
+    assert all(word in str(info.value) for word in words), str(info.value)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
 
 def test_checkpoint_bad_magic(tmp_path):

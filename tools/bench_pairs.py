@@ -24,7 +24,10 @@ in each checkout, and the record's "trace" keeps every per-span self time
 test command runs once in each checkout and its pass counts and wall time
 are recorded. The record
 also carries each checkout's src_lines, the total `wc -l src/**/*.py`
-prints, so the net line change of the change comes from the same command.
+prints, so the net line change of the change comes from the same command,
+and in its "host" block the PYTHONDONTWRITEBYTECODE value the runs inherit
+(null when unset): without a bytecode cache, every setup probe compiles the
+package's sources, so setup_s figures compare only under the same value.
 """
 from __future__ import annotations
 
@@ -251,7 +254,8 @@ def main(argv=None) -> int:
         "change_commit": _head(args.change),
         "src_lines": {"parent": src_lines(args.parent), "change": src_lines(args.change)},
         "command": "python3 perfbench/run.py --workload all --seed <seed>",
-        "host": {"cpu": _cpu()},
+        "host": {"cpu": _cpu(),
+                 "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE")},
         "seeds": seeds,
         "order": "one parent run and one change run per seed, alternating which "
                  "goes first; the change ran first on the first seed",
