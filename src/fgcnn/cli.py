@@ -104,8 +104,6 @@ def _resolve_data(cfg: ExperimentConfig):
             test_set, ingest["test"] = load_dataset(cfg.data.test_path, schema,
                                                     max_vals=cfg.data.max_vals)
         return schema, train_set, test_set, ingest
-    if cfg.synthetic is None:
-        raise DataError("config names neither dataset files nor a synthetic spec")
     return (*_synthetic_split(cfg)[:3], ingest)
 
 
@@ -125,6 +123,8 @@ def _ingest_lines(ingest) -> list[str]:
 
 
 def _synthetic_spec(cfg: ExperimentConfig):
+    """The planted spec of cfg.synthetic, which load_config always sets: to
+    the desk-scale default when the file has no [synthetic] section."""
     s = cfg.synthetic
     return planted_spec(n_f=s.n_fields, cardinality=s.cardinality, pair=s.pair,
                         strength=s.strength, bias=s.bias, seed=s.seed)
@@ -192,8 +192,6 @@ def _cmd_eval(args) -> int:
 
 def _cmd_synth(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
-    if cfg.synthetic is None:
-        raise DataError("synth needs a [synthetic] section")
     out = _out_dir(args)
     schema, train_set, test_set, train_probs, test_probs = _synthetic_split(cfg)
     write_dataset_file(out / "train.csv", schema, train_set)
@@ -266,14 +264,10 @@ def _cmd_complexity(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     if cfg.schema_dims is not None:
         n_f, t_f = cfg.schema_dims
-    elif cfg.data.schema_path:
-        schema = DatasetSchema.load(cfg.data.schema_path)
-        n_f, t_f = schema.n_f, schema.t_f
-    elif cfg.synthetic is not None:
-        schema = synthetic_schema(_synthetic_spec(cfg))
-        n_f, t_f = schema.n_f, schema.t_f
     else:
-        raise DataError("complexity needs a schema, synthetic spec, or [complexity] dims")
+        schema = (DatasetSchema.load(cfg.data.schema_path) if cfg.data.schema_path
+                  else synthetic_schema(_synthetic_spec(cfg)))
+        n_f, t_f = schema.n_f, schema.t_f
     report = complexity_report(cfg.model, n_f, t_f)
     print(report.to_text())
     return EXIT_OK

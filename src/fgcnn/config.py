@@ -154,6 +154,10 @@ def load_config(path) -> ExperimentConfig:
                 if len(cfg.synthetic.pair) != 2:
                     raise ConfigFileError(
                         f"[synthetic] pair needs two field indices, got {items['pair']!r}")
+                for key, least in (("n_train", 1), ("n_test", 0), ("strength", 0)):
+                    if getattr(cfg.synthetic, key) < least:
+                        raise ConfigFileError(f"[synthetic] {key} must be >= {least}, "
+                                              f"got {getattr(cfg.synthetic, key)}")
             elif name == "complexity":
                 unknown = sorted(items.keys() - {"n_fields", "total_features"})
                 if unknown:
@@ -161,7 +165,12 @@ def load_config(path) -> ExperimentConfig:
                 if len(items) != 2:
                     raise ConfigFileError(
                         "section [complexity] needs both n_fields and total_features")
-                cfg.schema_dims = (int(items["n_fields"]), int(items["total_features"]))
+                n_f, t_f = int(items["n_fields"]), int(items["total_features"])
+                if n_f < 1 or t_f < n_f:
+                    raise ConfigFileError(
+                        f"[complexity] needs n_fields >= 1 and total_features >= n_fields "
+                        f"(one dummy row per field), got {n_f} and {t_f}")
+                cfg.schema_dims = (n_f, t_f)
             else:
                 raise ConfigFileError(f"unknown section [{name}]")
     except ValueError as exc:

@@ -11,7 +11,7 @@ import csv
 import hashlib
 from collections import Counter
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, compress, repeat
 from pathlib import Path
 from typing import Optional
@@ -33,32 +33,30 @@ class DataError(ValueError):
 # ---------------------------------------------------------------------------
 # schema types
 
-@dataclass
+@dataclass(frozen=True)
 class FieldSchema:
     """Vocabulary of one categorical field.
 
-    Index 0 is reserved for the rare-token dummy. token_to_index numbers
-    the retained tokens 1..cardinality-1 in its insertion order (first-seen
-    order, from build_vocab; DatasetSchema.from_text and synthetic_schema
-    build it so too), and the schema writers rely on that order.
+    Index 0 is reserved for the rare-token dummy; tokens[i] has index i + 1,
+    so the retained tokens are numbered 1..cardinality-1 in their order
+    (first-seen order, from build_vocab). token_to_index is derived from
+    tokens when the object is built, and a repeated token raises DataError.
     """
     field_name: str
-    token_to_index: dict[str, int]
+    tokens: tuple[str, ...]
     multivalent: bool = False
+    token_to_index: dict[str, int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        tokens = tuple(self.tokens)
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "token_to_index", dict(zip(tokens, range(1, len(tokens) + 1))))
+        if len(self.token_to_index) != len(tokens):
+            raise DataError(f"duplicate tokens in field {self.field_name!r}")
 
     @property
     def cardinality(self) -> int:
-        return len(self.token_to_index) + 1
-
-    def tokens_in_index_order(self) -> list[str]:
-        """The tokens of indices 1..n: the mapping's own order, once its values
-        are checked to be exactly 1..n in that order. A mapping that breaks
-        the contract raises DataError, since written out it would load back
-        with other indices."""
-        if list(self.token_to_index.values()) != list(range(1, len(self.token_to_index) + 1)):
-            raise DataError(f"field {self.field_name!r}: token indices are not 1..n "
-                            f"in insertion order")
-        return list(self.token_to_index)
+        return len(self.tokens) + 1
 
 
 @dataclass
@@ -89,7 +87,7 @@ class DatasetSchema:
         for f in self.fields:
             kind = "multivalent" if f.multivalent else "univalent"
             lines.append(f"field {f.field_name} {kind} {f.cardinality}")
-            lines.extend(f.tokens_in_index_order())
+            lines.extend(f.tokens)
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -121,10 +119,7 @@ class DatasetSchema:
                 if len(tokens) != n_tokens:
                     raise DataError(f"field {name!r}: the file ends after {len(tokens)} "
                                     f"of its {n_tokens} tokens")
-                mapping = {tok: i + 1 for i, tok in enumerate(tokens)}
-                if len(mapping) != n_tokens:
-                    raise DataError(f"duplicate tokens in field {name!r}")
-                fields.append(FieldSchema(name, mapping, multivalent=(kind == "multivalent")))
+                fields.append(FieldSchema(name, tokens, multivalent=(kind == "multivalent")))
             if pos != len(lines):
                 raise DataError(f"line {pos + 1}: {len(lines) - pos} lines after the "
                                 f"last declared field")
@@ -244,8 +239,7 @@ def build_vocab(field_names: Sequence[str], columns: Sequence[Sequence],
         # Counter keeps first-seen order, so retained tokens are numbered in it.
         counts = Counter(column)
         kept = list(compress(counts, map(min_count.__le__, counts.values())))
-        fields.append(FieldSchema(name, dict(zip(kept, range(1, len(kept) + 1))),
-                                  multivalent=multivalent))
+        fields.append(FieldSchema(name, kept, multivalent=multivalent))
     if faults:
         raise RowError(*min(faults))
     return DatasetSchema(fields=fields, min_count=min_count)
@@ -392,10 +386,8 @@ def planted_spec(n_f: int = 8, cardinality: int = 10, pair: tuple[int, int] = (1
 
 def synthetic_schema(spec: SyntheticSpec) -> DatasetSchema:
     spec.validate()
-    fields = []
-    for j, card in enumerate(spec.cardinalities):
-        mapping = {f"v{i}": i + 1 for i in range(card)}
-        fields.append(FieldSchema(f"f{j}", mapping, multivalent=False))
+    fields = [FieldSchema(f"f{j}", tuple(f"v{i}" for i in range(card)))
+              for j, card in enumerate(spec.cardinalities)]
     return DatasetSchema(fields=fields, min_count=1)
 
 
@@ -436,7 +428,7 @@ def write_dataset_file(path, schema: DatasetSchema, split: Split) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(schema.field_names() + [LABEL_COLUMN])
-        tokens = [[DUMMY_TOKEN] + f.tokens_in_index_order() for f in schema.fields]
+        tokens = [(DUMMY_TOKEN, *f.tokens) for f in schema.fields]
         for cells, lengths, label in zip(split.indices.tolist(), split.lengths.tolist(),
                                          split.labels.tolist()):
             row = [VALUE_SEP.join(map(toks.__getitem__, vals[:m]))

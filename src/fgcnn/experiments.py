@@ -55,7 +55,10 @@ def build_variant(name: str, base: ModelConfig, schema: DatasetSchema, seed: int
 def run_ablation(train_set: Split, test_set: Split,
                  schema: DatasetSchema, base: ModelConfig, train_cfg: TrainConfig,
                  variants: Sequence[str] = VARIANT_NAMES) -> list[dict]:
-    """Train every variant under the same seed and report test metrics."""
+    """Train every variant under the same seed and report test metrics; every
+    variant's config is checked before the first is trained."""
+    for name in variants:
+        variant_model_config(name, base).validate(schema.n_f)
     rows = []
     for name in variants:
         model = build_variant(name, base, schema, train_cfg.seed, train_cfg.precision)
@@ -71,7 +74,12 @@ def run_compatibility(kinds: Sequence[str], train_set: Split,
                       base: ModelConfig, train_cfg: TrainConfig,
                       seeds: Sequence[int] = (0,)) -> list[dict]:
     """For each classifier kind, train with and without feature generation
-    under identical seeds; two rows per kind per seed."""
+    under identical seeds; two rows per kind per seed. Every kind's config
+    with generation is checked before the first arm is trained."""
+    if base.featgen is None:
+        raise ConfigError("compatibility runs need feature generation enabled")
+    for kind in kinds:
+        replace(base, classifier=replace(base.classifier, kind=kind)).validate(schema.n_f)
     rows = []
     for kind in kinds:
         for seed in seeds:
@@ -137,9 +145,12 @@ def run_shuffle_study(train_set: Split, test_set: Split,
                       schema: DatasetSchema, base: ModelConfig, train_cfg: TrainConfig,
                       n_permutations: int, seed: int = 0) -> ShuffleStudyResult:
     """Train the full model and its recombination-free twin on identical field
-    permutations and collect both arms' test AUC."""
+    permutations and collect both arms' test AUC; both arms' configs are
+    checked before the first is trained."""
     if n_permutations < 2:
         raise ValueError(f"need at least 2 permutations, got {n_permutations}")
+    for arm in ("full", "no_recombination"):
+        variant_model_config(arm, base).validate(schema.n_f)
     perms = shuffle_permutations(schema.n_f, n_permutations, seed)
     with_arm: list[float] = []
     without_arm: list[float] = []

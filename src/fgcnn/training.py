@@ -502,36 +502,36 @@ class ComplexityReport:
 
 def complexity_report(config: ModelConfig, n_f: int, t_f: int) -> ComplexityReport:
     """Predict per-component parameter counts from the configuration alone and
-    enumerate the tensors the model would actually allocate."""
+    enumerate the tensors the model would actually allocate. An invalid
+    config raises ConfigError before any formula runs."""
+    shapes = param_shapes(config, n_f, t_f)
     k = config.k
     n_tables = int(config.include_raw) + int(config.featgen is not None)
     embedding = n_tables * t_f * k
-    conv = recomb_w = recomb_b = 0
-    mult_fg = 0
-    round_fields: list[int] = []
-    if config.featgen is not None and config.featgen.style == "cnn":
-        fg = config.featgen
+    conv = recomb_w = recomb_b = mult_fg = other = 0
+    fg = config.featgen
+    round_fields = [] if fg is None else fg_mod.round_field_counts(n_f, fg)
+    if fg is not None and fg.style == "cnn":
         rows = fg_mod.rows_chain(n_f, fg)
         in_maps = 1
         for i in range(fg.n_c):
             conv += fg.kernel_heights[i] * in_maps * fg.feature_maps[i]
             mult_fg += rows[i] * k * fg.feature_maps[i] * fg.kernel_heights[i] * in_maps
             mult_fg += rows[i] * k * fg.feature_maps[i]        # pooling comparisons
+            bn_width = fg.feature_maps[i]       # units the round's batch-norm sites normalize
             if fg.use_recombination:
                 d_in = rows[i + 1] * k * fg.feature_maps[i]
                 d_out = rows[i + 1] * k * fg.new_maps[i]
                 recomb_w += d_in * d_out
                 recomb_b += d_out
                 mult_fg += d_in * d_out
+                bn_width += d_out
+            other += 2 * bn_width if fg.use_bn else 0
             in_maps = fg.feature_maps[i]
-        round_fields = fg_mod.round_field_counts(n_f, fg)
-    elif config.featgen is not None:
-        round_fields = fg_mod.round_field_counts(n_f, config.featgen)
     t_fields = config.augmented_fields(n_f)
 
     clf = config.classifier
     first_w = 0
-    other = 0
     if clf.kind in ("fm", "deepfm"):
         other += t_fields * k + 1                       # linear weights + bias
     if clf.kind != "fm":
@@ -544,19 +544,11 @@ def complexity_report(config: ModelConfig, n_f: int, t_f: int) -> ComplexityRepo
         for prev, h in zip(sizes, sizes[1:]):
             other += prev * h + h + (2 * h if clf.use_bn else 0)
         other += sizes[-1] + 1                          # output projection
-    if config.featgen is not None and config.featgen.style == "mlp":
+    if fg is not None and fg.style == "mlp":
         prev = n_f * k
         for n_i in round_fields:
-            other += prev * (n_i * k) + n_i * k
-            if config.featgen.use_bn:
-                other += 2 * n_i * k
+            other += prev * (n_i * k) + n_i * k + (2 * n_i * k if fg.use_bn else 0)
             prev = n_i * k
-    if config.featgen is not None and config.featgen.use_bn and config.featgen.style == "cnn":
-        for i in range(config.featgen.n_c):
-            other += 2 * config.featgen.feature_maps[i]
-            if config.featgen.use_recombination:
-                rows = fg_mod.rows_chain(n_f, config.featgen)
-                other += 2 * rows[i + 1] * k * config.featgen.new_maps[i]
 
     predicted = embedding + conv + recomb_w + recomb_b + first_w + other
 
@@ -570,7 +562,7 @@ def complexity_report(config: ModelConfig, n_f: int, t_f: int) -> ComplexityRepo
             width = h
         mult_clf += width
 
-    enumerated = _enumerate_shapes(config, n_f, t_f)
+    enumerated = _enumerate_shapes(shapes)
     return ComplexityReport(
         n_f=n_f, t_f=t_f, k=k, t_fields=t_fields, round_fields=round_fields,
         embedding_params=embedding, conv_params=conv,
@@ -581,11 +573,10 @@ def complexity_report(config: ModelConfig, n_f: int, t_f: int) -> ComplexityRepo
     )
 
 
-def _enumerate_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, int]:
+def _enumerate_shapes(shapes: dict[str, tuple[int, ...]]) -> dict[str, int]:
     """Tensor sizes grouped by component, from the shapes the builder
     allocates (no allocation)."""
-    sizes = {name: int(np.prod(shape))
-             for name, shape in param_shapes(config, n_f, t_f).items()}
+    sizes = {name: int(np.prod(shape)) for name, shape in shapes.items()}
     groups = {
         "embedding": 0, "conv_weights": 0, "recomb_weights": 0, "recomb_biases": 0,
         "clf_first_layer_weights": 0, "other": 0, "total": 0,

@@ -117,7 +117,7 @@ def test_criterion_2_shape_law():
             new_maps=tuple(int(rng.integers(1, 4)) for _ in range(n_c)),
             pool_height=h_p)
         k = 2
-        schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(n_f)])
+        schema = DatasetSchema(fields=[FieldSchema(f"f{j}", ("a",)) for j in range(n_f)])
         head = ClassifierConfig(kind="dnn", hidden_sizes=(1,))
         model = FgcnnModel.build(schema, ModelConfig(k=k, classifier=head, featgen=cfg),
                                  0, "f64")

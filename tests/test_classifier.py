@@ -41,7 +41,7 @@ def fm_backward_oracle(grad, e):
 
 def _mlp_params(config, t, k, seed=0):
     """The head's tensors as FgcnnModel.build initializes them over t raw fields."""
-    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(t)])
+    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", ("a",)) for j in range(t)])
     model = FgcnnModel.build(schema, ModelConfig(k=k, classifier=config), seed, "f64")
     return {n: p for n, p in model.params.items() if n.startswith("clf.")}
 

@@ -76,8 +76,8 @@ def encode(field, token):
 
 
 def decode(field, index):
-    """Token of one index by a linear scan over the vocabulary: the oracle
-    for tokens_in_index_order."""
+    """Token of one index by a linear scan over token_to_index: the oracle
+    for the order of tokens."""
     if index == 0:
         return d.DUMMY_TOKEN
     for tok, i in field.token_to_index.items():
@@ -223,11 +223,8 @@ def build_vocab_oracle(field_names, rows, min_count):
                 counts[j][tok] = counts[j].get(tok, 0) + 1
     fields = []
     for j, name in enumerate(field_names):
-        mapping = {}
-        for tok in first_seen[j]:
-            if counts[j][tok] >= min_count:
-                mapping[tok] = len(mapping) + 1
-        fields.append(d.FieldSchema(name, mapping, multivalent=multival[j]))
+        tokens = [tok for tok in first_seen[j] if counts[j][tok] >= min_count]
+        fields.append(d.FieldSchema(name, tuple(tokens), multivalent=multival[j]))
     return d.DatasetSchema(fields=fields, min_count=min_count)
 
 
@@ -628,7 +625,7 @@ def permute_fields_oracle(instances, permutation):
 
 
 def _schema_of(n_f):
-    return d.DatasetSchema(fields=[d.FieldSchema(f"f{j}", {}) for j in range(n_f)])
+    return d.DatasetSchema(fields=[d.FieldSchema(f"f{j}", ()) for j in range(n_f)])
 
 
 @settings(max_examples=150, deadline=None, database=None)
@@ -744,17 +741,21 @@ def test_schema_text_matches_the_sorted_writer_and_round_trips(case, text):
     assert d.DatasetSchema.from_text(text).to_text() == text
 
 
-@pytest.mark.parametrize("mapping", [{"a": 2, "b": 1}, {"a": 1, "c": 3}, {"a": 0},
-                                     {"a": 1, "b": 1}, {"a": "1"}])
-def test_mapping_not_numbered_in_insertion_order_is_refused(tmp_path, mapping):
-    # written in index order, each of these would reload with other indices
-    schema = d.DatasetSchema([d.FieldSchema("ok", {"x": 1}), d.FieldSchema("bad", mapping)])
-    split = d.Split(np.ones((1, 2, 1), np.int64), np.ones((1, 2), np.int64),
-                    np.ones(1, np.int64))
-    for write in (schema.to_text, schema.digest, lambda: schema.save(tmp_path / "s.txt"),
-                  lambda: d.write_dataset_file(tmp_path / "d.csv", schema, split)):
-        with pytest.raises(d.DataError, match=r"field 'bad': token indices are not 1\.\.n"):
-            write()
+def test_field_schema_numbers_its_tokens_in_order():
+    f = d.FieldSchema("f", ("b", "a", "c"), multivalent=True)
+    assert f.token_to_index == {"b": 1, "a": 2, "c": 3}
+    assert f.cardinality == 4
+    assert f == d.FieldSchema("f", ["b", "a", "c"], multivalent=True)
+    assert f != d.FieldSchema("f", ("a", "b", "c"), multivalent=True)
+
+
+def test_repeated_token_is_refused_when_the_field_is_built():
+    with pytest.raises(d.DataError, match=r"duplicate tokens in field 'bad'"):
+        d.FieldSchema("bad", ("x", "y", "x"))
+    text = ("fgcnn-schema 1\nmin_count 1\nfields 2\nfield ok univalent 2\nx\n"
+            "field bad multivalent 3\ny\ny\n")
+    with pytest.raises(d.DataError, match=r"duplicate tokens in field 'bad'"):
+        d.DatasetSchema.from_text(text)
 
 
 def test_ragged_file_row_names_line(tmp_path):
@@ -938,7 +939,7 @@ def test_write_read_encode_roundtrip_with_multivalent_fields(tmp_path):
     assert names == schema.field_names()
     assert_same_split(back, split)
     for f in schema.fields:
-        order = [d.DUMMY_TOKEN] + f.tokens_in_index_order()
+        order = [d.DUMMY_TOKEN, *f.tokens]
         assert [decode(f, i) for i in range(f.cardinality)] == order
         with pytest.raises(IndexError):
             decode(f, f.cardinality)

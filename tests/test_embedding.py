@@ -17,8 +17,8 @@ from fgcnn.model import FgcnnModel, ModelConfig
 def _schema(cards=(3, 4, 2), multivalent=()):
     fields = []
     for j, c in enumerate(cards):
-        mapping = {f"t{i}": i + 1 for i in range(c - 1)}
-        fields.append(d.FieldSchema(f"f{j}", mapping, multivalent=j in multivalent))
+        tokens = tuple(f"t{i}" for i in range(c - 1))
+        fields.append(d.FieldSchema(f"f{j}", tokens, multivalent=j in multivalent))
     return d.DatasetSchema(fields=fields)
 
 
@@ -296,9 +296,9 @@ def _awkward_batch():
     a multivalent cell truncated from 3 values to 2, a cell holding one
     token twice, an empty cell and a token on several rows."""
     schema = d.DatasetSchema(fields=[
-        d.FieldSchema("u", {"x": 1, "y": 2}),
-        d.FieldSchema("m", {"a": 1, "b": 2, "c": 3}, multivalent=True),
-        d.FieldSchema("n", {"p": 1, "q": 2}, multivalent=True)])
+        d.FieldSchema("u", ("x", "y")),
+        d.FieldSchema("m", ("a", "b", "c"), multivalent=True),
+        d.FieldSchema("n", ("p", "q"), multivalent=True)])
     columns = [["x", "y", "x"],
                [("a", "b", "c"), ("b", "b"), ()],
                [("p",), ("q", "p"), ("q",)]]

@@ -597,8 +597,29 @@ def test_crafted_checkpoint_fails_cleanly_naming_the_tensor(toy_cfg, tmp_path, c
      "eval_every must be >= 1, got 0"),
     (["eval", "--checkpoint", "{tmp}", "--out", "{tmp}/run"], None, "Is a directory"),
     (["train", "--out", "{tmp}/file"], None, "File exists"),
+    (["complexity"], ("hidden_sizes = 8", "hidden_sizes ="),
+     "classifier kind 'ipnn' needs at least one hidden layer"),
+    (["complexity"], ("new_maps = 2", "new_maps = 2\npool_height = 0"),
+     "pool_height must be >= 2, got 0"),
+    (["complexity"], ("kernel_heights = 2", "kernel_heights = 2,2"),
+     "kernel_heights, feature_maps, new_maps must have equal length"),
+    (["complexity"], ("n_test = 60", "n_test = 60\n[complexity]\nn_fields = 4\n"
+                                     "total_features = -5"),
+     "total_features >= n_fields (one dummy row per field), got 4 and -5"),
+    (["complexity"], ("n_test = 60", "n_test = 60\n[complexity]\nn_fields = 0\n"
+                                     "total_features = 9"),
+     "needs n_fields >= 1"),
+    (["synth", "--out", "{tmp}/run"], ("strength = 2.0", "strength = -1"),
+     "[synthetic] strength must be >= 0, got -1.0"),
+    (["synth", "--out", "{tmp}/run"], ("n_train = 120", "n_train = -50"),
+     "[synthetic] n_train must be >= 1, got -50"),
+    (["synth", "--out", "{tmp}/run"], ("n_test = 60", "n_test = -1"),
+     "[synthetic] n_test must be >= 0, got -1"),
 ], ids=["unknown_precision", "batch_size_0", "eval_every_0", "checkpoint_is_a_directory",
-        "out_is_a_file"])
+        "out_is_a_file", "complexity_no_hidden_layer", "complexity_pool_height_0",
+        "complexity_short_feature_maps", "complexity_negative_total_features",
+        "complexity_no_fields", "synthetic_negative_strength", "synthetic_negative_n_train",
+        "synthetic_negative_n_test"])
 def test_cli_config_and_path_faults_exit_two(tmp_path, capsys, argv, config_edit, words):
     cfg = tmp_path / "c.cfg"
     text = TOY_CFG if config_edit is None else TOY_CFG.replace(*config_edit)
@@ -607,6 +628,27 @@ def test_cli_config_and_path_faults_exit_two(tmp_path, capsys, argv, config_edit
     assert cli_main([*(a.format(tmp=tmp_path) for a in argv), "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert words in err and "Traceback" not in err, err
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["compat", "--kinds", "dnn"], "compatibility runs need feature generation enabled"),
+    (["ablate"], "remove_raw needs feature generation enabled"),
+    (["shuffle", "--permutations", "2"],
+     "variant 'no_recombination' needs feature generation enabled"),
+], ids=["compat", "ablate", "shuffle"])
+def test_cli_protocol_without_feature_generation_trains_nothing(tmp_path, capsys,
+                                                                monkeypatch, argv, words):
+    # every arm's config is checked before the first arm trains
+    trained = []
+    monkeypatch.setattr(ex, "train", lambda *args, **kw: trained.append(args))
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TOY_CFG.replace("new_maps = 2", "new_maps = 2\nenabled = false"),
+                   encoding="utf-8")
+    out = tmp_path / "run"
+    assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert words in err and "Traceback" not in err, err
+    assert trained == [] and list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("header, row, config_edit, words", [

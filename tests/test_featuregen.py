@@ -373,7 +373,7 @@ def test_recombine_gradients():
 
 def _params(n_f, k, cfg, seed=0, precision="f64"):
     """The generation tensors as FgcnnModel.build initializes them for n_f fields."""
-    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", {"a": 1}) for j in range(n_f)])
+    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", ("a",)) for j in range(n_f)])
     config = ModelConfig(k=k, classifier=ClassifierConfig(kind="dnn", hidden_sizes=(1,)),
                          featgen=cfg, include_raw=False)
     model = FgcnnModel.build(schema, config, seed, precision)

@@ -527,7 +527,7 @@ def test_build_draws_the_bytes_of_one_shot_glorot_draws(monkeypatch, precision, 
     forked = []
     fork = nn.fork
     monkeypatch.setattr(nn, "fork", lambda fn, first=True: forked.append(fn) or fork(fn, first))
-    schema = DatasetSchema([FieldSchema(f"f{j}", {f"v{i}": i + 1 for i in range(cardinality)})
+    schema = DatasetSchema([FieldSchema(f"f{j}", tuple(f"v{i}" for i in range(cardinality)))
                             for j in range(4)])
     config = ModelConfig(k=4, classifier=ClassifierConfig(kind="ipnn", hidden_sizes=(8,)),
                          featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(2,),
@@ -798,3 +798,19 @@ def test_formula_matches_allocation_for_divisible_config():
     # the recombination weights follow the closed form n_f^2/h_p^(2i) k^2 m_c m_r
     closed = sum(n_f ** 2 // 2 ** (2 * i) * 4 * 3 * 2 for i in (1, 2))
     assert rep.recomb_weight_params == closed
+
+
+@pytest.mark.parametrize("kind", ["ipnn", "dnn", "fm", "deepfm"])
+@pytest.mark.parametrize("style, use_recombination", [("cnn", True), ("cnn", False),
+                                                      ("mlp", True), (None, True)])
+@pytest.mark.parametrize("use_bn", [False, True])
+def test_predicted_total_matches_the_allocated_shapes(kind, style, use_recombination, use_bn):
+    # n_f = 5 pools unevenly (5 -> 3 -> 2), and batch norm sits at every site
+    featgen = None if style is None else FeatureGenConfig(
+        kernel_heights=(2, 3), feature_maps=(3, 2), new_maps=(2, 3), use_bn=use_bn,
+        use_recombination=use_recombination, style=style)
+    config = ModelConfig(k=3, featgen=featgen, classifier=ClassifierConfig(
+        kind=kind, hidden_sizes=(7, 5), use_bn=use_bn))
+    rep = complexity_report(config, n_f=5, t_f=23)
+    total = sum(int(np.prod(s)) for s in param_shapes(config, 5, 23).values())
+    assert rep.predicted_total == rep.enumerated["total"] == total
