@@ -37,9 +37,9 @@ class ClassifierConfig:
         if self.kind not in KINDS:
             raise nn.ConfigError(
                 f"unknown classifier kind {self.kind!r}, expected one of {KINDS}")
-        if self.kind != "fm" and not self.hidden_sizes:
-            raise nn.ConfigError(
-                f"classifier kind {self.kind!r} needs at least one hidden layer")
+        if self.kind != "fm" and min(self.hidden_sizes, default=0) < 1:
+            raise nn.ConfigError(f"classifier kind {self.kind!r} needs at least one hidden "
+                                 f"layer, each of size >= 1, got {list(self.hidden_sizes)}")
         if not (0.0 < self.dropout_keep <= 1.0):
             raise nn.ConfigError(f"dropout_keep must be in (0, 1], got {self.dropout_keep}")
 
@@ -98,10 +98,6 @@ def mlp_input_width(kind: str, t: int, k: int) -> int:
 
 
 def param_shapes(config: ClassifierConfig, t: int, k: int) -> dict[str, tuple[int, ...]]:
-    config.validate()
-    if t < 2 and config.kind in ("ipnn", "fm", "deepfm"):
-        raise nn.ConfigError(
-            f"classifier kind {config.kind!r} needs T >= 2 raw plus generated fields, got {t}")
     shapes: dict[str, tuple[int, ...]] = {}
     if config.kind in ("fm", "deepfm"):
         shapes["clf.linear.w"] = (t, k)
@@ -126,7 +122,6 @@ def classifier_forward(e: np.ndarray, params: dict[str, np.ndarray],
                        dropout_rng: Optional[np.random.Generator] = None):
     """Score the augmented matrix e [b, T, k]: returns (logit, cache) under
     the forward contract of nn."""
-    config.validate()
     b, t, k = e.shape
     logit = np.zeros(b, dtype=e.dtype)
     if config.kind in ("fm", "deepfm"):

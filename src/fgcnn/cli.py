@@ -36,13 +36,18 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _int_list(text: str) -> list[int]:
-    """'2,3,4' -> [2, 3, 4]; empty items are skipped."""
-    try:
-        return [int(v) for v in text.split(",") if v.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"not a comma-separated list of integers: {text!r}") from None
+def _comma_list(item, what: str):
+    """argparse type of a comma-separated list: 'a, b,' -> [item('a'), item('b')];
+    empty items are skipped, and a bad item or no item is a usage error."""
+    def parse(text: str) -> list:
+        try:
+            values = [item(v.strip()) for v in text.split(",") if v.strip()]
+        except ValueError:
+            values = []
+        if not values:
+            raise argparse.ArgumentTypeError(f"not a comma-separated list of {what}: {text!r}")
+        return values
+    return parse
 
 
 def _at_least_two(text: str) -> int:
@@ -69,12 +74,13 @@ def _build_parser() -> _Parser:
     add("synth", "write the configured synthetic dataset to files")
     add("ablate", "train every structural variant and compare")
     p_compat = add("compat", "train each classifier kind with and without generation")
-    p_compat.add_argument("--kinds", default="fm,dnn,deepfm,ipnn")
+    p_compat.add_argument("--kinds", default="fm,dnn,deepfm,ipnn",
+                          type=_comma_list(str, "classifier kinds"))
     p_shuffle = add("shuffle", "field-order robustness study")
     p_shuffle.add_argument("--permutations", type=_at_least_two, default=10)
     p_sweep = add("sweep", "metric curve over one structural knob")
     p_sweep.add_argument("--knob", required=True, choices=experiments.SWEEP_KNOBS)
-    p_sweep.add_argument("--values", required=True, type=_int_list,
+    p_sweep.add_argument("--values", required=True, type=_comma_list(int, "integers"),
                          help="comma-separated integers, e.g. 2,3,4")
     add("complexity", "parameter and multiply counts for the configured model")
     p_grad = sub.add_parser("gradcheck", help="finite-difference gradient suite")
@@ -217,9 +223,8 @@ def _cmd_ablate(args) -> int:
 def _cmd_compat(args) -> int:
     cfg = _apply_seed(load_config(args.config), args.seed)
     out = _out_dir(args)
-    kinds = [k.strip() for k in args.kinds.split(",") if k.strip()]
     schema, train_set, test_set, _ = _resolve_data(cfg)
-    rows = experiments.run_compatibility(kinds, train_set, _scored(train_set, test_set),
+    rows = experiments.run_compatibility(args.kinds, train_set, _scored(train_set, test_set),
                                          schema, cfg.model, cfg.train,
                                          seeds=(cfg.train.seed,))
     write_records(out / "compatibility.jsonl", rows, cfg.train.seed, cfg.digest())

@@ -12,7 +12,7 @@ import numpy as np
 
 from .data import DatasetSchema, Split, permute_fields
 from .featuregen import ConfigError
-from .model import FgcnnModel, ModelConfig
+from .model import FgcnnModel, ModelConfig, bn_sites, param_shapes
 from .training import TrainConfig, evaluate, train
 
 VARIANT_NAMES = ("full", "remove_raw", "remove_new", "mlp_featgen", "no_recombination")
@@ -42,7 +42,7 @@ def variant_model_config(name: str, base: ModelConfig) -> ModelConfig:
     if name == "mlp_featgen":
         return replace(base, featgen=replace(base.featgen, style="mlp"))
     # no_recombination
-    fg = replace(base.featgen, use_recombination=False,
+    fg = replace(base.featgen, use_recombination=False, style="cnn",
                  feature_maps=base.featgen.new_maps)
     return replace(base, featgen=fg)
 
@@ -52,13 +52,22 @@ def build_variant(name: str, base: ModelConfig, schema: DatasetSchema, seed: int
     return FgcnnModel.build(schema, variant_model_config(name, base), seed, precision)
 
 
+def _check_arms(configs, schema: DatasetSchema, train_cfg: TrainConfig,
+                train_set: Split) -> None:
+    """ConfigError if one of a protocol's arm configs, or train_cfg for that
+    arm, fails its check; protocols call this before they train any arm."""
+    for cfg in configs:
+        shapes = param_shapes(cfg, schema.n_f, schema.t_f)
+        train_cfg.validate(uses_bn=bool(bn_sites(shapes)), n_rows=len(train_set))
+
+
 def run_ablation(train_set: Split, test_set: Split,
                  schema: DatasetSchema, base: ModelConfig, train_cfg: TrainConfig,
                  variants: Sequence[str] = VARIANT_NAMES) -> list[dict]:
     """Train every variant under the same seed and report test metrics; every
     variant's config is checked before the first is trained."""
-    for name in variants:
-        variant_model_config(name, base).validate(schema.n_f)
+    _check_arms([variant_model_config(name, base) for name in variants], schema, train_cfg,
+                train_set)
     rows = []
     for name in variants:
         model = build_variant(name, base, schema, train_cfg.seed, train_cfg.precision)
@@ -74,20 +83,19 @@ def run_compatibility(kinds: Sequence[str], train_set: Split,
                       base: ModelConfig, train_cfg: TrainConfig,
                       seeds: Sequence[int] = (0,)) -> list[dict]:
     """For each classifier kind, train with and without feature generation
-    under identical seeds; two rows per kind per seed. Every kind's config
-    with generation is checked before the first arm is trained."""
+    under identical seeds; two rows per kind per seed. Every arm's config
+    is checked before the first arm is trained."""
     if base.featgen is None:
         raise ConfigError("compatibility runs need feature generation enabled")
-    for kind in kinds:
-        replace(base, classifier=replace(base.classifier, kind=kind)).validate(schema.n_f)
+    arms = {(kind, with_fg): replace(base, classifier=replace(base.classifier, kind=kind),
+                                     featgen=base.featgen if with_fg else None)
+            for kind in kinds for with_fg in (False, True)}
+    _check_arms(arms.values(), schema, train_cfg, train_set)
     rows = []
     for kind in kinds:
         for seed in seeds:
             for with_fg in (False, True):
-                cfg = replace(base,
-                              classifier=replace(base.classifier, kind=kind),
-                              featgen=base.featgen if with_fg else None)
-                model = FgcnnModel.build(schema, cfg, seed, train_cfg.precision)
+                model = FgcnnModel.build(schema, arms[kind, with_fg], seed, train_cfg.precision)
                 tc = replace(train_cfg, seed=seed)
                 train(model, train_set, tc)
                 m = evaluate(model, test_set)
@@ -149,8 +157,8 @@ def run_shuffle_study(train_set: Split, test_set: Split,
     checked before the first is trained."""
     if n_permutations < 2:
         raise ValueError(f"need at least 2 permutations, got {n_permutations}")
-    for arm in ("full", "no_recombination"):
-        variant_model_config(arm, base).validate(schema.n_f)
+    _check_arms([variant_model_config(arm, base) for arm in ("full", "no_recombination")],
+                schema, train_cfg, train_set)
     perms = shuffle_permutations(schema.n_f, n_permutations, seed)
     with_arm: list[float] = []
     without_arm: list[float] = []

@@ -86,7 +86,6 @@ def generated_count(n_f: int, config: FeatureGenConfig) -> int:
 
 def param_shapes(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, tuple[int, ...]]:
     """Shape of every learnable tensor, keyed by checkpoint name."""
-    config.validate(n_f)
     shapes: dict[str, tuple[int, ...]] = {}
     rows = rows_chain(n_f, config)
     if config.style == "mlp":
@@ -215,7 +214,6 @@ def generate(e: np.ndarray, params: dict[str, np.ndarray], config: FeatureGenCon
     dropped once it is pooled.
     """
     b, n_f, k = e.shape
-    config.validate(n_f)
     # cnn rounds run field-row first: [rows, maps, b, k]
     x = e if config.style == "mlp" else e.transpose(1, 0, 2)[:, None]
     rounds, outs = [], []

@@ -29,6 +29,7 @@ class ModelConfig:
     include_raw: bool = True
 
     def validate(self, n_f: int) -> None:
+        """ConfigError unless a model of this config builds and trains on n_f fields."""
         if self.k < 1:
             raise nn.ConfigError(f"embedding size must be >= 1, got {self.k}")
         if not self.include_raw and self.featgen is None:
@@ -36,6 +37,10 @@ class ModelConfig:
         if self.featgen is not None:
             self.featgen.validate(n_f)
         self.classifier.validate()
+        t = self.augmented_fields(n_f)
+        if t < 2 and self.classifier.kind in ("ipnn", "fm", "deepfm"):
+            raise nn.ConfigError(f"classifier kind {self.classifier.kind!r} needs T >= 2 raw "
+                                 f"plus generated fields, got {t}")
 
     def augmented_fields(self, n_f: int) -> int:
         """T: raw plus generated field count seen by the classifier."""
@@ -280,7 +285,7 @@ class FgcnnModel:
 
 def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int, ...]]:
     """Name -> shape of every parameter FgcnnModel.build allocates for n_f
-    fields and t_f embedding rows."""
+    fields and t_f embedding rows; config.validate, its one check, runs first."""
     config.validate(n_f)
     k = config.k
     shapes: dict[str, tuple[int, ...]] = {}

@@ -38,14 +38,18 @@ class TrainConfig:
     eval_every: int = 1
     precision: str = "f32"
 
-    def validate(self, uses_bn: bool = False) -> None:
-        """ConfigError naming the first bad field; uses_bn says the model has
-        a batch-norm site, which needs batches of at least two."""
+    def validate(self, uses_bn: bool, n_rows: int) -> None:
+        """ConfigError naming the first bad field for training on n_rows rows;
+        uses_bn says the model has a batch-norm site, which needs every batch
+        to hold at least two rows: the last one, the smallest, holds
+        n_rows % batch_size rows, or batch_size when that divides n_rows."""
         for name in ("epochs", "batch_size", "eval_every"):
             if getattr(self, name) < 1:
                 raise nn.ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if uses_bn and self.batch_size < 2:
-            raise nn.ConfigError("batch_size must be >= 2 when batch norm is enabled")
+        if uses_bn and (n_rows % self.batch_size or self.batch_size) == 1:
+            raise nn.ConfigError(
+                f"batch norm needs every batch to hold at least two rows, but {n_rows} rows "
+                f"in batches of {self.batch_size} leave a batch of one")
         nn.as_dtype(self.precision)
 
 
@@ -161,7 +165,7 @@ def train(model: FgcnnModel, split: Split, config: TrainConfig,
     Every tensor sees the operations of a serial run in the same order, so
     the results are bit-identical to one.
     """
-    config.validate(uses_bn=bool(model.bn_states))
+    config.validate(uses_bn=bool(model.bn_states), n_rows=len(split))
     clamp_stats = ClampStats()
     history: list[dict] = []
     jobs: list[nn.Job] = []     # forked and not yet waited for

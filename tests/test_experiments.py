@@ -2,6 +2,7 @@ import json
 import math
 import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -75,6 +76,16 @@ def test_no_recombination_keeps_generated_count():
                    for n in ex.build_variant("no_recombination", base, schema, 0).params)
     assert (generated_count(schema.n_f, variant_cfg.featgen)
             == generated_count(schema.n_f, base.featgen))
+
+
+def test_no_recombination_of_a_dense_generator_is_the_conv_variant():
+    # the variant is the pooled conv maps, whatever style the base generates with
+    schema, _ = _toy_data()
+    base = _base_config(featgen=FeatureGenConfig(
+        kernel_heights=(2, 2), feature_maps=(5, 5), new_maps=(3, 3), style="mlp"))
+    variant = ex.build_variant("no_recombination", base, schema, 0)
+    assert variant.config.featgen == replace(base.featgen, style="cnn", use_recombination=False,
+                                             feature_maps=(3, 3))
 
 
 def test_no_recombination_config_diff_is_single_flag_when_maps_match():
@@ -595,10 +606,19 @@ def test_crafted_checkpoint_fails_cleanly_naming_the_tensor(toy_cfg, tmp_path, c
      "batch_size must be >= 1, got 0"),
     (["train", "--out", "{tmp}/run"], ("seed = 1", "seed = 1\neval_every = 0"),
      "eval_every must be >= 1, got 0"),
+    (["train", "--out", "{tmp}/run"], ("hidden_sizes = 8", "hidden_sizes = -3"),
+     "classifier kind 'ipnn' needs at least one hidden layer, each of size >= 1, got [-3]"),
+    (["train", "--out", "{tmp}/run"],
+     ("hidden_sizes = 8\n\n[training]\nbatch_size = 32",
+      "hidden_sizes = 8\nuse_bn = true\n\n[training]\nbatch_size = 119"),
+     "batch norm needs every batch to hold at least two rows, but 120 rows in batches of "
+     "119 leave a batch of one"),
     (["eval", "--checkpoint", "{tmp}", "--out", "{tmp}/run"], None, "Is a directory"),
     (["train", "--out", "{tmp}/file"], None, "File exists"),
     (["complexity"], ("hidden_sizes = 8", "hidden_sizes ="),
      "classifier kind 'ipnn' needs at least one hidden layer"),
+    (["complexity"], ("hidden_sizes = 8", "hidden_sizes = -3"),
+     "classifier kind 'ipnn' needs at least one hidden layer, each of size >= 1, got [-3]"),
     (["complexity"], ("new_maps = 2", "new_maps = 2\npool_height = 0"),
      "pool_height must be >= 2, got 0"),
     (["complexity"], ("kernel_heights = 2", "kernel_heights = 2,2"),
@@ -615,8 +635,10 @@ def test_crafted_checkpoint_fails_cleanly_naming_the_tensor(toy_cfg, tmp_path, c
      "[synthetic] n_train must be >= 1, got -50"),
     (["synth", "--out", "{tmp}/run"], ("n_test = 60", "n_test = -1"),
      "[synthetic] n_test must be >= 0, got -1"),
-], ids=["unknown_precision", "batch_size_0", "eval_every_0", "checkpoint_is_a_directory",
-        "out_is_a_file", "complexity_no_hidden_layer", "complexity_pool_height_0",
+], ids=["unknown_precision", "batch_size_0", "eval_every_0", "hidden_size_negative",
+        "bn_last_batch_of_one", "checkpoint_is_a_directory", "out_is_a_file",
+        "complexity_no_hidden_layer", "complexity_hidden_size_negative",
+        "complexity_pool_height_0",
         "complexity_short_feature_maps", "complexity_negative_total_features",
         "complexity_no_fields", "synthetic_negative_strength", "synthetic_negative_n_train",
         "synthetic_negative_n_test"])
@@ -630,20 +652,35 @@ def test_cli_config_and_path_faults_exit_two(tmp_path, capsys, argv, config_edit
     assert words in err and "Traceback" not in err, err
 
 
-@pytest.mark.parametrize("argv, words", [
-    (["compat", "--kinds", "dnn"], "compatibility runs need feature generation enabled"),
-    (["ablate"], "remove_raw needs feature generation enabled"),
-    (["shuffle", "--permutations", "2"],
+NO_FEATGEN = ("new_maps = 2", "new_maps = 2\nenabled = false")
+
+
+@pytest.mark.parametrize("argv, config_edits, words", [
+    (["compat", "--kinds", "dnn"], [NO_FEATGEN],
+     "compatibility runs need feature generation enabled"),
+    (["ablate"], [NO_FEATGEN], "remove_raw needs feature generation enabled"),
+    (["shuffle", "--permutations", "2"], [NO_FEATGEN],
      "variant 'no_recombination' needs feature generation enabled"),
-], ids=["compat", "ablate", "shuffle"])
-def test_cli_protocol_without_feature_generation_trains_nothing(tmp_path, capsys,
-                                                                monkeypatch, argv, words):
-    # every arm's config is checked before the first arm trains
+    # the arm without generation has no batch-norm site, the one with it has
+    (["compat", "--kinds", "dnn"],
+     [("new_maps = 2", "new_maps = 2\nuse_bn = true"), ("batch_size = 32", "batch_size = 1")],
+     "batch norm needs every batch to hold at least two rows"),
+    (["compat", "--kinds", "dnn,xyz"], [], "unknown classifier kind 'xyz'"),
+    # remove_raw leaves the ipnn head a single generated field
+    (["ablate"], [("new_maps = 2", "new_maps = 1\npool_height = 4")],
+     "classifier kind 'ipnn' needs T >= 2 raw plus generated fields, got 1"),
+], ids=["compat", "ablate", "shuffle", "compat_bn_batch_of_one", "compat_unknown_kind",
+        "ablate_one_field"])
+def test_cli_protocol_without_feature_generation_trains_nothing(tmp_path, capsys, monkeypatch,
+                                                                argv, config_edits, words):
+    # every arm's model and training config is checked before the first arm trains
     trained = []
     monkeypatch.setattr(ex, "train", lambda *args, **kw: trained.append(args))
+    text = TOY_CFG
+    for edit in config_edits:
+        text = text.replace(*edit)
     cfg = tmp_path / "c.cfg"
-    cfg.write_text(TOY_CFG.replace("new_maps = 2", "new_maps = 2\nenabled = false"),
-                   encoding="utf-8")
+    cfg.write_text(text, encoding="utf-8")
     out = tmp_path / "run"
     assert cli_main([*argv, "--config", str(cfg), "--out", str(out)]) == 2
     err = capsys.readouterr().err
@@ -705,6 +742,30 @@ def test_cli_ablate_and_sweep_write_records(toy_cfg, tmp_path, capsys):
     assert len((out2 / "sweep_new_maps.jsonl").read_text().splitlines()) == 2
 
 
+def test_cli_ablate_of_a_dense_generator_writes_every_variant(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TOY_CFG.replace("new_maps = 2", "new_maps = 2\nstyle = mlp"),
+                   encoding="utf-8")
+    out = tmp_path / "ab"
+    assert cli_main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+    variants = [json.loads(line)["variant"]
+                for line in (out / "ablation.jsonl").read_text().splitlines()]
+    assert variants == list(ex.VARIANT_NAMES)
+
+
+def test_cli_sweep_records_a_value_that_leaves_the_head_one_field_as_skipped(tmp_path, capsys):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(TOY_CFG.replace("k = 4", "k = 4\ninclude_raw = false")
+                   .replace("new_maps = 2", "new_maps = 2\npool_height = 4"), encoding="utf-8")
+    out = tmp_path / "sw"
+    assert cli_main(["sweep", "--config", str(cfg), "--knob", "new_maps", "--values", "2,1",
+                     "--out", str(out)]) == 0
+    trained, skipped = map(json.loads, (out / "sweep_new_maps.jsonl").read_text().splitlines())
+    assert trained["value"] == 2 and "auc" in trained
+    assert skipped["value"] == 1 and "needs T >= 2" in skipped["skipped"]
+    assert "got 1" in skipped["skipped"]
+
+
 def test_cli_shuffle_runs(toy_cfg, tmp_path, capsys):
     out = tmp_path / "sh"
     assert cli_main(["shuffle", "--config", str(toy_cfg), "--out", str(out),
@@ -715,12 +776,16 @@ def test_cli_shuffle_runs(toy_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("argv, words", [
     (["sweep", "--knob", "new_maps", "--values", "2,x"], ["--values", "'2,x'"]),
+    (["sweep", "--knob", "new_maps", "--values", ","], ["--values", "integers", "','"]),
+    (["compat", "--kinds", ","], ["--kinds", "classifier kinds", "','"]),
     (["shuffle", "--permutations", "1"], ["--permutations", "at least 2", "'1'"]),
     (["shuffle", "--permutations", "0"], ["--permutations", "at least 2", "'0'"]),
-], ids=["sweep_values", "one_permutation", "no_permutations"])
+], ids=["sweep_values", "sweep_no_values", "compat_no_kinds", "one_permutation",
+        "no_permutations"])
 def test_cli_bad_argument_value_is_a_usage_error(toy_cfg, tmp_path, capsys, argv, words):
-    assert cli_main([argv[0], "--config", str(toy_cfg), "--out", str(tmp_path),
-                     *argv[1:]]) == 1
+    out = tmp_path / "run"
+    assert cli_main([argv[0], "--config", str(toy_cfg), "--out", str(out), *argv[1:]]) == 1
+    assert not out.exists()
     err = capsys.readouterr().err
     assert "Traceback" not in err and "usage" in err, err
     assert all(word in err for word in words), err

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from fgcnn import model as model_mod
 from fgcnn import nn, training
-from fgcnn.classifier import ClassifierConfig
-from fgcnn.data import (DataError, DatasetSchema, FieldSchema, generate_synthetic,
+from fgcnn.classifier import KINDS, ClassifierConfig
+from fgcnn.data import (DataError, DatasetSchema, FieldSchema, Split, generate_synthetic,
                          make_batches, planted_spec, synthetic_schema)
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig, bn_sites, param_shapes
@@ -491,6 +491,60 @@ def test_param_shapes_and_bn_sites_match_build(model_kw):
     shapes = param_shapes(config, schema.n_f, schema.t_f)
     assert shapes == {n: p.shape for n, p in model.params.items()}
     assert bn_sites(shapes) == {s: st.mean.shape[0] for s, st in model.bn_states.items()}
+
+
+def _mostly(valid, edges):
+    """Each valid value five times as likely as each edge value, so that about
+    four in ten drawn configs build."""
+    return st.sampled_from(list(valid) * 5 + list(edges))
+
+
+_SIZE = _mostly([1, 2, 3, 4], [0, -1])
+_COUNT = _mostly([1, 2], [0])
+
+
+@st.composite
+def _model_configs(draw):
+    """Model configs around every edge ModelConfig.validate checks: sizes from
+    -1 to 4, 0 to 2 generation rounds, both styles and every head."""
+    def sizes(n):
+        return tuple(draw(_SIZE) for _ in range(n))
+
+    featgen = None
+    if draw(st.booleans()):
+        n_c = draw(_COUNT)
+        featgen = FeatureGenConfig(
+            kernel_heights=sizes(n_c), feature_maps=sizes(n_c), new_maps=sizes(n_c),
+            pool_height=draw(_mostly([2, 3, 4], [1, 0, -1])), use_bn=draw(st.booleans()),
+            use_recombination=draw(_mostly([True], [False])),
+            style=draw(st.sampled_from(["cnn", "mlp"])))
+    classifier = ClassifierConfig(
+        kind=draw(st.sampled_from(KINDS)), hidden_sizes=sizes(draw(_COUNT)),
+        use_bn=draw(st.booleans()), dropout_keep=draw(_mostly([1.0, 0.5], [0.0])))
+    return ModelConfig(k=draw(_COUNT), classifier=classifier, featgen=featgen,
+                       include_raw=draw(_mostly([True], [False])))
+
+
+@settings(max_examples=500, deadline=None, database=None)
+@given(n_f=st.integers(1, 5), config=_model_configs())
+def test_validate_refuses_exactly_the_configs_that_cannot_build_and_train(n_f, config):
+    schema = DatasetSchema(fields=[FieldSchema(f"f{j}", ("a", "b")) for j in range(n_f)],
+                           min_count=1)
+    try:
+        config.validate(n_f)
+    except nn.ConfigError:
+        with pytest.raises(nn.ConfigError):
+            FgcnnModel.build(schema, config, seed=0)
+        return
+    # accepted: the model builds and takes one train-mode forward and backward pass
+    rng = np.random.default_rng(n_f)
+    split = Split(rng.integers(1, 3, size=(4, n_f, 1)), np.ones((4, n_f), dtype=np.int64),
+                  np.arange(4) % 2)
+    batch = make_batches(split, 4)[0]
+    model = FgcnnModel.build(schema, config, seed=0)
+    yhat, cache = model.forward_batch(batch, mode="train", dropout_rng=rng)
+    grads = model.backward_batch(cache, yhat - batch.labels)
+    assert grads.keys() == model.params.keys()
 
 
 def build_oracle(schema, config, seed, precision):
