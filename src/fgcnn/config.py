@@ -13,6 +13,7 @@ from dataclasses import dataclass, is_dataclass, replace
 from typing import Optional, get_origin
 
 from .classifier import ClassifierConfig
+from .data import not_utf8
 from .featuregen import FeatureGenConfig
 from .model import ModelConfig, field_types
 from .training import TrainConfig
@@ -127,9 +128,11 @@ def load_config(path) -> ExperimentConfig:
     # configparser would copy into every other section.
     parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), default_section="")
     try:
-        read = parser.read(path)
+        read = parser.read(path, encoding="utf-8")
     except configparser.Error as exc:
         raise ConfigFileError(f"{path}: {exc}") from exc
+    except UnicodeDecodeError:
+        raise ConfigFileError(not_utf8(path)) from None
     if not read:
         raise ConfigFileError(f"cannot read config file {path}")
     cfg = default_config()

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import csv
 import hashlib
-from collections import Counter
+from collections import defaultdict
 from collections.abc import Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import chain, compress, repeat
+from itertools import chain, compress, count, repeat
 from pathlib import Path
 from typing import Optional
 
@@ -137,7 +138,11 @@ class DatasetSchema:
 
     @classmethod
     def load(cls, path) -> "DatasetSchema":
-        return cls.from_text(Path(path).read_text(encoding="utf-8"))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError:
+            raise DataError(not_utf8(path)) from None
+        return cls.from_text(text)
 
 
 @dataclass(eq=False)
@@ -212,6 +217,44 @@ def _table_rows(columns: Sequence[Sequence], n_f: int, n: int) -> int:
     return n
 
 
+def _fit(field_names: Sequence[str], columns: Sequence[Sequence],
+         min_count: int) -> tuple[DatasetSchema, list[np.ndarray]]:
+    """build_vocab's schema, and each column's values encoded under it in
+    (row, position) order: every value is hashed once, as it is counted."""
+    if min_count < 1:
+        raise DataError(f"min_count must be >= 1, got {min_count}")
+    n = _table_rows(columns, len(field_names), len(columns[0]) if columns else 0)
+    if field_names and not n:
+        raise DataError(EMPTY_CORPUS)
+    faults: list = []
+    fields, codes = [], []
+    for j, (name, column) in enumerate(zip(field_names, columns)):
+        multivalent, size = False, n
+        if not isinstance(column[0], str):
+            lengths = list(map(len, column))
+            if 0 in lengths:
+                faults.append((lengths.index(0), j,
+                               f"empty value list in field {name!r} at line ", ""))
+            multivalent, size = max(lengths) > 1, sum(lengths)
+            column = chain.from_iterable(column)
+        # Each token is numbered 1, 2, ... as it is first met, so the keys
+        # are the tokens in index order.
+        first_seen = defaultdict(count(1).__next__)
+        enc = np.fromiter(map(first_seen.__getitem__, column), dtype=np.int64, count=size)
+        tokens = list(first_seen)
+        if min_count > 1:
+            # index 0 counts nothing, so it is never kept; the kept tokens are
+            # renumbered 1.. in their order and the rest sent to 0
+            keep = np.bincount(enc) >= min_count
+            tokens = list(compress(tokens, keep[1:].tolist()))
+            enc = (np.cumsum(keep) * keep)[enc]
+        fields.append(FieldSchema(name, tokens, multivalent=multivalent))
+        codes.append(enc)
+    if faults:
+        raise RowError(*min(faults))
+    return DatasetSchema(fields=fields, min_count=min_count), codes
+
+
 def build_vocab(field_names: Sequence[str], columns: Sequence[Sequence],
                 min_count: int) -> DatasetSchema:
     """Fit per-field vocabularies over a table (one column per field name).
@@ -220,44 +263,22 @@ def build_vocab(field_names: Sequence[str], columns: Sequence[Sequence],
     tokens get unique indices in first-seen order. A field is multivalent when
     one of its cells holds more than one value.
     """
-    if min_count < 1:
-        raise DataError(f"min_count must be >= 1, got {min_count}")
-    n = _table_rows(columns, len(field_names), len(columns[0]) if columns else 0)
-    if field_names and not n:
-        raise DataError(EMPTY_CORPUS)
-    faults: list = []
-    fields = []
-    for j, (name, column) in enumerate(zip(field_names, columns)):
-        multivalent = False
-        if not isinstance(column[0], str):
-            lengths = list(map(len, column))
-            if 0 in lengths:
-                faults.append((lengths.index(0), j,
-                               f"empty value list in field {name!r} at line ", ""))
-            multivalent = max(lengths) > 1
-            column = chain.from_iterable(column)
-        # Counter keeps first-seen order, so retained tokens are numbered in it.
-        counts = Counter(column)
-        kept = list(compress(counts, map(min_count.__le__, counts.values())))
-        fields.append(FieldSchema(name, kept, multivalent=multivalent))
-    if faults:
-        raise RowError(*min(faults))
-    return DatasetSchema(fields=fields, min_count=min_count)
+    return _fit(field_names, columns, min_count)[0]
 
 
-def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
-                     labels: Sequence[int], max_vals: Optional[int] = None
-                     ) -> tuple[Split, IngestStats]:
-    """Map a table (one column per schema field, one row per label) to a Split.
-
-    Unknown tokens encode to the dummy index 0. Cells longer than max_vals
-    (>= 1) are truncated; truncations are counted in the returned stats.
-    The split is padded to its longest cell (at least 1 slot).
-    """
+def _check_max_vals(max_vals: Optional[int]) -> None:
     if max_vals is not None and max_vals < 1:
         raise DataError(f"max_vals must be >= 1, got {max_vals}")
-    labels = list(labels)
-    n = _table_rows(columns, schema.n_f, len(labels))
+
+
+def _assemble(schema: DatasetSchema, columns: Sequence[Sequence], labels: list,
+              codes: Sequence[np.ndarray], max_vals: Optional[int]
+              ) -> tuple[Split, IngestStats]:
+    """The Split and IngestStats of a table of len(labels) rows whose values
+    are encoded: codes[j] holds column j's indices in (row, position) order.
+    Cells are truncated to max_vals, and the table's first label or univalent
+    fault is raised."""
+    n = len(labels)
     faults: list = []
     if labels.count(0) + labels.count(1) != n:
         r = next(r for r, label in enumerate(labels) if label not in (0, 1))
@@ -269,10 +290,7 @@ def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
     kept = lengths if max_vals is None else np.minimum(lengths, max_vals)
     stats = IngestStats(rows=n, truncated_values=int(lengths.sum() - kept.sum()))
     indices = np.zeros((n, schema.n_f, int(kept.max(initial=1))), dtype=np.int64)
-    for j, (f, column, m) in enumerate(zip(schema.fields, columns, lengths.T)):
-        # Indices start at 1, so a 0 marks exactly the unknown tokens.
-        enc = np.fromiter(map(f.token_to_index.get, chain.from_iterable(column) if tuples[j]
-                              else column, repeat(0)), dtype=np.int64, count=int(m.sum()))
+    for j, (f, enc, m) in enumerate(zip(schema.fields, codes, lengths.T)):
         if not tuples[j]:
             indices[:, j, 0] = enc
         else:
@@ -284,10 +302,30 @@ def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
                 enc = enc[np.arange(enc.size) - np.repeat(np.cumsum(m) - m, m) < max_vals]
             # the boolean mask fills the cells in (row, position) order
             indices[:, j][np.arange(indices.shape[2]) < kept[:, j, None]] = enc
+        # Indices start at 1, so a 0 marks exactly the dropped and unknown tokens.
         stats.unknown_tokens += int(np.count_nonzero(enc == 0))
     if faults:
         raise RowError(*min(faults))
     return Split(indices, kept, np.array(labels, dtype=np.int64)), stats
+
+
+def encode_instances(schema: DatasetSchema, columns: Sequence[Sequence],
+                     labels: Sequence[int], max_vals: Optional[int] = None
+                     ) -> tuple[Split, IngestStats]:
+    """Map a table (one column per schema field, one row per label) to a Split.
+
+    Unknown tokens encode to the dummy index 0. Cells longer than max_vals
+    (>= 1) are truncated; truncations are counted in the returned stats.
+    The split is padded to its longest cell (at least 1 slot).
+    """
+    _check_max_vals(max_vals)
+    labels = list(labels)
+    n = _table_rows(columns, schema.n_f, len(labels))
+    codes = [np.fromiter(map(f.token_to_index.get, chain.from_iterable(column)
+                             if n and not isinstance(column[0], str) else column,
+                             repeat(0)), dtype=np.int64)
+             for f, column in zip(schema.fields, columns)]
+    return _assemble(schema, columns, labels, codes, max_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -448,11 +486,38 @@ def read_probs_file(path) -> np.ndarray:
         return np.array([float(line) for line in fh if line.strip()], dtype=float)
 
 
+def not_utf8(path) -> str:
+    """The message for a file that is not UTF-8: it names the line of the
+    first bad byte (a text reader decodes in chunks, so its UnicodeDecodeError
+    does not know the line)."""
+    raw = Path(path).read_bytes()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = raw.count(b"\n", 0, exc.start) + 1
+        return f"{path}: line {line} is not UTF-8: {exc.reason} at byte {exc.start}"
+    return f"{path}: not UTF-8"
+
+
+@contextmanager
+def _csv_reader(path):
+    """A csv.reader over a UTF-8 file. A byte that is not UTF-8, or a record
+    csv refuses (a cell over csv.field_size_limit()), raises DataError naming
+    the file and line."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            yield reader
+        except UnicodeDecodeError:
+            raise DataError(not_utf8(path)) from None
+        except csv.Error as exc:
+            raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def _records(path) -> list:
     """(line, cells) of each non-blank record after the header; line is the
     file line the record ends on, as a quoted cell may span lines."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         next(reader, None)
         return [(reader.line_num, cells) for cells in reader if cells]
 
@@ -462,8 +527,7 @@ def read_dataset_file(path) -> tuple[list[str], list[list], list[int]]:
     field in header order. A column whose text holds no VALUE_SEP keeps its
     cells as strings; the cells of any other column are tuples of values.
     A ragged row or a bad label raises DataError naming the file line."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    with _csv_reader(path) as reader:
         try:
             header = next(reader)
         except StopIteration:
@@ -518,11 +582,13 @@ def load_dataset(path, schema: DatasetSchema,
 
 def fit_dataset(path, min_count: int,
                 max_vals: Optional[int] = None) -> tuple[DatasetSchema, Split, IngestStats]:
-    """Read a dataset file once, fit the vocabulary on its columns and encode them."""
+    """Read a dataset file once, fit the vocabulary on its columns and encode
+    them in the same pass: build_vocab's schema and encode_instances' split."""
     field_names, columns, labels = read_dataset_file(path)
-    schema = _at_file_line(path, build_vocab, field_names, columns, min_count)
-    if not labels:      # a table of no fields has no column to show build_vocab its rows
+    schema, codes = _at_file_line(path, _fit, field_names, columns, min_count)
+    if not labels:      # a table of no fields has no column to show _fit its rows
         raise DataError(EMPTY_CORPUS)
-    split, stats = _at_file_line(path, encode_instances, schema, columns, labels,
-                                 max_vals=max_vals)
-    return schema, split, stats
+    _check_max_vals(max_vals)
+    # the labels were read as 0 or 1, and a field fitted univalent has no
+    # cell of two values, so the table has no fault left to raise
+    return (schema, *_assemble(schema, columns, labels, codes, max_vals))

@@ -38,9 +38,10 @@ class ModelConfig:
             self.featgen.validate(n_f)
         self.classifier.validate()
         t = self.augmented_fields(n_f)
-        if t < 2 and self.classifier.kind in ("ipnn", "fm", "deepfm"):
-            raise nn.ConfigError(f"classifier kind {self.classifier.kind!r} needs T >= 2 raw "
-                                 f"plus generated fields, got {t}")
+        least = 2 if self.classifier.kind in ("ipnn", "fm", "deepfm") else 1
+        if t < least:
+            raise nn.ConfigError(f"classifier kind {self.classifier.kind!r} needs T >= {least} "
+                                 f"raw plus generated fields, got {t}")
 
     def augmented_fields(self, n_f: int) -> int:
         """T: raw plus generated field count seen by the classifier."""
