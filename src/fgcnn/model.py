@@ -92,6 +92,19 @@ def _glorot_fill(rng: np.random.Generator, spans, lo: int, hi: int) -> None:
 # 131072 values, 2.2 ms at 262144) were hidden in full.
 GATHER_FORK_MIN = 1 << 17
 
+# predict_scores scores a float32 batch of at least EVAL_SPLIT_MIN rows in two
+# parts, rows mid.. on the helper thread, cut at mid = n // 32 * 16: the first
+# part is whole 16-row tiles, and both keep the batch's width. An infer-mode
+# score depends on its own row alone, and on a 2-vCPU host (OpenBLAS 0.3.31,
+# AVX-512, 1 BLAS thread) this cut gave the bytes of the whole batch at
+# n = 513..1024, where cuts at 15, 17, 24, 33 or 65 rows changed some scores.
+# A split forward against a serial one took: toy 0.73x the time at 256 rows,
+# 1.08-1.17x at 512 and 1.09-1.55x at 1024; wide 0.96x at 128, 1.10x at 256 and
+# 1.33x at 512; ref 1.01x at 64 and 1.17-1.20x at 128. 512 rows gain on all three.
+# A batch stays whole when a product of it would leave the small-matrix
+# kernels (nn.SMALL_GEMM_MAX) that the same product of a part runs on.
+EVAL_SPLIT_MIN = 512
+
 
 @functools.cache
 def field_types(cls) -> dict[str, type]:
@@ -267,12 +280,28 @@ class FgcnnModel:
     # -- inference -------------------------------------------------------
 
     def predict_scores(self, split: Split, batch_size: int = 1024) -> np.ndarray:
-        """Scores in split order. Large products split onto the helper
-        thread (nn.matmul)."""
+        """Scores in split order. A float32 batch of at least EVAL_SPLIT_MIN
+        rows is scored in two parts, the upper one on the helper thread
+        (nn.beside), with the bits of the whole batch; large products split
+        onto the helper too (nn.matmul)."""
+        def score(batch: Batch, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
+            part = Batch(batch.indices[lo:hi], batch.value_mask[lo:hi], batch.labels[lo:hi])
+            return self.forward_batch(part, mode="infer")[0]
+
+        # multiply-adds per row of the BLAS products whose rows are the
+        # batch's: a conv kernel's per field row (k columns a batch row), an
+        # affine map's; clf.linear.w, which einsum reads, only adds caution
+        per_row = [w.size * (self.config.k if w.ndim == 4 else 1)
+                   for name, w in self.params.items() if name.endswith(".w")]
         scores = []
         for batch in make_batches(split, batch_size):
-            yhat, _ = self.forward_batch(batch, mode="infer")
-            scores.append(yhat)
+            n, mid = batch.size, batch.size // 32 * 16
+            if (self.dtype == np.float32 and n >= EVAL_SPLIT_MIN
+                    and not any(mid * m <= nn.SMALL_GEMM_MAX < n * m for m in per_row)):
+                upper, lower = nn.beside(lambda: score(batch, mid), lambda: score(batch, 0, mid))
+                scores += (lower, upper)
+            else:
+                scores.append(score(batch))
         return np.concatenate(scores)
 
     # -- utilities --------------------------------------------------------

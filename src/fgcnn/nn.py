@@ -79,22 +79,35 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 # the whole product.
 SPLIT_MIN = 1 << 26
 
+# OpenBLAS (x86-64, AVX-512) runs a float32 product of at most SMALL_GEMM_MAX
+# multiply-adds on its small-matrix kernels, whose bits differ from its large
+# kernels': rows 0..991 of a [1000, K] @ [K, N] product with K * N = 1000 had
+# the bits of a 999-row product and, for 3 of 4 (K, N), not those of a
+# 2000-row one.
+SMALL_GEMM_MAX = 10**6
+
 # By default glibc gives a freed block above its mmap threshold back to the
 # kernel and trims the heap top, so the next op faults its large arrays in
 # again (ref's 38.7 MB recombination gradient and moments). Some glibc cap
 # M_MMAP_THRESHOLD below those, so no block is mmapped, and none is trimmed.
 # No value changes, but a fresh np.empty may hold an old block's values.
-_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4
+# glibc gives a further thread an arena of its own, which cannot reuse the
+# main arena's freed blocks: with one arena (M_ARENA_MAX), the helper's part
+# of an evaluation batch takes the blocks training freed, where a second
+# arena raised ref's peak RSS by 10%.
+_M_TRIM_THRESHOLD, _M_MMAP_MAX, _M_ARENA_MAX = -1, -4, -8
 
 
 def keep_freed_memory() -> None:
-    """Set glibc's malloc to keep freed memory; a no-op on other C libraries."""
+    """Set glibc's malloc to keep freed memory, in one arena for every thread;
+    a no-op on other C libraries."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)       # the largest int: no trim
         mallopt(_M_MMAP_MAX, 0)
+        mallopt(_M_ARENA_MAX, 1)
 
 
 keep_freed_memory()

@@ -102,8 +102,10 @@ def evaluate(model: FgcnnModel, split: Split, batch_size: int = 1024) -> Metrics
     """Score a dataset and report AUC plus mean log loss.
 
     Single-class datasets get auc=None; log loss is still computed.
+    NumericError, naming the row, when a score is not finite.
     """
     scores = model.predict_scores(split, batch_size=batch_size)
+    nn.check_finite("evaluation scores", scores)
     labels = split.labels.astype(float)
     return Metrics(
         auc=auc_score(scores, labels),

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fgcnn import experiments as ex
 from fgcnn import nn
@@ -13,9 +15,9 @@ from fgcnn.classifier import ClassifierConfig
 from fgcnn.cli import main as cli_main
 from fgcnn.data import DatasetSchema, generate_synthetic, planted_spec, synthetic_schema
 from fgcnn.featuregen import FeatureGenConfig, generated_count
-from fgcnn.model import FgcnnModel, ModelConfig
-from fgcnn.training import (CheckpointTensorError, TrainConfig, load_checkpoint,
-                            save_checkpoint, train)
+from fgcnn.model import FgcnnModel, ModelConfig, param_shapes
+from fgcnn.training import (CheckpointError, CheckpointTensorError, TrainConfig,
+                            _read_config_blob, load_checkpoint, save_checkpoint, train)
 
 
 def _base_config(**kw):
@@ -555,6 +557,95 @@ def _recorded(old, name=None, shape=None):
     """An edit of a record list that renames or reshapes the record named old."""
     return lambda records: [(name or n, shape or s, d) if n == old else (n, s, d)
                             for n, s, d in records]
+
+
+def test_cli_eval_of_checkpoint_holding_a_nan_exits_three(toy_cfg, tmp_path, capsys):
+    bad = _retouched_checkpoint(toy_cfg, tmp_path,
+                                lambda p: p["clf.out.b"].__setitem__(0, np.nan))
+    capsys.readouterr()
+    assert cli_main(["eval", "--config", str(toy_cfg), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err == ("fgcnn: numeric failure: evaluation scores: "
+                   "non-finite value at coordinate (0,)\n"), err
+    assert not (tmp_path / "ev" / "eval.jsonl").exists()
+
+
+@pytest.fixture(scope="module")
+def toy_checkpoint(tmp_path_factory):
+    """TOY_CFG's config file, the checkpoint bytes `fgcnn train` writes for
+    it, and the schema it was trained on."""
+    tmp = tmp_path_factory.mktemp("toy_checkpoint")
+    cfg = tmp / "toy.cfg"
+    cfg.write_text(TOY_CFG, encoding="utf-8")
+    assert cli_main(["train", "--config", str(cfg), "--out", str(tmp / "run")]) == 0
+    return (cfg, (tmp / "run" / "model.ckpt").read_bytes(),
+            DatasetSchema.load(tmp / "run" / "schema.txt"))
+
+
+def _blob_tensors(raw: bytes, schema):
+    """The precision and parameter shapes of the config blob of checkpoint
+    bytes raw, as load_checkpoint reads it, or None when it refuses them."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    try:
+        config, precision = _read_config_blob("blob", raw[12:12 + n])
+        return precision, param_shapes(config, schema.n_f, schema.t_f)
+    except (CheckpointError, nn.ConfigError):
+        return None
+
+
+@st.composite
+def _checkpoint_faults(draw, raw: bytes, schema):
+    """(bytes, kind) of one fault in raw: a truncation, one changed byte in
+    the header (magic, version, config blob and schema digest), or a NaN in
+    one value the evaluation reads: any but an unknown-token embedding row."""
+    (n,) = struct.unpack("<I", raw[8:12])
+    (d,) = struct.unpack("<I", raw[12 + n:16 + n])
+    kind = draw(st.sampled_from(["truncated", "header", "nan"]))
+    if kind == "truncated":
+        return raw[:draw(st.integers(0, len(raw) - 1))], kind
+    if kind == "header":
+        pos = draw(st.integers(0, 16 + n + d - 1))
+        byte = raw[pos] ^ draw(st.integers(1, 255))
+        return raw[:pos] + bytes([byte]) + raw[pos + 1:], kind
+    head, records = _tensor_records(raw)
+    i = draw(st.integers(0, len(records) - 1))
+    name, shape, data = records[i]
+    unknown = set(schema.offsets().tolist())
+    values = [j for j in range(math.prod(shape))
+              if not (name.startswith(b"emb.") and j // shape[-1] in unknown)]
+    j = draw(st.sampled_from(values))
+    records[i] = (name, shape, data[:4 * j] + struct.pack("<f", math.nan) + data[4 * j + 4:])
+    return _checkpoint_bytes(head, records), kind
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_faulty_checkpoint_ends_in_its_exit_code_with_a_message(toy_checkpoint, tmp_path,
+                                                                  capsys, data):
+    """A truncated checkpoint, or one with a changed header byte, exits 2
+    with a one-line message, and a NaN the scores read exits 3. A changed
+    blob byte that leaves a config of the same tensors (white space, 1.0 as
+    1e0, or pool_height 3 for 2 over 4 fields) is no fault the file shows,
+    and exits 0."""
+    cfg, raw, schema = toy_checkpoint
+    bad, kind = data.draw(_checkpoint_faults(raw, schema))
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(bad)
+    capsys.readouterr()
+    code = cli_main(["eval", "--config", str(cfg), "--out", str(tmp_path / "ev"),
+                     "--checkpoint", str(path)])
+    err = capsys.readouterr().err
+    want = {"truncated": 2, "header": 2, "nan": 3}[kind]
+    (n,) = struct.unpack("<I", raw[8:12])
+    if (kind == "header" and bad[:12] + bad[12 + n:] == raw[:12] + raw[12 + n:]
+            and _blob_tensors(bad, schema) == _blob_tensors(raw, schema)):
+        want = 0
+    assert code == want, (kind, err)
+    prefix = {0: "", 2: "fgcnn: data error: ", 3: "fgcnn: numeric failure: "}[want]
+    assert err.startswith(prefix) and err.count("\n") == (want > 0), err
+    assert "Traceback" not in err
 
 
 # (2^31, 2^31) floats would be 16 EiB: np.empty raises ValueError on that

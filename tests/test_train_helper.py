@@ -27,15 +27,16 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def _setup(kind="ipnn", use_bn=False, style="cnn", precision="f32", dropout_keep=1.0,
-           n=72):
+           n=72, use_recombination=True, include_raw=True):
     spec = planted_spec(n_f=5, cardinality=4, pair=(0, 3), strength=2.0, seed=1)
     split, _ = generate_synthetic(spec, n)
     config = ModelConfig(
-        k=3,
+        k=3, include_raw=include_raw,
         classifier=ClassifierConfig(kind=kind, hidden_sizes=() if kind == "fm" else (6, 4),
                                     use_bn=use_bn, dropout_keep=dropout_keep),
         featgen=FeatureGenConfig(kernel_heights=(2, 2), feature_maps=(2, 3),
-                                 new_maps=(2, 2), use_bn=use_bn, style=style))
+                                 new_maps=(2, 2), use_bn=use_bn, style=style,
+                                 use_recombination=use_recombination))
     return FgcnnModel.build(synthetic_schema(spec), config, 0, precision), split
 
 
@@ -226,7 +227,8 @@ def test_split_products_keep_the_serial_bits(monkeypatch):
 def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, style):
     """Scores with no product split, at the shipped cut, and with every
     product that can split split, each with the raw gather forked from the
-    shipped cut, in every batch and in none. At the shipped cuts only the
+    shipped cut, in every batch and in none, and each batch scored whole,
+    at the shipped row cut and in two parts. At the shipped cuts only the
     larger model's cnn recombination (192 x 2048 x 1024) is above them."""
     forks = {}
     for setup, cuts in ((_setup, (SERIAL, 0)), (_split_setup, (SERIAL, nn.SPLIT_MIN, 0))):
@@ -234,24 +236,68 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
         scores = {}
         for split_min in cuts:
             for gather_min in (SERIAL, model_mod.GATHER_FORK_MIN, 0):
-                with monkeypatch.context() as mp:
-                    mp.setattr(nn, "SPLIT_MIN", split_min)
-                    mp.setattr(model_mod, "GATHER_FORK_MIN", gather_min)
-                    forks[setup, split_min, gather_min] = _record_forks(mp)
-                    scores[split_min, gather_min] = model.predict_scores(split).tobytes()
+                for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32):
+                    with monkeypatch.context() as mp:
+                        mp.setattr(nn, "SPLIT_MIN", split_min)
+                        mp.setattr(model_mod, "GATHER_FORK_MIN", gather_min)
+                        mp.setattr(model_mod, "EVAL_SPLIT_MIN", rows_min)
+                        forks[setup, split_min, gather_min, rows_min] = _record_forks(mp)
+                        scores[split_min, gather_min, rows_min] = \
+                            model.predict_scores(split).tobytes()
         assert len(set(scores.values())) == 1, setup.__name__
-    shipped = model_mod.GATHER_FORK_MIN
+    shipped, rows = model_mod.GATHER_FORK_MIN, model_mod.EVAL_SPLIT_MIN
     for setup in (_setup, _split_setup):
-        assert not forks[setup, SERIAL, SERIAL] and not forks[setup, SERIAL, shipped]
-        assert forks[setup, SERIAL, 0] and all(forks[setup, SERIAL, 0])   # from main
-    assert forks[_split_setup, 0, SERIAL]
-    assert bool(forks[_split_setup, nn.SPLIT_MIN, SERIAL]) == (style == "cnn")
+        for rows_min in (SERIAL, rows):         # both splits below the shipped row cut
+            assert not forks[setup, SERIAL, SERIAL, rows_min]
+            assert not forks[setup, SERIAL, shipped, rows_min]
+            assert forks[setup, SERIAL, 0, rows_min] and all(forks[setup, SERIAL, 0, rows_min])
+        assert forks[setup, SERIAL, SERIAL, 32] == [True]   # the upper part, from main
+    assert forks[_split_setup, 0, SERIAL, SERIAL]
+    assert bool(forks[_split_setup, nn.SPLIT_MIN, SERIAL, SERIAL]) == (style == "cnn")
+
+
+PROPERTY_MODELS = [dict(kind=kind, style=style) for kind in ("ipnn", "dnn", "fm", "deepfm")
+                   for style in ("cnn", "mlp")] + [
+    dict(use_bn=True), dict(use_recombination=False), dict(include_raw=False)]
+
+
+@pytest.mark.parametrize("kw", PROPERTY_MODELS,
+                         ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
+def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
+    """Scores of every head and style, batch norm on, no recombination and
+    no raw features: whole batches, parts from the shipped row cut and from
+    32 rows give the same bytes, for batch sizes odd and even, with a short
+    last batch. The 32-row cut splits every batch of 32 rows or more."""
+    model, split = _setup(**kw, n=1100)
+    scores, forks = {}, {}
+    for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32):
+        for batch_size in (1024, 555, 97, 40):
+            with monkeypatch.context() as mp:
+                mp.setattr(model_mod, "EVAL_SPLIT_MIN", rows_min)
+                forks[rows_min, batch_size] = _record_forks(mp)
+                scores[rows_min, batch_size] = model.predict_scores(split, batch_size).tobytes()
+    for batch_size in (1024, 555, 97, 40):
+        assert len({scores[rows_min, batch_size]
+                    for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32)}) == 1, batch_size
+    assert all(not f for (rows_min, _), f in forks.items() if rows_min == SERIAL)
+    assert len(forks[model_mod.EVAL_SPLIT_MIN, 555]) == 2      # 555 and 545 rows
+    assert len(forks[32, 97]) == 12                            # 11 of 97 rows, one of 33
+
+
+def test_a_float64_model_scores_each_batch_whole(monkeypatch):
+    model, split = _setup(precision="f64", n=80)
+    monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
+    forks = _record_forks(monkeypatch)
+    model.predict_scores(split)
+    assert forks == []
 
 
 def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
     """Evaluation adds no thread but the helper, and every job it forked is
-    done when it returns or raises."""
-    model, split = _split_setup()
+    done when it returns or raises: in the forked upper part of a batch
+    (rows 96..200) or in the lower part the calling thread scores."""
+    model, split = _split_setup(n=200)
+    monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
     before = set(threading.enumerate())
     forks = _record_forks(monkeypatch)
     jobs = _forked_jobs(monkeypatch)
@@ -259,17 +305,19 @@ def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
     assert forks and not _added_threads(before)
     assert all(job._done for job in jobs)
     forward = clf_mod.classifier_forward
+    for rows, part in ((104, "upper"), (96, "lower")):
+        def failing_forward(*args, rows=rows, part=part, **kwargs):
+            out = forward(*args, **kwargs)
+            if args[0].shape[0] == rows:
+                raise InjectedError(f"scoring the {part} part failed")
+            return out
 
-    def failing_forward(*args, **kwargs):
-        forward(*args, **kwargs)
-        raise InjectedError("scoring failed")
-
-    monkeypatch.setattr(clf_mod, "classifier_forward", failing_forward)
-    forks.clear()
-    with pytest.raises(InjectedError, match="^scoring failed$"):
-        training.evaluate(model, split)
-    assert forks and not _added_threads(before)
-    assert all(job._done for job in jobs)
+        monkeypatch.setattr(clf_mod, "classifier_forward", failing_forward)
+        forks.clear()
+        with pytest.raises(InjectedError, match=f"^scoring the {part} part failed$"):
+            training.evaluate(model, split)
+        assert forks and not _added_threads(before)
+        assert all(job._done for job in jobs)
 
 
 def _helper_starts(monkeypatch):
@@ -285,15 +333,19 @@ def _helper_starts(monkeypatch):
     return alive
 
 
-def test_a_toy_sized_evaluate_starts_no_thread(monkeypatch):
+def test_a_toy_sized_evaluate_forks_one_part_per_large_batch(monkeypatch):
+    """In batches of 256 rows nothing forks and no thread starts; in the
+    default 1024-row batches each forks its upper part, to the one helper."""
     cfg = load_config(ROOT / "configs" / "toy.cfg")
     spec = planted_spec(n_f=8, cardinality=10, pair=(1, 5), seed=0)
     split, _ = generate_synthetic(spec, 2048)
     model = FgcnnModel.build(synthetic_schema(spec), cfg.model, 0, cfg.train.precision)
     alive = _helper_starts(monkeypatch)
     forks = _record_forks(monkeypatch)
-    training.evaluate(model, split)
+    training.evaluate(model, split, batch_size=256)
     assert alive == [] and forks == []
+    training.evaluate(model, split)
+    assert forks == [True, True] and alive in ([], [1])
 
 
 def test_ten_evaluates_start_at_most_one_thread(monkeypatch):

@@ -130,6 +130,23 @@ def test_evaluate_counts_classes():
     assert m.logloss >= 0.0
 
 
+@pytest.mark.parametrize("where", ["output_bias", "embedding_row"])
+def test_evaluate_refuses_a_non_finite_score_naming_its_row(where):
+    """A NaN output bias reaches every score, a NaN raw embedding row only
+    the scores of the rows that hold its token; the first such row is named."""
+    schema, split, model, _ = _toy_setup()
+    if where == "output_bias":
+        model.params["clf.out.b"][0] = np.nan
+        row = 0
+    else:
+        token = split.indices[7, 2, 0]
+        model.params["emb.clf"][schema.offsets()[2] + token] = np.nan
+        row = int(np.flatnonzero(split.indices[:, 2, 0] == token)[0])
+    with pytest.raises(nn.NumericError, match=rf"^evaluation scores: non-finite value "
+                                              rf"at coordinate \({row},\)$"):
+        evaluate(model, split)
+
+
 # --- train loop ------------------------------------------------------------------
 
 def test_zero_learning_rate_freezes_params():
