@@ -11,6 +11,7 @@ the final projection to one logit has neither batch norm nor activation.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -111,6 +112,14 @@ def param_shapes(config: ClassifierConfig, t: int, k: int) -> dict[str, tuple[in
     shapes["clf.out.w"] = (width, 1)
     shapes["clf.out.b"] = (1,)
     return shapes
+
+
+def row_products(config: ClassifierConfig, t: int, k: int) -> list[tuple[int, int]]:
+    """(m, 1) of each affine map's BLAS product (see nn.row_cut). The FM
+    gram is one call per batch row, whose size no row cut changes, and the
+    linear term's einsum runs no BLAS."""
+    return [(math.prod(s), 1) for name, s in param_shapes(config, t, k).items()
+            if name.endswith(".w") and name != "clf.linear.w"]
 
 
 # ---------------------------------------------------------------------------

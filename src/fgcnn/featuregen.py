@@ -10,6 +10,7 @@ rounds hold their activations field-row first, as [rows, maps, b, k].
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -106,6 +107,15 @@ def param_shapes(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, tuple[
                 config.use_bn))
         in_maps = out_maps
     return shapes
+
+
+def row_products(n_f: int, k: int, config: FeatureGenConfig) -> list[tuple[int, int]]:
+    """(m, c) of each weight's BLAS product in generate (see nn.row_cut): a
+    conv kernel makes one call per field row, of m = its size times k
+    multiply-adds a batch row (the batch's b * k columns); a dense layer one."""
+    rows = iter(rows_chain(n_f, config))        # conv i reads rows_{i-1} field rows
+    return [(math.prod(s) * k, next(rows)) if len(s) == 4 else (math.prod(s), 1)
+            for name, s in param_shapes(n_f, k, config).items() if name.endswith(".w")]
 
 
 # ---------------------------------------------------------------------------

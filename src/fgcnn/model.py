@@ -92,17 +92,15 @@ def _glorot_fill(rng: np.random.Generator, spans, lo: int, hi: int) -> None:
 # 131072 values, 2.2 ms at 262144) were hidden in full.
 GATHER_FORK_MIN = 1 << 17
 
-# predict_scores scores a float32 batch of at least EVAL_SPLIT_MIN rows in two
-# parts, rows mid.. on the helper thread, cut at mid = n // 32 * 16: the first
-# part is whole 16-row tiles, and both keep the batch's width. An infer-mode
+# predict_scores scores a batch of at least EVAL_SPLIT_MIN rows in two parts,
+# rows mid.. on the helper thread, where nn.row_cut allows it. An infer-mode
 # score depends on its own row alone, and on a 2-vCPU host (OpenBLAS 0.3.31,
-# AVX-512, 1 BLAS thread) this cut gave the bytes of the whole batch at
-# n = 513..1024, where cuts at 15, 17, 24, 33 or 65 rows changed some scores.
-# A split forward against a serial one took: toy 0.73x the time at 256 rows,
-# 1.08-1.17x at 512 and 1.09-1.55x at 1024; wide 0.96x at 128, 1.10x at 256 and
-# 1.33x at 512; ref 1.01x at 64 and 1.17-1.20x at 128. 512 rows gain on all three.
-# A batch stays whole when a product of it would leave the small-matrix
-# kernels (nn.SMALL_GEMM_MAX) that the same product of a part runs on.
+# AVX-512, 1 BLAS thread) a cut at mid = n // 32 * 16 gave the bytes of the
+# whole batch at n = 513..1024, at float32 and float64, where cuts at 15, 17,
+# 24, 33 or 65 rows changed some scores. Serial time over split time of one
+# forward: toy 0.73x at 256 rows, 1.08-1.17x at 512 and 1.09-1.55x at 1024;
+# wide 0.96x at 128, 1.10x at 256 and 1.33x at 512; ref 1.01x at 64 and
+# 1.17-1.20x at 128. 512 rows gain on all three.
 EVAL_SPLIT_MIN = 512
 
 
@@ -280,28 +278,26 @@ class FgcnnModel:
     # -- inference -------------------------------------------------------
 
     def predict_scores(self, split: Split, batch_size: int = 1024) -> np.ndarray:
-        """Scores in split order. A float32 batch of at least EVAL_SPLIT_MIN
-        rows is scored in two parts, the upper one on the helper thread
-        (nn.beside), with the bits of the whole batch; large products split
-        onto the helper too (nn.matmul)."""
+        """Scores in split order. A batch of at least EVAL_SPLIT_MIN rows is
+        scored in two parts where nn.row_cut allows, the upper one on the
+        helper thread (nn.beside), with the bits of the whole batch; large
+        products split onto the helper instead (nn.matmul)."""
         def score(batch: Batch, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
             part = Batch(batch.indices[lo:hi], batch.value_mask[lo:hi], batch.labels[lo:hi])
             return self.forward_batch(part, mode="infer")[0]
 
-        # multiply-adds per row of the BLAS products whose rows are the
-        # batch's: a conv kernel's per field row (k columns a batch row), an
-        # affine map's; clf.linear.w, which einsum reads, only adds caution
-        per_row = [w.size * (self.config.k if w.ndim == 4 else 1)
-                   for name, w in self.params.items() if name.endswith(".w")]
+        cfg, n_f = self.config, self.schema.n_f
+        products = clf_mod.row_products(cfg.classifier, cfg.augmented_fields(n_f), cfg.k)
+        if cfg.featgen is not None:
+            products += fg_mod.row_products(n_f, cfg.k, cfg.featgen)
         scores = []
         for batch in make_batches(split, batch_size):
-            n, mid = batch.size, batch.size // 32 * 16
-            if (self.dtype == np.float32 and n >= EVAL_SPLIT_MIN
-                    and not any(mid * m <= nn.SMALL_GEMM_MAX < n * m for m in per_row)):
+            mid = nn.row_cut(batch.size, products) if batch.size >= EVAL_SPLIT_MIN else None
+            if mid is None:
+                scores.append(score(batch))
+            else:
                 upper, lower = nn.beside(lambda: score(batch, mid), lambda: score(batch, 0, mid))
                 scores += (lower, upper)
-            else:
-                scores.append(score(batch))
         return np.concatenate(scores)
 
     # -- utilities --------------------------------------------------------

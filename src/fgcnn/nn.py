@@ -79,35 +79,52 @@ def check_finite(name: str, arr: np.ndarray) -> None:
 # the whole product.
 SPLIT_MIN = 1 << 26
 
-# OpenBLAS (x86-64, AVX-512) runs a float32 product of at most SMALL_GEMM_MAX
+# OpenBLAS (x86-64, AVX-512) runs a product of at most SMALL_GEMM_MAX
 # multiply-adds on its small-matrix kernels, whose bits differ from its large
 # kernels': rows 0..991 of a [1000, K] @ [K, N] product with K * N = 1000 had
-# the bits of a 999-row product and, for 3 of 4 (K, N), not those of a
-# 2000-row one.
+# the bits of a 999-row product and, for 3 of 4 (K, N) at float32 and at
+# float64, not those of a 2000-row one.
 SMALL_GEMM_MAX = 10**6
+
+
+def row_cut(n: int, products) -> Optional[int]:
+    """The row at which a batch of n rows is scored in two parts with the
+    bits of the whole batch (mid = n // 32 * 16: the first part is whole
+    16-row tiles, the second keeps the batch's tail), or None to score it
+    whole. products lists (m, c) for each BLAS product whose rows are the
+    batch's: c calls, each of m multiply-adds a row. A batch stays whole
+    when a call would run on the small-matrix kernels in a part but not in
+    the whole batch, or when a product has at least SPLIT_MIN multiply-adds:
+    a part of so large a batch would take its working set into the helper
+    thread's own malloc arena (ref's 1024-row batch: 106 MiB more peak RSS),
+    and matmul splits a float32 product that large with its output on the
+    calling thread."""
+    mid = n // 32 * 16
+    if any(n * m * c >= SPLIT_MIN or mid * m <= SMALL_GEMM_MAX < n * m for m, c in products):
+        return None
+    return mid
+
 
 # By default glibc gives a freed block above its mmap threshold back to the
 # kernel and trims the heap top, so the next op faults its large arrays in
 # again (ref's 38.7 MB recombination gradient and moments). Some glibc cap
 # M_MMAP_THRESHOLD below those, so no block is mmapped, and none is trimmed.
 # No value changes, but a fresh np.empty may hold an old block's values.
-# glibc gives a further thread an arena of its own, which cannot reuse the
-# main arena's freed blocks: with one arena (M_ARENA_MAX), the helper's part
-# of an evaluation batch takes the blocks training freed, where a second
-# arena raised ref's peak RSS by 10%.
-_M_TRIM_THRESHOLD, _M_MMAP_MAX, _M_ARENA_MAX = -1, -4, -8
+# Each thread keeps glibc's arena of its own and so reuses its own blocks in
+# its own order; in one shared arena (M_ARENA_MAX = 1) the two threads'
+# blocks interleaved differently on each evaluation, and the heap kept
+# growing now and then long after warm-up.
+_M_TRIM_THRESHOLD, _M_MMAP_MAX = -1, -4
 
 
 def keep_freed_memory() -> None:
-    """Set glibc's malloc to keep freed memory, in one arena for every thread;
-    a no-op on other C libraries."""
+    """Set glibc's malloc to keep freed memory; a no-op on other C libraries."""
     if platform.libc_ver()[0] != "glibc":
         return
     mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
     if mallopt is not None:
         mallopt(_M_TRIM_THRESHOLD, 2**31 - 1)       # the largest int: no trim
         mallopt(_M_MMAP_MAX, 0)
-        mallopt(_M_ARENA_MAX, 1)
 
 
 keep_freed_memory()

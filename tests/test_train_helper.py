@@ -229,7 +229,8 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
     product that can split split, each with the raw gather forked from the
     shipped cut, in every batch and in none, and each batch scored whole,
     at the shipped row cut and in two parts. At the shipped cuts only the
-    larger model's cnn recombination (192 x 2048 x 1024) is above them."""
+    larger model's cnn recombination (192 x 2048 x 1024) is above them, and
+    it keeps its batch whole."""
     forks = {}
     for setup, cuts in ((_setup, (SERIAL, 0)), (_split_setup, (SERIAL, nn.SPLIT_MIN, 0))):
         model, split = setup(kind=kind, style=style)
@@ -254,18 +255,23 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
         assert forks[setup, SERIAL, SERIAL, 32] == [True]   # the upper part, from main
     assert forks[_split_setup, 0, SERIAL, SERIAL]
     assert bool(forks[_split_setup, nn.SPLIT_MIN, SERIAL, SERIAL]) == (style == "cnn")
+    # a batch whose recombination splits at the shipped cut is not cut into parts
+    assert (forks[_split_setup, nn.SPLIT_MIN, SERIAL, 32]
+            == forks[_split_setup, nn.SPLIT_MIN, SERIAL, SERIAL]) == (style == "cnn")
 
 
 PROPERTY_MODELS = [dict(kind=kind, style=style) for kind in ("ipnn", "dnn", "fm", "deepfm")
                    for style in ("cnn", "mlp")] + [
-    dict(use_bn=True), dict(use_recombination=False), dict(include_raw=False)]
+    dict(use_bn=True), dict(use_recombination=False), dict(include_raw=False)] + [
+    dict(precision="f64", **kw) for kw in ({}, dict(style="mlp"), dict(use_recombination=False),
+                                            dict(kind="deepfm", use_bn=True))]
 
 
 @pytest.mark.parametrize("kw", PROPERTY_MODELS,
                          ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
-    """Scores of every head and style, batch norm on, no recombination and
-    no raw features: whole batches, parts from the shipped row cut and from
+    """Scores of every head and style, batch norm on, no recombination, no
+    raw features and float64: whole batches, parts from the shipped row cut and from
     32 rows give the same bytes, for batch sizes odd and even, with a short
     last batch. The 32-row cut splits every batch of 32 rows or more."""
     model, split = _setup(**kw, n=1100)
@@ -284,38 +290,35 @@ def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
     assert len(forks[32, 97]) == 12                            # 11 of 97 rows, one of 33
 
 
-def test_a_float64_model_scores_each_batch_whole(monkeypatch):
-    model, split = _setup(precision="f64", n=80)
-    monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
-    forks = _record_forks(monkeypatch)
-    model.predict_scores(split)
-    assert forks == []
-
-
 def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
     """Evaluation adds no thread but the helper, and every job it forked is
-    done when it returns or raises: in the forked upper part of a batch
-    (rows 96..200) or in the lower part the calling thread scores."""
-    model, split = _split_setup(n=200)
+    done when it returns or raises: after a batch's split products, in the
+    forked upper part of a batch (rows 96..200) or in the lower part the
+    calling thread scores."""
     monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
     before = set(threading.enumerate())
     forks = _record_forks(monkeypatch)
     jobs = _forked_jobs(monkeypatch)
-    training.evaluate(model, split)
-    assert forks and not _added_threads(before)
-    assert all(job._done for job in jobs)
     forward = clf_mod.classifier_forward
-    for rows, part in ((104, "upper"), (96, "lower")):
-        def failing_forward(*args, rows=rows, part=part, **kwargs):
+    for setup, rows, what in ((_split_setup, None, "the batch"), (_setup, 104, "the upper part"),
+                              (_setup, 96, "the lower part")):
+        model, split = setup(n=200)
+        forks.clear()
+        training.evaluate(model, split)
+        assert forks and not _added_threads(before)
+        assert all(job._done for job in jobs)
+
+        def failing_forward(*args, rows=rows, what=what, **kwargs):
             out = forward(*args, **kwargs)
-            if args[0].shape[0] == rows:
-                raise InjectedError(f"scoring the {part} part failed")
+            if rows in (None, args[0].shape[0]):
+                raise InjectedError(f"scoring {what} failed")
             return out
 
-        monkeypatch.setattr(clf_mod, "classifier_forward", failing_forward)
-        forks.clear()
-        with pytest.raises(InjectedError, match=f"^scoring the {part} part failed$"):
-            training.evaluate(model, split)
+        with monkeypatch.context() as mp:
+            mp.setattr(clf_mod, "classifier_forward", failing_forward)
+            forks.clear()
+            with pytest.raises(InjectedError, match=f"^scoring {what} failed$"):
+                training.evaluate(model, split)
         assert forks and not _added_threads(before)
         assert all(job._done for job in jobs)
 
