@@ -271,9 +271,10 @@ PROPERTY_MODELS = [dict(kind=kind, style=style) for kind in ("ipnn", "dnn", "fm"
                          ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
     """Scores of every head and style, batch norm on, no recombination, no
-    raw features and float64: whole batches, parts from the shipped row cut and from
-    32 rows give the same bytes, for batch sizes odd and even, with a short
-    last batch. The 32-row cut splits every batch of 32 rows or more."""
+    raw features and float64: whole batches, parts from the shipped row cut
+    and from 32 rows give the same bytes, for batch sizes odd and even, with
+    a short last batch. The 32-row cut splits every batch of 32 rows or
+    more."""
     model, split = _setup(**kw, n=1100)
     scores, forks = {}, {}
     for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32):
