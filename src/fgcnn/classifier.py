@@ -11,6 +11,7 @@ the final projection to one logit has neither batch norm nor activation.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -54,6 +55,14 @@ class ClampStats:
 # ---------------------------------------------------------------------------
 # FM layer: all pairwise inner products of field rows
 
+@functools.cache
+def _pairs(t: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.triu_indices(t, k=1), made once per field count t, read-only."""
+    iu, ju = np.triu_indices(t, k=1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
+
+
 def fm_layer(e: np.ndarray) -> np.ndarray:
     """Inner products <e_i, e_j> for all i < j in lexicographic order.
 
@@ -63,13 +72,13 @@ def fm_layer(e: np.ndarray) -> np.ndarray:
     if t < 2:
         raise ValueError(f"fm_layer needs at least 2 fields, got {t}")
     gram = nn.matmul(e, e.transpose(0, 2, 1))
-    iu, ju = np.triu_indices(t, k=1)
+    iu, ju = _pairs(t)
     return gram[:, iu, ju]
 
 
 def fm_layer_backward(grad: np.ndarray, e: np.ndarray) -> np.ndarray:
     b, t, k = e.shape
-    iu, ju = np.triu_indices(t, k=1)
+    iu, ju = _pairs(t)
     # d<e_i, e_j> reaches both e_i and e_j: fill dgram symmetrically so one
     # batched matmul gives (dgram + dgram^T) @ e.
     dgram = np.zeros((b, t, t), dtype=grad.dtype)
@@ -114,11 +123,11 @@ def param_shapes(config: ClassifierConfig, t: int, k: int) -> dict[str, tuple[in
     return shapes
 
 
-def row_products(config: ClassifierConfig, t: int, k: int) -> list[tuple[int, int]]:
-    """(m, 1) of each affine map's BLAS product (see nn.row_cut). The FM
+def row_products(config: ClassifierConfig, t: int, k: int) -> list[tuple[int, int, int]]:
+    """(m, 1, o) of each affine map's BLAS product (see nn.row_cut). The FM
     gram is one call per batch row, whose size no row cut changes, and the
     linear term's einsum runs no BLAS."""
-    return [(math.prod(s), 1) for name, s in param_shapes(config, t, k).items()
+    return [(math.prod(s), 1, s[-1]) for name, s in param_shapes(config, t, k).items()
             if name.endswith(".w") and name != "clf.linear.w"]
 
 

@@ -166,6 +166,7 @@ def _cmd_train(args) -> int:
     out = _out_dir(args)
     schema, train_set, test_set, ingest = _resolve_data(cfg)
     scored = _scored(train_set, test_set)
+    schema.check_savable()          # the sidecar is written after training
     model = FgcnnModel.build(schema, cfg.model, cfg.train.seed, cfg.train.precision)
     history = train(model, train_set, cfg.train, eval_split=test_set)
     digest = cfg.digest()

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import re
 from collections import defaultdict
 from collections.abc import Sequence
 from contextlib import contextmanager
@@ -25,6 +26,8 @@ LABEL_COLUMN = "label"
 SCHEMA_MAGIC = "fgcnn-schema"
 SCHEMA_VERSION = 1
 EMPTY_CORPUS = "cannot build a vocabulary from an empty corpus"
+# the characters at which str.splitlines, and so from_text, ends a line
+_LINE_BREAK = re.compile("[\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029]")
 
 
 class DataError(ValueError):
@@ -133,7 +136,22 @@ class DatasetSchema:
     def digest(self) -> str:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
+    def check_savable(self) -> None:
+        """Raise DataError naming the first field name or token that from_text
+        would not read back from to_text: a name must be one run of
+        non-white-space characters (from_text splits a field's line on white
+        space), and a token must hold no line break."""
+        for f in self.fields:
+            if f.field_name.split() != [f.field_name]:
+                raise DataError(f"field name {f.field_name!r} cannot be saved in a schema "
+                                f"file: it must be non-empty and hold no white space")
+            if _LINE_BREAK.search("".join(f.tokens)):
+                token = next(filter(_LINE_BREAK.search, f.tokens))
+                raise DataError(f"field {f.field_name!r}: token {token!r} cannot be saved in "
+                                f"a schema file: it holds a line break")
+
     def save(self, path) -> None:
+        self.check_savable()
         Path(path).write_text(self.to_text(), encoding="utf-8")
 
     @classmethod

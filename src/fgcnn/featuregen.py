@@ -109,12 +109,14 @@ def param_shapes(n_f: int, k: int, config: FeatureGenConfig) -> dict[str, tuple[
     return shapes
 
 
-def row_products(n_f: int, k: int, config: FeatureGenConfig) -> list[tuple[int, int]]:
-    """(m, c) of each weight's BLAS product in generate (see nn.row_cut): a
-    conv kernel makes one call per field row, of m = its size times k
-    multiply-adds a batch row (the batch's b * k columns); a dense layer one."""
+def row_products(n_f: int, k: int, config: FeatureGenConfig) -> list[tuple[int, int, int]]:
+    """(m, c, o) of each weight's BLAS product in generate (see nn.row_cut):
+    a conv kernel makes one call per field row, of m = its size times k
+    multiply-adds and o = out_maps * k outputs a batch row (the batch's
+    b * k columns); a dense layer one call."""
     rows = iter(rows_chain(n_f, config))        # conv i reads rows_{i-1} field rows
-    return [(math.prod(s) * k, next(rows)) if len(s) == 4 else (math.prod(s), 1)
+    return [(math.prod(s) * k, next(rows), s[-1] * k) if len(s) == 4
+            else (math.prod(s), 1, s[-1])
             for name, s in param_shapes(n_f, k, config).items() if name.endswith(".w")]
 
 

@@ -100,7 +100,10 @@ GATHER_FORK_MIN = 1 << 17
 # 24, 33 or 65 rows changed some scores. Serial time over split time of one
 # forward: toy 0.73x at 256 rows, 1.08-1.17x at 512 and 1.09-1.55x at 1024;
 # wide 0.96x at 128, 1.10x at 256 and 1.33x at 512; ref 1.01x at 64 and
-# 1.17-1.20x at 128. 512 rows gain on all three.
+# 1.17-1.20x at 128. 512 rows gain on all three. row_cut keeps ref's batches
+# whole by the bytes of their parts (nn.PART_BYTES_MAX), and a 1024-row wide
+# evaluate, cut with its recombination split again in each part, fell from
+# 11.2-11.6 to 7.9-8.2 ms.
 EVAL_SPLIT_MIN = 512
 
 
@@ -281,18 +284,16 @@ class FgcnnModel:
         """Scores in split order. A batch of at least EVAL_SPLIT_MIN rows is
         scored in two parts where nn.row_cut allows, the upper one on the
         helper thread (nn.beside), with the bits of the whole batch; large
-        products split onto the helper instead (nn.matmul)."""
+        products split onto the helper too (nn.matmul), in a part as well."""
         def score(batch: Batch, lo: int = 0, hi: Optional[int] = None) -> np.ndarray:
             part = Batch(batch.indices[lo:hi], batch.value_mask[lo:hi], batch.labels[lo:hi])
             return self.forward_batch(part, mode="infer")[0]
 
-        cfg, n_f = self.config, self.schema.n_f
-        products = clf_mod.row_products(cfg.classifier, cfg.augmented_fields(n_f), cfg.k)
-        if cfg.featgen is not None:
-            products += fg_mod.row_products(n_f, cfg.k, cfg.featgen)
+        products = row_products(self.config, self.schema.n_f)
         scores = []
         for batch in make_batches(split, batch_size):
-            mid = nn.row_cut(batch.size, products) if batch.size >= EVAL_SPLIT_MIN else None
+            mid = (nn.row_cut(batch.size, products, self.dtype.itemsize)
+                   if batch.size >= EVAL_SPLIT_MIN else None)
             if mid is None:
                 scores.append(score(batch))
             else:
@@ -323,6 +324,13 @@ def param_shapes(config: ModelConfig, n_f: int, t_f: int) -> dict[str, tuple[int
         shapes.update(fg_mod.param_shapes(n_f, k, config.featgen))
     shapes.update(clf_mod.param_shapes(config.classifier, config.augmented_fields(n_f), k))
     return shapes
+
+
+def row_products(config: ModelConfig, n_f: int) -> list[tuple[int, int, int]]:
+    """(m, c, o) of every BLAS product whose rows are a batch's (see nn.row_cut)."""
+    products = clf_mod.row_products(config.classifier, config.augmented_fields(n_f), config.k)
+    return products + (fg_mod.row_products(n_f, config.k, config.featgen)
+                       if config.featgen is not None else [])
 
 
 def bn_sites(shapes: dict[str, tuple[int, ...]]) -> dict[str, int]:

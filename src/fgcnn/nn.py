@@ -87,20 +87,27 @@ SPLIT_MIN = 1 << 26
 SMALL_GEMM_MAX = 10**6
 
 
-def row_cut(n: int, products) -> Optional[int]:
+# row_cut keeps a batch whole when the helper's part would write more than
+# PART_BYTES_MAX bytes of product outputs: a part takes its working set into
+# the helper thread's own malloc arena, and ref's 1024-row batch in two parts
+# raised its peak RSS by 106 MiB. At 512 rows the outputs come to 1.0 MiB on
+# toy, 3.6 MiB on wide and 60.5 MiB on ref, against tracemalloc peaks of one
+# infer forward of 2.8, 3.6 and 52.5 MiB.
+PART_BYTES_MAX = 1 << 24
+
+
+def row_cut(n: int, products, itemsize: int) -> Optional[int]:
     """The row at which a batch of n rows is scored in two parts with the
     bits of the whole batch (mid = n // 32 * 16: the first part is whole
     16-row tiles, the second keeps the batch's tail), or None to score it
-    whole. products lists (m, c) for each BLAS product whose rows are the
-    batch's: c calls, each of m multiply-adds a row. A batch stays whole
-    when a call would run on the small-matrix kernels in a part but not in
-    the whole batch, or when a product has at least SPLIT_MIN multiply-adds:
-    a part of so large a batch would take its working set into the helper
-    thread's own malloc arena (ref's 1024-row batch: 106 MiB more peak RSS),
-    and matmul splits a float32 product that large with its output on the
-    calling thread."""
+    whole. products lists (m, c, o) for each BLAS product whose rows are the
+    batch's: c calls, each of m multiply-adds and o output values a row, of
+    itemsize bytes each. A batch stays whole when a call would run on the
+    small-matrix kernels in a part but not in the whole batch, or when the
+    outputs of the helper's n - mid rows exceed PART_BYTES_MAX bytes."""
     mid = n // 32 * 16
-    if any(n * m * c >= SPLIT_MIN or mid * m <= SMALL_GEMM_MAX < n * m for m, c in products):
+    if ((n - mid) * sum(c * o for _, c, o in products) * itemsize > PART_BYTES_MAX
+            or any(mid * m <= SMALL_GEMM_MAX < n * m for m, _, _ in products)):
         return None
     return mid
 

@@ -99,6 +99,14 @@ def test_fm_layer_lengths_over_field_range():
         assert clf.fm_layer(e).shape[1] == t * (t - 1) // 2
 
 
+def test_fm_pair_indices_are_made_once_per_field_count_and_read_only():
+    iu, ju = clf._pairs(26)
+    assert clf._pairs(26)[0] is iu
+    assert all(np.array_equal(a, b) for a, b in zip((iu, ju), np.triu_indices(26, k=1)))
+    with pytest.raises(ValueError, match="read-only"):
+        iu[0] = 1
+
+
 def test_fm_layer_pair_set_invariant_under_row_swap():
     rng = np.random.default_rng(3)
     e = rng.standard_normal((1, 5, 3))

@@ -2,7 +2,7 @@ import csv
 import io
 import tempfile
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -739,6 +739,37 @@ def test_schema_text_matches_the_sorted_writer_and_round_trips(case, text):
         assert back == schema
         assert back.digest() == schema.digest()
     assert d.DatasetSchema.from_text(text).to_text() == text
+
+
+_AWKWARD = st.text(st.sampled_from("ab \t\n\r\x0b\x1c\x1f\x85\xa0\u2028"), max_size=3)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.lists(st.tuples(_AWKWARD, st.lists(_AWKWARD, max_size=4, unique=True)), max_size=3))
+def test_a_schema_is_savable_exactly_when_its_text_reads_back(fields):
+    """check_savable refuses a schema, naming the first bad field name or
+    token, exactly when from_text fails on its to_text or reads another
+    schema."""
+    schema = d.DatasetSchema([d.FieldSchema(name, tokens) for name, tokens in fields])
+    try:
+        back = d.DatasetSchema.from_text(schema.to_text())
+    except d.DataError:
+        back = None
+
+    def flaws(f):
+        if f.field_name.split() != [f.field_name]:
+            yield f.field_name
+        yield from (t for t in f.tokens if t.splitlines() not in ([], [t]))
+
+    bad = next(chain.from_iterable(map(flaws, schema.fields)), None)
+    if bad is None:
+        schema.check_savable()
+        assert back == schema
+    else:
+        with pytest.raises(d.DataError, match="cannot be saved in a schema file") as err:
+            schema.check_savable()
+        assert repr(bad) in str(err.value)
+        assert back != schema
 
 
 def test_field_schema_numbers_its_tokens_in_order():

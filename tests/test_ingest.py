@@ -95,6 +95,10 @@ def _files(tmp_path, case):
     elif case == "latin-1 config":
         config.write_bytes((_CONFIG + "# caf\xe9\n").encode("latin-1"))
         return config
+    elif case == "spaced name":
+        train.write_text("f 0,f1,label\n" + _ROWS, encoding="utf-8")
+    elif case == "line-break token":
+        train.write_text("f0,f1,label\n" + _ROWS + '"a\nb",y,1\n', encoding="utf-8")
     elif case == "oversize cell":
         train.write_text("f0,f1,label\n" + _ROWS + "b" * (csv.field_size_limit() + 1)
                          + ",y,0\n", encoding="utf-8")
@@ -109,6 +113,8 @@ def _files(tmp_path, case):
     ("latin-1 sidecar", r"schema\.txt: line 5 is not UTF-8"),
     ("latin-1 config", r"run\.cfg: line 11 is not UTF-8"),
     ("oversize cell", r"train\.csv: line 10: field larger than field limit"),
+    ("spaced name", r"^fgcnn: data error: field name 'f 0' cannot be saved in a schema file"),
+    ("line-break token", r"^fgcnn: data error: field 'f0': token 'a\\nb' cannot be saved"),
 ])
 def test_faulty_input_exits_two_with_one_line(tmp_path, capsys, case, message):
     config = _files(tmp_path, case)
@@ -118,6 +124,7 @@ def test_faulty_input_exits_two_with_one_line(tmp_path, capsys, case, message):
     assert err.count("\n") == 1
     assert re.search(message, err), err
     assert not (tmp_path / "run" / "model.ckpt").exists()
+    assert not list((tmp_path / "run").glob("*"))      # nothing written
 
 
 def test_not_utf8_names_the_line_of_the_first_bad_byte(tmp_path):

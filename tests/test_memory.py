@@ -103,7 +103,7 @@ def _run(tmp_path, poison):
         history = training.train(model, split, config, eval_split=split[:64])
         opt = dict(zip(model.params, states))
         trained = _model_bytes(model, opt)
-        mp.setattr(nn, "SPLIT_MIN", 1 << 62)        # products whole, so batches split
+        mp.setattr(nn, "SPLIT_MIN", 1 << 62)        # products whole: forks are parts alone
         metrics = training.evaluate(model, split, batch_size=64)
         scores = model.predict_scores(split).tobytes()
         path = tmp_path / f"poison{int(poison)}.ckpt"

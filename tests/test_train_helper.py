@@ -17,7 +17,8 @@ from fgcnn import model as model_mod
 from fgcnn import nn, training
 from fgcnn.classifier import ClassifierConfig, loss_and_grad
 from fgcnn.config import load_config
-from fgcnn.data import DataError, generate_synthetic, make_batches, planted_spec, synthetic_schema
+from fgcnn.data import (DataError, DatasetSchema, FieldSchema, Split, generate_synthetic,
+                        make_batches, planted_spec, synthetic_schema)
 from fgcnn.featuregen import FeatureGenConfig
 from fgcnn.model import FgcnnModel, ModelConfig
 from fgcnn.training import TrainConfig, train
@@ -51,6 +52,23 @@ def _split_setup(kind="ipnn", style="cnn", n=192):
         featgen=FeatureGenConfig(kernel_heights=(2,), feature_maps=(16,), new_maps=(8,),
                                  style=style))
     return FgcnnModel.build(synthetic_schema(spec), config, 0, "f32"), split
+
+
+def _wide_setup(n):
+    """A float32 model of wide.cfg (a dnn head, k = 16) over 16 fields, half
+    of them multivalent with 1..4 values in 4 slots, the rest padded past
+    their one value. Its first recombination takes 147,456 multiply-adds a
+    row: 75M in a 512-row part, so it splits again inside each part."""
+    rng = np.random.default_rng(5)
+    n_f, cardinality, slots = 16, 40, 4
+    schema = DatasetSchema([FieldSchema(f"f{j}", tuple(f"v{i}" for i in range(1, cardinality)),
+                                        multivalent=j % 2 == 0) for j in range(n_f)])
+    lengths = np.where(np.arange(n_f) % 2 == 0, rng.integers(1, slots + 1, size=(n, n_f)), 1)
+    indices = rng.integers(1, cardinality, size=(n, n_f, slots))
+    indices[np.arange(slots) >= lengths[:, :, None]] = 0
+    split = Split(indices, lengths, rng.integers(0, 2, size=n))
+    config = load_config(ROOT / "perfbench/configs/wide.cfg").model
+    return FgcnnModel.build(schema, config, 0, "f32"), split
 
 
 def _record_forks(monkeypatch):
@@ -230,7 +248,7 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
     shipped cut, in every batch and in none, and each batch scored whole,
     at the shipped row cut and in two parts. At the shipped cuts only the
     larger model's cnn recombination (192 x 2048 x 1024) is above them, and
-    it keeps its batch whole."""
+    it splits again inside each part of its batch."""
     forks = {}
     for setup, cuts in ((_setup, (SERIAL, 0)), (_split_setup, (SERIAL, nn.SPLIT_MIN, 0))):
         model, split = setup(kind=kind, style=style)
@@ -255,9 +273,44 @@ def test_predict_scores_keep_their_bytes_across_split_cuts(monkeypatch, kind, st
         assert forks[setup, SERIAL, SERIAL, 32] == [True]   # the upper part, from main
     assert forks[_split_setup, 0, SERIAL, SERIAL]
     assert bool(forks[_split_setup, nn.SPLIT_MIN, SERIAL, SERIAL]) == (style == "cnn")
-    # a batch whose recombination splits at the shipped cut is not cut into parts
-    assert (forks[_split_setup, nn.SPLIT_MIN, SERIAL, 32]
-            == forks[_split_setup, nn.SPLIT_MIN, SERIAL, SERIAL]) == (style == "cnn")
+    # the larger model's parts write far less than nn.PART_BYTES_MAX, so its
+    # batch is cut, and the cnn recombination still splits inside each part
+    cut = forks[_split_setup, nn.SPLIT_MIN, SERIAL, 32]
+    assert cut[0] and len(cut) == (3 if style == "cnn" else 1)     # the upper part first
+
+
+def test_a_batch_whose_upper_part_writes_over_the_bound_stays_whole(monkeypatch):
+    """nn.row_cut cuts a batch whose helper part writes at most
+    nn.PART_BYTES_MAX bytes of product outputs, and only then."""
+    model, split = _split_setup(n=192)             # cut at 96: 96 rows a part
+    products = model_mod.row_products(model.config, model.schema.n_f)
+    part = 96 * sum(c * o for _, c, o in products) * 4
+    monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
+    monkeypatch.setattr(nn, "SPLIT_MIN", SERIAL)    # products whole: each fork is a part
+    want = model.predict_scores(split).tobytes()
+    for bound, cut in ((part, True), (part - 1, False)):
+        with monkeypatch.context() as mp:
+            mp.setattr(nn, "PART_BYTES_MAX", bound)
+            forks = _record_forks(mp)
+            assert model.predict_scores(split).tobytes() == want
+        assert forks == ([True] if cut else []), bound
+
+
+@pytest.mark.parametrize("path, n_f, cuts, unbounded", [
+    ("configs/toy.cfg", 8, {512: None, 904: None, 1024: 512}, {}),
+    ("perfbench/configs/wide.cfg", 16, {512: None, 832: None, 1024: 512}, {}),
+    ("perfbench/configs/ref.cfg", 24, {512: None, 1024: None}, {512: 256, 1024: 512}),
+], ids=["toy", "wide", "ref"])
+def test_the_shipped_shapes_cut_their_large_batches_by_the_part_bound(monkeypatch, path,
+                                                                      n_f, cuts, unbounded):
+    """The row cut of toy's, wide's and ref's evaluation batches (the default
+    1024 rows and each test split's tail). Toy's and wide's smaller batches
+    stay whole on the small-matrix rule; ref's stay whole on the bound alone,
+    its 512-row upper part writing 60.5 MiB of product outputs."""
+    products = model_mod.row_products(load_config(ROOT / path).model, n_f)
+    assert {n: nn.row_cut(n, products, 4) for n in cuts} == cuts
+    monkeypatch.setattr(nn, "PART_BYTES_MAX", SERIAL)
+    assert {n: nn.row_cut(n, products, 4) for n in cuts} == {**cuts, **unbounded}
 
 
 PROPERTY_MODELS = [dict(kind=kind, style=style) for kind in ("ipnn", "dnn", "fm", "deepfm")
@@ -265,17 +318,19 @@ PROPERTY_MODELS = [dict(kind=kind, style=style) for kind in ("ipnn", "dnn", "fm"
     dict(use_bn=True), dict(use_recombination=False), dict(include_raw=False)] + [
     dict(precision="f64", **kw) for kw in ({}, dict(style="mlp"), dict(use_recombination=False),
                                             dict(kind="deepfm", use_bn=True))]
+WIDE = dict(shape="wide")                   # _wide_setup
+PROPERTY_MODELS.append(WIDE)
 
 
 @pytest.mark.parametrize("kw", PROPERTY_MODELS,
                          ids=lambda kw: "-".join(f"{k}={v}" for k, v in kw.items()))
 def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
     """Scores of every head and style, batch norm on, no recombination, no
-    raw features and float64: whole batches, parts from the shipped row cut
-    and from 32 rows give the same bytes, for batch sizes odd and even, with
-    a short last batch. The 32-row cut splits every batch of 32 rows or
-    more."""
-    model, split = _setup(**kw, n=1100)
+    raw features, float64 and a wide-shaped model: whole batches, parts from
+    the shipped row cut and from 32 rows give the same bytes, for batch
+    sizes odd and even, with a short last batch. The 32-row cut splits every
+    batch of 32 rows or more."""
+    model, split = _wide_setup(n=1100) if kw is WIDE else _setup(**kw, n=1100)
     scores, forks = {}, {}
     for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32):
         for batch_size in (1024, 555, 97, 40):
@@ -286,6 +341,14 @@ def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
     for batch_size in (1024, 555, 97, 40):
         assert len({scores[rows_min, batch_size]
                     for rows_min in (SERIAL, model_mod.EVAL_SPLIT_MIN, 32)}) == 1, batch_size
+    if kw is WIDE:
+        # whole, the 1024-row batch forks half its recombination and its
+        # emb.clf gather; cut, it forks its upper part first, then each part
+        # forks both of its own
+        assert len(forks[SERIAL, 1024]) == 2
+        cut = forks[model_mod.EVAL_SPLIT_MIN, 1024]
+        assert cut[0] and len(cut) == 5
+        return
     assert all(not f for (rows_min, _), f in forks.items() if rows_min == SERIAL)
     assert len(forks[model_mod.EVAL_SPLIT_MIN, 555]) == 2      # 555 and 545 rows
     assert len(forks[32, 97]) == 12                            # 11 of 97 rows, one of 33
@@ -293,9 +356,9 @@ def test_scoring_a_batch_in_two_parts_keeps_its_bytes(monkeypatch, kw):
 
 def test_evaluate_leaves_the_threads_as_it_found_them(monkeypatch):
     """Evaluation adds no thread but the helper, and every job it forked is
-    done when it returns or raises: after a batch's split products, in the
-    forked upper part of a batch (rows 96..200) or in the lower part the
-    calling thread scores."""
+    done when it returns or raises: in both parts of a batch after their
+    split products, in the forked upper part of a batch (rows 96..200) or
+    in the lower part the calling thread scores."""
     monkeypatch.setattr(model_mod, "EVAL_SPLIT_MIN", 32)
     before = set(threading.enumerate())
     forks = _record_forks(monkeypatch)

@@ -726,6 +726,22 @@ def test_checkpoint_schema_digest_mismatch(tmp_path):
         load_checkpoint(path, other_schema)
 
 
+def test_schema_digest_mismatch_quotes_both_digests_in_full(tmp_path):
+    """A stored digest that differs after its 12th character is told apart
+    from the expected one in the message."""
+    schema, instances, model, _ = _toy_setup()
+    path = tmp_path / "d.ckpt"
+    save_checkpoint(model, path)
+    expected = schema.digest()
+    stored = expected[:20] + ("0" if expected[20] != "0" else "1") + expected[21:]
+    raw = path.read_bytes()
+    assert raw.count(expected.encode("ascii")) == 1
+    path.write_bytes(raw.replace(expected.encode("ascii"), stored.encode("ascii")))
+    with pytest.raises(SchemaDigestError) as info:
+        load_checkpoint(path, schema)
+    assert f"stored schema digest {stored} does not match {expected}" in str(info.value)
+
+
 def test_checkpoint_truncation(tmp_path):
     schema, instances, model, _ = _toy_setup()
     path = tmp_path / "t.ckpt"
