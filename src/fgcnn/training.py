@@ -371,7 +371,7 @@ def load_checkpoint(path, schema: DatasetSchema):
         if digest != expected:
             raise SchemaDigestError(
                 f"{path} was written against a different vocabulary: stored "
-                f"schema digest {digest} does not match {expected}")
+                f"schema digest {digest!r} does not match {expected!r}")
         try:
             shapes = param_shapes(config, schema.n_f, schema.t_f)
         except nn.ConfigError as exc:

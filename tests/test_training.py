@@ -728,7 +728,8 @@ def test_checkpoint_schema_digest_mismatch(tmp_path):
 
 def test_schema_digest_mismatch_quotes_both_digests_in_full(tmp_path):
     """A stored digest that differs after its 12th character is told apart
-    from the expected one in the message."""
+    from the expected one in the message, each quoted in full as a repr so
+    that a corrupt digest's bytes keep the message on one line."""
     schema, instances, model, _ = _toy_setup()
     path = tmp_path / "d.ckpt"
     save_checkpoint(model, path)
@@ -739,7 +740,7 @@ def test_schema_digest_mismatch_quotes_both_digests_in_full(tmp_path):
     path.write_bytes(raw.replace(expected.encode("ascii"), stored.encode("ascii")))
     with pytest.raises(SchemaDigestError) as info:
         load_checkpoint(path, schema)
-    assert f"stored schema digest {stored} does not match {expected}" in str(info.value)
+    assert f"stored schema digest {stored!r} does not match {expected!r}" in str(info.value)
 
 
 def test_checkpoint_truncation(tmp_path):
